@@ -40,7 +40,7 @@ from .rearrange import StepDecreasing, rearrangement, sum_plus_linf_norm
 from .rispace import (RISpaceSpec, convexify, fundamental_powerlog, lorentz_zygmund)
 from .smoothness import (DEFAULT_GRID_RATIO, GradientField, besov_seminorm,
                          canonical_gradient, hajlasz_seminorm_l1)
-from .space import Space, diagnostics
+from .space import Space, _sorted_rows, diagnostics
 from .weights import PowerLog
 
 _POOL_WORKERS = 4
@@ -177,12 +177,16 @@ def _json_num(x):
 
 
 def measure_growth_constant(space: Space, q_dim: float) -> float:
-    """min over x and radii r in (0, 1] of mu(B(x, r)) / r^Q."""
-    cands = np.unique(space.dist[space.dist > 0.0])
-    cands = np.concatenate([cands[cands <= 1.0], [1.0]])
+    """min over x and radii r in (0, 1] of mu(B(x, r)) / r^Q.
+
+    The mass is fixed on each (e_k, e_{k+1}], e_k the sorted distances from x,
+    while r^Q grows: the row's distances <= 1 and r = 1 attain the minimum.
+    """
+    sd, prefix = _sorted_rows(space)
     best = math.inf
-    for r in cands:
-        best = min(best, float((space.ball_masses(float(r)) / r**q_dim).min()))
+    for row, pre in zip(sd, prefix):
+        radii = np.append(row[(row > 0.0) & (row <= 1.0)], 1.0)
+        best = min(best, float((pre[np.searchsorted(row, radii)] / radii**q_dim).min()))
     return best
 
 
@@ -215,7 +219,7 @@ def oscillation_gradient_constant(space: Space, f, alpha: float,
         gap = fpow.integral(t) / t - float(fpow.eval(t))
         denom = t ** (alpha / q_dim) * (gpow.integral(t) / t)
         if denom > 0.0:
-            best = max(best, gap / denom)
+            best = max(best, float(gap / denom))
     return best
 
 

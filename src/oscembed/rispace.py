@@ -331,10 +331,6 @@ def quasi_norm(spec: RISpaceSpec, fstar: StepDecreasing) -> float:
     return val ** (1.0 / r) if r != 1.0 else val
 
 
-def quasi_norm_of(spec: RISpaceSpec, space: Space, f) -> float:
-    return quasi_norm(spec, rearrangement(space, f))
-
-
 def indicator_step(mass: float) -> StepDecreasing:
     if not mass > 0.0:
         raise DomainError("indicator mass must be positive")

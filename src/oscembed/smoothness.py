@@ -25,6 +25,7 @@ solves dump the instance to a text file for inspection.
 from __future__ import annotations
 
 import math
+import os
 import tempfile
 from dataclasses import dataclass
 
@@ -206,12 +207,14 @@ def canonical_gradient(space: Space, f) -> GradientField:
 
 
 def _dump_lp(c, a_ub, b_ub, note: str) -> str:
-    path = tempfile.mktemp(prefix="oscembed_lp_", suffix=".txt")
-    with open(path, "w") as fh:
-        fh.write(f"# {note}\nminimize {list(map(float, c))}\n")
-        dense = a_ub.toarray() if hasattr(a_ub, "toarray") else np.asarray(a_ub)
-        for row, rhs in zip(dense, b_ub):
-            fh.write(f"{list(map(float, row))} <= {float(rhs)}\n")
+    """Write min c.x s.t. a_ub x <= b_ub to a new temporary file, a_ub as sparse triplets."""
+    a = coo_matrix(a_ub)
+    fd, path = tempfile.mkstemp(prefix="oscembed_lp_", suffix=".txt")
+    with os.fdopen(fd, "w") as fh:
+        fh.write(f"# {note}\nminimize {list(map(float, c))}\nb_ub {list(map(float, b_ub))}\n"
+                 f"# a_ub {a.shape}: row col value\n")
+        for i, j, v in zip(a.row.tolist(), a.col.tolist(), a.data.tolist()):
+            fh.write(f"{i} {j} {v!r}\n")
     return path
 
 

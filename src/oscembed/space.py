@@ -3,10 +3,10 @@
 A space is a finite point set with a metric given as a dense distance matrix
 and a strictly positive weight (atomic measure) per point.  Balls use the
 strict inequality B(x, r) = {y : d(x, y) < r}; ties at distance exactly r are
-excluded.  On a finite space every ball-derived quantity is piecewise constant
-in r, so suprema over all radii reduce to finite scans over the "critical"
-radii {d(x,y), d(x,y)/2} plus midpoints of consecutive gaps; the doubling
-constant computed here is the exact supremum, not an estimate.
+excluded.  mu(B(x, r)) is a step function of r that jumps only at distances
+from x, so suprema and infima over all radii reduce to scans of each row's own
+distances, read off one index of sorted rows with weight prefix sums; the
+doubling constant computed here is the exact supremum, not an estimate.
 
 Continuity caveats that tests rely on:
   * the measure is atomic and the total mass is finite, so diagnostics are
@@ -241,26 +241,26 @@ def critical_radii(space: Space) -> np.ndarray:
     return np.unique(np.concatenate([base, mids]))
 
 
-def _mass_table(space: Space, radii: np.ndarray) -> np.ndarray:
-    """masses[x, k] = mu(B(x, radii[k])), via per-row sorted cumulative weights."""
-    n = space.n
-    out = np.empty((n, radii.size))
-    for i in range(n):
-        order = np.argsort(space.dist[i], kind="stable")
-        sd = space.dist[i][order]
-        prefix = np.concatenate([[0.0], np.cumsum(space.weight[order])])
-        out[i] = prefix[np.searchsorted(sd, radii, side="left")]
-    return out
+def _sorted_rows(space: Space) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of dist sorted, and weight prefix sums: mu(B(x, r)) = prefix[x, #{d(x, .) < r}]."""
+    order = np.argsort(space.dist, axis=1, kind="stable")
+    prefix = np.zeros((space.n, space.n + 1))
+    np.cumsum(space.weight[order], axis=1, out=prefix[:, 1:])
+    return np.take_along_axis(space.dist, order, axis=1), prefix
 
 
 def doubling_constant(space: Space) -> float:
-    """Exact sup over x, r > 0 of mu(B(x, 2r)) / mu(B(x, r))."""
-    if space.n < 2:
-        return 1.0
-    radii = critical_radii(space)
-    m1 = _mass_table(space, radii)
-    m2 = _mass_table(space, 2.0 * radii)
-    return max(1.0, float((m2 / m1).max()))
+    """Exact sup over x, r > 0 of mu(B(x, 2r)) / mu(B(x, r)).
+
+    On r in (e_k, e_{k+1}], e_k the sorted distances from x, B(x, r) is fixed
+    and the sup is W(d < 2 e_{k+1}) / W(d <= e_k), taken at r = e_{k+1}.
+    """
+    sd, prefix = _sorted_rows(space)
+    best = 1.0
+    for row, pre in zip(sd, prefix):  # row[0] = 0 is x itself
+        ratio = pre[np.searchsorted(row, 2.0 * row[1:])] / pre[np.searchsorted(row, row[1:])]
+        best = max(best, float(ratio.max(initial=1.0)))
+    return best
 
 
 def upper_dimension(space: Space, c_mu: float | None = None) -> float:

@@ -243,11 +243,6 @@ class PowerLog:
                         float(obj.get("g", 0.0)), float(obj.get("const", 1.0)))
 
 
-def powerlog_antiderivative_zero_to(p: PowerLog, t: float) -> float:
-    """int_0^t p(z) dz/z; requires integrability at 0."""
-    return p.integral_dt_over_t(0.0, t)
-
-
 @dataclass(frozen=True)
 class OrliczFunction:
     """Orlicz generator: strictly increasing, vanishing at 0, doubling growth.

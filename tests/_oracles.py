@@ -2,14 +2,17 @@
 
 Nothing here may call the evaluation paths it is used to check: rearrangement
 values come from the inf-formula on a grid, norms from dense-grid sups or
-generic quadrature, LP optima from exhaustive vertex enumeration, derivatives
-from central differences.
+generic quadrature, ball-scan constants from global radius tables, LP optima
+from exhaustive vertex enumeration, derivatives from central differences.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from oscembed.space import critical_radii
 
 
 def distribution_mass(f, weights, level):
@@ -61,6 +64,37 @@ def dense_grid_doubling(space, n_grid=10_000):
         m1 = space.ball_masses(float(r))
         m2 = space.ball_masses(2.0 * float(r))
         best = max(best, float((m2 / m1).max()))
+    return best
+
+
+def table_doubling_constant(space):
+    """Doubling sup as the max ratio over one global table of critical radii.
+
+    Every row's masses at every radius of critical_radii (all pairwise
+    distances, their halves and the gap midpoints) come from that row's
+    sorted cumulative weights.  Costs n x |radii|: small spaces only.
+    """
+    if space.n < 2:
+        return 1.0
+    radii = critical_radii(space)
+    best = 1.0
+    for i in range(space.n):
+        order = np.argsort(space.dist[i], kind="stable")
+        sd = space.dist[i][order]
+        prefix = np.concatenate([[0.0], np.cumsum(space.weight[order])])
+        m1 = prefix[np.searchsorted(sd, radii, side="left")]
+        m2 = prefix[np.searchsorted(sd, 2.0 * radii, side="left")]
+        best = max(best, float((m2 / m1).max()))
+    return best
+
+
+def brute_force_growth_constant(space, q_dim):
+    """min of mu(B(x, r)) / r^Q over every distance r <= 1 of the space and r = 1."""
+    cands = np.unique(space.dist[space.dist > 0.0])
+    cands = np.concatenate([cands[cands <= 1.0], [1.0]])
+    best = math.inf
+    for r in cands:
+        best = min(best, float((space.ball_masses(float(r)) / r**q_dim).min()))
     return best
 
 

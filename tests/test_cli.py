@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, determinism, and refusal exit codes."""
 
+import csv
 import json
 
 import numpy as np
@@ -45,6 +46,19 @@ def test_verify_k1_constants_corpus(space_file, tmp_path):
     assert rc == 0
     payload = json.loads((out / "verify-k1.json").read_text())
     assert payload["empirical_constant"] == 0.0
+
+
+def test_cli_verify_teomo1_rows_are_float_literals(space_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["verify", "--theorem", "teomo1", "--space", space_file,
+                 "--corpus", '{"generator": "lipschitz-noise", "count": 3}',
+                 "--seed", "2", "--out", str(out)]) == 0
+    payload = json.loads((out / "verify-teomo1.json").read_text())
+    with open(out / "verify-teomo1.csv") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    literals = [row["constant"] for row in payload["rows"] + csv_rows]
+    assert len(literals) == 6
+    assert all(repr(float(text)) == text for text in literals)
 
 
 def test_verify_infinito_refusal_exit_code(space_file, tmp_path, capsys):

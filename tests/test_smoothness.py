@@ -1,6 +1,8 @@
 """Ball averages, moduli, Besov seminorms, gradient LPs, and K bounds."""
 
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from oscembed import (DomainError, GradientField, ModulusProfile, besov_seminorm
                       hajlasz_seminorm_upper, k_bounds, k_functional_l1, lp, modulus,
                       modulus_profile, nabla, path_space, quasi_norm, rearrangement,
                       space_from_matrix, t_r_operator)
+from oscembed import SolverError, smoothness
 from oscembed.smoothness import besov_from_profile, k_functional_l1_nonhomogeneous
 from oscembed.space import critical_radii, diagnostics
 
@@ -235,6 +238,22 @@ def test_hajlasz_below_canonical():
         val, _ = hajlasz_seminorm_l1(sp, f)
         canon = float(np.sum(canonical_gradient(sp, f).g * sp.weight))
         assert val <= canon + 1e-10
+
+
+def test_failed_lp_is_dumped_as_sparse_triplets(monkeypatch):
+    failed = types.SimpleNamespace(status=2, message="The problem is infeasible. ")
+    monkeypatch.setattr(smoothness, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(SolverError, match="instance dumped to ") as info:
+        hajlasz_seminorm_l1(path_space(4), [0.0, 1.0, 3.0, 2.0])
+    path = Path(str(info.value).rsplit("instance dumped to ", 1)[1])
+    try:
+        lines = path.read_text().splitlines()
+        triplets = [line.split() for line in lines if line[:1].isdigit()]
+        assert len(triplets) == 12  # 6 pair rows, -g(x) - g(y) <= -rhs
+        for i, j, v in triplets:
+            assert 0 <= int(i) < 6 and 0 <= int(j) < 4 and float(v) == -1.0
+    finally:
+        path.unlink()
 
 
 def test_hajlasz_upper_equals_l1_for_l1_spec():

@@ -1,14 +1,20 @@
 """Space loading, balls, and geometric diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oscembed import (SpaceValidationError, diagnostics, doubling_constant,
                       grid_space, load_space, noncollapsing_constant, path_space,
                       space_from_matrix, upper_dimension)
+from oscembed import (measure_growth_constant, random_geometric_space, space_from_graph,
+                      space_from_points)
 from oscembed.space import critical_radii, iterated_doubling_margin
 
-from _oracles import dense_grid_doubling
+from _oracles import brute_force_growth_constant, dense_grid_doubling, table_doubling_constant
 
 
 def two_point(d=1.0, w=(1.0, 1.0)):
@@ -102,6 +108,50 @@ def test_doubling_certificate_all_critical_radii():
         m1 = sp.ball_masses(float(r))
         m2 = sp.ball_masses(2.0 * float(r))
         assert np.all(m2 <= c * m1 + 1e-12)
+
+
+@st.composite
+def small_spaces(draw):
+    """Point sets on a scaled integer lattice (many tied distances) or weighted graphs."""
+    n = draw(st.integers(1, 9))
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    scale = draw(st.floats(0.05, 2.0))
+    if draw(st.booleans()):
+        coords = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                               min_size=n, max_size=n, unique=True))
+        return space_from_points(scale * np.array(coords, dtype=float).reshape(n, 2), weights)
+    length = st.one_of(st.integers(1, 3).map(float), st.floats(0.1, 2.0))
+    edges = [(i, draw(st.integers(0, i - 1)), scale * draw(length)) for i in range(1, n)]
+    for _ in range(draw(st.integers(0, n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            edges.append((i, j, scale * draw(length)))
+    return space_from_graph(n, edges, weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_spaces())
+@example(path_space(20))
+@example(path_space(6, weights=[1.0, 2.0, 0.5, 1.5, 1.0, 3.0]))
+@example(grid_space(8, 8))
+@example(random_geometric_space(40, 0.3, 1))
+def test_ball_scans_match_table_and_brute_force_oracles(sp):
+    c = doubling_constant(sp)
+    assert c == table_doubling_constant(sp)
+    q_dim = float(np.log2(c))
+    assert measure_growth_constant(sp, q_dim) == pytest.approx(
+        brute_force_growth_constant(sp, q_dim), rel=1e-12, abs=0.0)
+
+
+def test_ball_scans_memory_at_n240():
+    sp = random_geometric_space(240, 0.15, 7)
+    tracemalloc.start()
+    try:
+        measure_growth_constant(sp, float(np.log2(doubling_constant(sp))))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_upper_dimension():
