@@ -18,8 +18,9 @@ Gradient seminorms come from the pairwise relaxation
 
 whose feasible fields form a polytope.  The weighted-L1 infimum over that
 polytope, and the split-infimum K(f, t) against the L1 error term, are plain
-linear programs solved exactly (up to solver tolerance) with HiGHS; failed
-solves dump the instance to a text file for inspection.
+linear programs solved with HiGHS.  Every optimum is certified by its duality
+gap; failed or uncertified solves dump the instance to a text file for
+inspection.
 """
 
 from __future__ import annotations
@@ -219,11 +220,23 @@ def _dump_lp(c, a_ub, b_ub, note: str) -> str:
 
 
 def _solve_lp(c, a_ub, b_ub, bounds, note: str):
+    """Solve min c.x s.t. a_ub x <= b_ub with HiGHS and certify the optimum.
+
+    The certificate is the duality gap |c.x - b_ub.y| <= 1e-9 relative, with y
+    the inequality marginals.  That b_ub.y is the whole dual objective assumes
+    every finite variable bound is 0, as in all the LPs of this module.  A
+    failed solve or an open gap dumps the instance and raises SolverError.
+    """
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
         path = _dump_lp(c, a_ub, b_ub, note)
         raise SolverError(f"LP solve failed ({res.message.strip()}); instance dumped to {path}")
+    gap = abs(res.fun - float(b_ub @ res.ineqlin.marginals))
+    if gap > _LP_GAP_TOL * max(1.0, abs(res.fun)):
+        path = _dump_lp(c, a_ub, b_ub, f"{note} duality gap")
+        raise SolverError(f"duality gap {gap:g} too large; instance dumped to {path}")
     return res
+
 
 def _pair_constraints(space: Space, rhs_scale: np.ndarray):
     """Rows of g(x)+g(y) >= rhs for all pairs x < y, as -g(x)-g(y) <= -rhs."""
@@ -240,23 +253,49 @@ def _pair_constraints(space: Space, rhs_scale: np.ndarray):
 
 
 def hajlasz_seminorm_l1(space: Space, f) -> tuple[float, GradientField]:
-    """Weighted-L1 infimum over feasible gradient fields, by exact LP.
-
-    Optimality is certified by the HiGHS dual: the duality gap must close to
-    1e-9 relative or the solve is rejected.
-    """
+    """Weighted-L1 infimum over feasible gradient fields, by exact certified LP."""
     f = np.asarray(f, dtype=float)
     diff = np.abs(f[:, None] - f[None, :])
     if space.n < 2 or float(diff.max()) == 0.0:
         return 0.0, GradientField.certify(space, f, np.zeros(space.n))
     a_ub, b_ub, _, _ = _pair_constraints(space, diff)
     res = _solve_lp(space.weight, a_ub, b_ub, [(0.0, None)] * space.n, "gradient-seminorm")
-    dual = float(b_ub @ res.ineqlin.marginals)
-    gap = abs(res.fun - dual)
-    if gap > _LP_GAP_TOL * max(1.0, abs(res.fun)):
-        path = _dump_lp(space.weight, a_ub, b_ub, "gradient-seminorm duality gap")
-        raise SolverError(f"duality gap {gap:g} too large; instance dumped to {path}")
     return float(res.fun), GradientField.certify(space, f, res.x)
+
+
+def _k_functional_lp(space: Space, f: np.ndarray, t: float, inhomogeneous: bool):
+    """Joint LP of K(f, t) over (h, g, e), plus a when inhomogeneous, as (c, a_ub, b_ub, bounds).
+
+    h is free; g is the gradient field of h; e >= |f - h| and a >= |h| are
+    absolute-value slacks.  Pair k (i < j, triu order) gives rows 2k and 2k+1:
+    +-(h_i - h_j)/d - g_i - g_j <= 0.  Then each point x gives consecutive rows
+    -e_x -+ h_x <= -+f_x, followed when inhomogeneous by -a_x +- h_x <= 0.
+    """
+    n, w = space.n, space.weight
+    ii, jj = np.triu_indices(n, k=1)
+    inv = 1.0 / space.dist[ii, jj]
+    neg = -np.ones(ii.size)
+    pair_cols = np.stack([ii, jj, n + ii, n + jj], axis=1).repeat(2, axis=0)
+    pair_data = np.stack([inv, -inv, neg, neg, -inv, inv, neg, neg], axis=1)
+    # per point x: row r is -(slack block slack[r])_x + h_sign[r] * h_x <= rhs[r]_x
+    slack, h_sign, rhs = [2, 2], [-1.0, 1.0], [-f, f]
+    c = [np.zeros(n), t * w, w]
+    if inhomogeneous:
+        slack, h_sign, rhs = slack + [3, 3], h_sign + [1.0, -1.0], rhs + [np.zeros(n)] * 2
+        c.append(t * w)
+    x = np.arange(n)[:, None]
+    k = len(slack)
+    point_cols = np.stack([n * np.array(slack) + x, x.repeat(k, axis=1)], axis=2)
+    point_data = np.stack([np.full((n, k), -1.0), np.tile(h_sign, (n, 1))], axis=2)
+    n_pair_rows = 2 * ii.size
+    rows = np.concatenate([np.repeat(np.arange(n_pair_rows), 4),
+                           np.repeat(n_pair_rows + np.arange(n * k), 2)])
+    cols = np.concatenate([pair_cols.ravel(), point_cols.ravel()])
+    data = np.concatenate([pair_data.ravel(), point_data.ravel()])
+    a_ub = coo_matrix((data, (rows, cols)), shape=(n_pair_rows + n * k, len(c) * n))
+    b_ub = np.concatenate([np.zeros(n_pair_rows), np.stack(rhs, axis=1).ravel()])
+    bounds = [(None, None)] * n + [(0.0, None)] * ((len(c) - 1) * n)
+    return np.concatenate(c), a_ub, b_ub, bounds
 
 
 def k_functional_l1(space: Space, f, t: float) -> float:
@@ -268,38 +307,9 @@ def k_functional_l1(space: Space, f, t: float) -> float:
     if not t > 0.0:
         raise DomainError("K-functional parameter t must be positive")
     f = np.asarray(f, dtype=float)
-    n = space.n
-    if n < 2 or float(np.abs(f - f[0]).max()) == 0.0:
+    if space.n < 2 or float(np.abs(f - f[0]).max()) == 0.0:
         return 0.0
-    ii, jj = np.triu_indices(n, k=1)
-    d = space.dist[ii, jj]
-    m = ii.size
-    # variables: h (n), g (n), e (n)
-    rows, cols, data, rhs = [], [], [], []
-
-    def add_row(idx, entries, b):
-        for col, val in entries:
-            rows.append(idx)
-            cols.append(col)
-            data.append(val)
-        rhs.append(b)
-
-    row = 0
-    for k in range(m):  # (h_i - h_j)/d - g_i - g_j <= 0, both signs
-        i, j = int(ii[k]), int(jj[k])
-        add_row(row, [(i, 1.0 / d[k]), (j, -1.0 / d[k]), (n + i, -1.0), (n + j, -1.0)], 0.0)
-        row += 1
-        add_row(row, [(i, -1.0 / d[k]), (j, 1.0 / d[k]), (n + i, -1.0), (n + j, -1.0)], 0.0)
-        row += 1
-    for x in range(n):  # |f - h| slacks: -e - h <= -f, -e + h <= f
-        add_row(row, [(2 * n + x, -1.0), (x, -1.0)], -float(f[x]))
-        row += 1
-        add_row(row, [(2 * n + x, -1.0), (x, 1.0)], float(f[x]))
-        row += 1
-    a_ub = coo_matrix((data, (rows, cols)), shape=(row, 3 * n))
-    c = np.concatenate([np.zeros(n), t * space.weight, space.weight])
-    bounds = [(None, None)] * n + [(0.0, None)] * n + [(0.0, None)] * n
-    res = _solve_lp(c, a_ub, np.asarray(rhs), bounds, f"k-functional t={t}")
+    res = _solve_lp(*_k_functional_lp(space, f, t, False), f"k-functional t={t}")
     return float(res.fun)
 
 
@@ -308,39 +318,7 @@ def k_functional_l1_nonhomogeneous(space: Space, f, t: float) -> float:
     if not t > 0.0:
         raise DomainError("K-functional parameter t must be positive")
     f = np.asarray(f, dtype=float)
-    n = space.n
-    ii, jj = np.triu_indices(n, k=1)
-    d = space.dist[ii, jj]
-    m = ii.size
-    rows, cols, data, rhs = [], [], [], []
-
-    def add_row(idx, entries, b):
-        for col, val in entries:
-            rows.append(idx)
-            cols.append(col)
-            data.append(val)
-        rhs.append(b)
-
-    row = 0
-    for k in range(m):
-        i, j = int(ii[k]), int(jj[k])
-        add_row(row, [(i, 1.0 / d[k]), (j, -1.0 / d[k]), (n + i, -1.0), (n + j, -1.0)], 0.0)
-        row += 1
-        add_row(row, [(i, -1.0 / d[k]), (j, 1.0 / d[k]), (n + i, -1.0), (n + j, -1.0)], 0.0)
-        row += 1
-    for x in range(n):  # e >= |f - h|, a >= |h|
-        add_row(row, [(2 * n + x, -1.0), (x, -1.0)], -float(f[x]))
-        row += 1
-        add_row(row, [(2 * n + x, -1.0), (x, 1.0)], float(f[x]))
-        row += 1
-        add_row(row, [(3 * n + x, -1.0), (x, 1.0)], 0.0)
-        row += 1
-        add_row(row, [(3 * n + x, -1.0), (x, -1.0)], 0.0)
-        row += 1
-    a_ub = coo_matrix((data, (rows, cols)), shape=(row, 4 * n))
-    c = np.concatenate([np.zeros(n), t * space.weight, space.weight, t * space.weight])
-    bounds = ([(None, None)] * n + [(0.0, None)] * n + [(0.0, None)] * n + [(0.0, None)] * n)
-    res = _solve_lp(c, a_ub, np.asarray(rhs), bounds, f"k-functional-inhomogeneous t={t}")
+    res = _solve_lp(*_k_functional_lp(space, f, t, True), f"k-functional-inhomogeneous t={t}")
     return float(res.fun)
 
 

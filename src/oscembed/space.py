@@ -74,9 +74,6 @@ class Space:
             raise SpaceValidationError(f"ball radius must be positive, got {r}")
         return np.flatnonzero(self.dist[x] < r)
 
-    def ball_mass(self, x: int, r: float) -> float:
-        return float(self.weight[self.ball(x, r)].sum())
-
     def ball_masses(self, r: float) -> np.ndarray:
         """mu(B(x, r)) for every x at once."""
         return (self.dist < r) @ self.weight
@@ -278,28 +275,3 @@ def diagnostics(space: Space) -> SpaceDiagnostics:
     c = doubling_constant(space)
     return SpaceDiagnostics(c_mu=c, q_dim=float(np.log2(c)), b=noncollapsing_constant(space),
                             diameter=space.diameter, r_min=space.r_min)
-
-
-def iterated_doubling_margin(space: Space, q_dim: float, n_radii: int = 12) -> float:
-    """Worst slack of mu(B(x,r)) >= (r/4R)^Q mu(B(y,R)) over sampled nested balls.
-
-    Positive return means the bound holds on every sampled configuration with
-    B(x, r) contained in B(y, R) and 0 < r <= R.
-    """
-    n = space.n
-    if n < 2:
-        return float("inf")
-    radii = np.geomspace(space.r_min / 2.0, 1.5 * space.diameter, n_radii)
-    inside = space.dist[:, :, None] < radii[None, None, :]  # inside[x, y, k]
-    masses = np.einsum("xyk,y->xk", inside, space.weight)
-    worst = float("inf")
-    for xi in range(n):
-        for ki, r in enumerate(radii):
-            bx = inside[xi, :, ki]
-            for yi in range(n):
-                for kj in range(ki, n_radii):
-                    if not np.all(~bx | inside[yi, :, kj]):
-                        continue
-                    lower = (r / (4.0 * radii[kj])) ** q_dim * masses[yi, kj]
-                    worst = min(worst, float(masses[xi, ki] - lower))
-    return worst

@@ -268,7 +268,6 @@ class OrliczFunction:
         ratio = self(2.0 * xs) / vals
         if not np.all(np.isfinite(ratio)):
             raise DomainError("Orlicz preset fails the doubling-growth check")
-        object.__setattr__(self, "_doubling_ratio", float(ratio.max()))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -277,10 +276,6 @@ class OrliczFunction:
         else:
             out = x**self.p * np.log(np.e + x) ** self.b
         return out if out.shape else float(out)
-
-    @property
-    def doubling_ratio(self) -> float:
-        return self._doubling_ratio
 
     def inverse(self, y: float) -> float:
         """Phi^{-1}(y) by bracketing + brentq."""

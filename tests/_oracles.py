@@ -3,7 +3,8 @@
 Nothing here may call the evaluation paths it is used to check: rearrangement
 values come from the inf-formula on a grid, norms from dense-grid sups or
 generic quadrature, ball-scan constants from global radius tables, LP optima
-from exhaustive vertex enumeration, derivatives from central differences.
+from exhaustive vertex enumeration, LP instances row by row, derivatives from
+central differences.
 """
 
 import itertools
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import coo_matrix
 
 from oscembed.space import critical_radii
 
@@ -96,6 +98,75 @@ def brute_force_growth_constant(space, q_dim):
     for r in cands:
         best = min(best, float((space.ball_masses(float(r)) / r**q_dim).min()))
     return best
+
+
+def iterated_doubling_margin(space, q_dim, n_radii=12):
+    """Worst slack of mu(B(x,r)) >= (r/4R)^Q mu(B(y,R)) over sampled nested balls.
+
+    Positive return means the bound holds on every sampled configuration with
+    B(x, r) contained in B(y, R) and 0 < r <= R.
+    """
+    n = space.n
+    if n < 2:
+        return float("inf")
+    radii = np.geomspace(space.r_min / 2.0, 1.5 * space.diameter, n_radii)
+    inside = space.dist[:, :, None] < radii[None, None, :]  # inside[x, y, k]
+    masses = np.einsum("xyk,y->xk", inside, space.weight)
+    worst = float("inf")
+    for xi in range(n):
+        for ki, r in enumerate(radii):
+            bx = inside[xi, :, ki]
+            for yi in range(n):
+                for kj in range(ki, n_radii):
+                    if not np.all(~bx | inside[yi, :, kj]):
+                        continue
+                    lower = (r / (4.0 * radii[kj])) ** q_dim * masses[yi, kj]
+                    worst = min(worst, float(masses[xi, ki] - lower))
+    return worst
+
+
+def rowwise_k_functional_lp(space, f, t, inhomogeneous):
+    """K(f, t) LP instance (c, a_ub, b_ub, bounds), built one row at a time.
+
+    Variables h (free), g, e and, when inhomogeneous, a.  Per pair i < j two
+    rows +-(h_i - h_j)/d - g_i - g_j <= 0; per point e >= |f - h| and, when
+    inhomogeneous, a >= |h|, each as two rows.
+    """
+    f = np.asarray(f, dtype=float)
+    n = space.n
+    ii, jj = np.triu_indices(n, k=1)
+    d = space.dist[ii, jj]
+    rows, cols, data, rhs = [], [], [], []
+
+    def add_row(idx, entries, b):
+        for col, val in entries:
+            rows.append(idx)
+            cols.append(col)
+            data.append(val)
+        rhs.append(b)
+
+    row = 0
+    for k in range(ii.size):
+        i, j = int(ii[k]), int(jj[k])
+        add_row(row, [(i, 1.0 / d[k]), (j, -1.0 / d[k]), (n + i, -1.0), (n + j, -1.0)], 0.0)
+        row += 1
+        add_row(row, [(i, -1.0 / d[k]), (j, 1.0 / d[k]), (n + i, -1.0), (n + j, -1.0)], 0.0)
+        row += 1
+    for x in range(n):
+        add_row(row, [(2 * n + x, -1.0), (x, -1.0)], -float(f[x]))
+        row += 1
+        add_row(row, [(2 * n + x, -1.0), (x, 1.0)], float(f[x]))
+        row += 1
+        if inhomogeneous:
+            add_row(row, [(3 * n + x, -1.0), (x, 1.0)], 0.0)
+            row += 1
+            add_row(row, [(3 * n + x, -1.0), (x, -1.0)], 0.0)
+            row += 1
+    blocks = 4 if inhomogeneous else 3
+    a_ub = coo_matrix((data, (rows, cols)), shape=(row, blocks * n))
+    c = [np.zeros(n), t * space.weight, space.weight] + [t * space.weight] * (blocks - 3)
+    bounds = [(None, None)] * n + [(0.0, None)] * ((blocks - 1) * n)
+    return np.concatenate(c), a_ub, np.asarray(rhs), bounds
 
 
 def lp_vertex_minimum(c, a_ub, b_ub, n_nonneg):

@@ -6,17 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscembed import (DomainError, GradientField, ModulusProfile, besov_seminorm,
                       canonical_gradient, convexify, grid_space, hajlasz_seminorm_l1,
                       hajlasz_seminorm_upper, k_bounds, k_functional_l1, lp, modulus,
                       modulus_profile, nabla, path_space, quasi_norm, rearrangement,
                       space_from_matrix, t_r_operator)
-from oscembed import SolverError, smoothness
+from oscembed import SolverError, smoothness, space_from_graph, space_from_points
 from oscembed.smoothness import besov_from_profile, k_functional_l1_nonhomogeneous
 from oscembed.space import critical_radii, diagnostics
 
-from _oracles import hajlasz_vertex_oracle
+from _oracles import hajlasz_vertex_oracle, rowwise_k_functional_lp
 
 TWO = space_from_matrix([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
 
@@ -378,3 +380,57 @@ def test_k_scales_with_measure():
         a = k_functional_l1(sp.scale_weights(lam), f, 0.7)
         b = lam * k_functional_l1(sp, f, 0.7)
         assert a == pytest.approx(b, rel=1e-8)
+
+
+# -- the K-functional LP builder and the certified solve ----------------------------------------
+
+
+@st.composite
+def k_instances(draw):
+    """A small weighted lattice point set or tree, a function on it, and t > 0."""
+    n = draw(st.integers(1, 7))
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    scale = draw(st.floats(0.05, 2.0))
+    if draw(st.booleans()):
+        coords = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                               min_size=n, max_size=n, unique=True))
+        sp = space_from_points(scale * np.array(coords, dtype=float).reshape(n, 2), weights)
+    else:
+        edges = [(i, draw(st.integers(0, i - 1)), scale * draw(st.floats(0.1, 3.0)))
+                 for i in range(1, n)]
+        sp = space_from_graph(n, edges, weights)
+    f = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    return sp, np.array(f), draw(st.floats(0.01, 100.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(k_instances(), st.booleans())
+def test_k_lp_builder_matches_rowwise_oracle(instance, inhomogeneous):
+    sp, f, t = instance
+    c, a_ub, b_ub, bounds = smoothness._k_functional_lp(sp, f, t, inhomogeneous)
+    c_o, a_o, b_o, bounds_o = rowwise_k_functional_lp(sp, f, t, inhomogeneous)
+    a_ub, a_o = a_ub.tocsr(), a_o.tocsr()
+    assert a_ub.shape == a_o.shape
+    for got, want in ((a_ub.data, a_o.data), (a_ub.indices, a_o.indices),
+                      (a_ub.indptr, a_o.indptr), (b_ub, b_o), (c, c_o)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert bounds == bounds_o
+
+
+def test_uncertified_optimum_is_dumped(monkeypatch):
+    solve = smoothness.linprog
+
+    def halved_duals(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.ineqlin.marginals = 0.5 * res.ineqlin.marginals
+        return res
+
+    monkeypatch.setattr(smoothness, "linprog", halved_duals)
+    f = [0.0, 1.0, 3.0, 2.0]
+    for lp_call in (lambda: k_functional_l1(path_space(4), f, 1.0),
+                    lambda: hajlasz_seminorm_l1(path_space(4), f)):
+        with pytest.raises(SolverError, match="duality gap") as info:
+            lp_call()
+        path = Path(str(info.value).rsplit("instance dumped to ", 1)[1])
+        assert path.is_file()
+        path.unlink()

@@ -12,9 +12,10 @@ from oscembed import (SpaceValidationError, diagnostics, doubling_constant,
                       space_from_matrix, upper_dimension)
 from oscembed import (measure_growth_constant, random_geometric_space, space_from_graph,
                       space_from_points)
-from oscembed.space import critical_radii, iterated_doubling_margin
+from oscembed.space import critical_radii
 
-from _oracles import brute_force_growth_constant, dense_grid_doubling, table_doubling_constant
+from _oracles import (brute_force_growth_constant, dense_grid_doubling, iterated_doubling_margin,
+                      table_doubling_constant)
 
 
 def two_point(d=1.0, w=(1.0, 1.0)):
