@@ -35,11 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, SolverError
+from .errors import DomainError, PreconditionError
 from .rearrange import StepDecreasing, rearrangement, sum_plus_linf_norm
 from .rispace import (RISpaceSpec, convexify, fundamental_powerlog, lorentz_zygmund)
 from .smoothness import (DEFAULT_GRID_RATIO, GradientField, besov_seminorm,
-                         canonical_gradient, hajlasz_seminorm_l1)
+                         hajlasz_seminorm_l1)
 from .space import Space, _sorted_rows, diagnostics
 from .weights import PowerLog
 
@@ -196,8 +196,9 @@ def oscillation_gradient_constant(space: Space, f, alpha: float,
                                   n_grid: int = 200) -> float:
     """Empirical constant c in gap(|f|^a, t) <= c t^(a/Q) avg(g^a, t) on a t-grid.
 
-    g defaults to the L1-optimal gradient field (canonical field on solver
-    failure).  Returns 0 for constant f (the bound is vacuous).  The sup is
+    g defaults to the L1-optimal gradient field; a failed or uncertified L1
+    solve raises its SolverError, which names the dump of the instance.
+    Returns 0 for constant f (the bound is vacuous).  The sup is
     over a log grid in (0, mass/2); doubling n_grid refines the grid.
     """
     f = np.asarray(f, dtype=float)
@@ -206,10 +207,7 @@ def oscillation_gradient_constant(space: Space, f, alpha: float,
     if float(np.ptp(f)) == 0.0:
         return 0.0
     if gradient is None:
-        try:
-            _, gradient = hajlasz_seminorm_l1(space, f)
-        except SolverError:
-            gradient = canonical_gradient(space, f)
+        _, gradient = hajlasz_seminorm_l1(space, f)
     fpow = rearrangement(space, f).power(alpha)
     gpow = rearrangement(space, gradient.g).power(alpha)
     mass = fpow.mass

@@ -18,8 +18,13 @@ Gradient seminorms come from the pairwise relaxation
 
 whose feasible fields form a polytope.  The weighted-L1 infimum over that
 polytope, and the split-infimum K(f, t) against the L1 error term, are plain
-linear programs solved with HiGHS.  Every optimum is certified by its duality
-gap; failed or uncertified solves dump the instance to a text file for
+linear programs solved with HiGHS.  They carry one block of rows per pair of
+points, of which only a few are ever binding, so they are solved by row
+generation: solve with an active set of pairs, check every pair, add the
+violated ones, and repeat.  The optimum is exact: a relaxed optimum that
+satisfies every pair is feasible for the full LP, and the relaxed dual padded
+with zeros is feasible for the full dual, so the same duality gap certifies
+it.  Failed or uncertified solves dump the instance to a text file for
 inspection.
 """
 
@@ -42,6 +47,7 @@ from .space import Space
 DEFAULT_GRID_RATIO = 2.0 ** 0.25
 _LP_GAP_TOL = 1e-9
 _FEAS_TOL = 1e-7
+_SEED_PAIRS = 3  # per point: its steepest pairs and its nearest neighbours seed the active set
 
 
 # -- ball averages ------------------------------------------------------------------
@@ -226,8 +232,18 @@ def _solve_lp(c, a_ub, b_ub, bounds, note: str):
     the inequality marginals.  That b_ub.y is the whole dual objective assumes
     every finite variable bound is 0, as in all the LPs of this module.  A
     failed solve or an open gap dumps the instance and raises SolverError.
+    HiGHS is held to feasibility tolerances of 1e-9 as well: at its default of
+    1e-7, a pair with |f(x) - f(y)| / d = 6e-8 is taken as met by g = 0, and
+    the returned optimum is off by that much with the gap closed.
+
+    Under row generation the instance holds the active pairs only.  Dropping
+    rows leaves the dual constraints (one per column) as they are, so y padded
+    with zeros is dual-feasible for the full LP with the same objective b_ub.y:
+    once x also satisfies every pair, the gap certifies x for the full LP.
     """
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": _LP_GAP_TOL,
+                           "dual_feasibility_tolerance": _LP_GAP_TOL})
     if res.status != 0:
         path = _dump_lp(c, a_ub, b_ub, note)
         raise SolverError(f"LP solve failed ({res.message.strip()}); instance dumped to {path}")
@@ -238,41 +254,99 @@ def _solve_lp(c, a_ub, b_ub, bounds, note: str):
     return res
 
 
-def _pair_constraints(space: Space, rhs_scale: np.ndarray):
-    """Rows of g(x)+g(y) >= rhs for all pairs x < y, as -g(x)-g(y) <= -rhs."""
+def _seed_pairs(space: Space, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Seed pairs (x, y) of row generation, as two index arrays.
+
+    Per point x: its _SEED_PAIRS pairs of largest |f(x) - f(y)| / d(x, y) and
+    its _SEED_PAIRS nearest neighbours, fewer when n - 1 is smaller.
+    """
+    n = space.n
+    k = min(_SEED_PAIRS, n - 1)
+    dist = space.dist + np.diag(np.full(n, np.inf))
+    steep = np.abs(f[:, None] - f[None, :]) / dist
+    np.fill_diagonal(steep, -np.inf)
+    near = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    top = np.argpartition(-steep, k - 1, axis=1)[:, :k]
+    return np.repeat(np.arange(n), 2 * k), np.concatenate([top, near], axis=1).ravel()
+
+
+def _row_generation(space: Space, f: np.ndarray, lp_of, fields_of, note: str):
+    """Certified optimum of an LP with one block of rows per pair, by row generation.
+
+    The pair rows say |u(x) - u(y)| / d(x, y) <= g(x) + g(y).  lp_of(ii, jj)
+    builds the LP (c, a_ub, b_ub, bounds) with the rows of the pairs (ii, jj)
+    only, and fields_of(x) reads (u, g) off a solution.  Starting from the
+    pairs of _seed_pairs, each round solves the relaxed LP through _solve_lp,
+    checks all n(n-1)/2 pairs at once and adds the violated inactive ones.  It
+    stops when no inactive pair is violated; each round adds one pair at
+    least, so it always stops.  An active pair may still be violated beyond
+    the solver's tolerance: then the instance is dumped and SolverError raised.
+
+    A pair counts as violated beyond 1e-9 relative, not beyond 0: where the
+    optimal u is constant and g = 0 (K at large t) every pair is tight, and
+    rounding in u alone would otherwise pull them all in.
+    """
     n = space.n
     ii, jj = np.triu_indices(n, k=1)
-    rhs = rhs_scale[ii, jj] / space.dist[ii, jj]
+    seeded = np.zeros((n, n), dtype=bool)
+    seeded[_seed_pairs(space, f)] = True
+    active = (seeded | seeded.T)[ii, jj]
+    dist = space.dist[ii, jj]
+    scale = max(1.0, float(np.abs(f).max()))
+    while True:
+        lp = lp_of(ii[active], jj[active])
+        res = _solve_lp(*lp, note)
+        u, g = fields_of(res.x)
+        g = np.maximum(g, 0.0)
+        violation = np.abs(u[ii] - u[jj]) / dist - g[ii] - g[jj]
+        new = (violation > _LP_GAP_TOL * scale) & ~active
+        if not new.any():
+            break
+        active |= new
+    worst = float(violation.max(initial=0.0))
+    if worst > _FEAS_TOL * scale:
+        path = _dump_lp(*lp[:3], f"{note} pair constraint violated")
+        raise SolverError(f"pair constraint violated by {worst:g}; instance dumped to {path}")
+    return res
+
+
+def _gradient_lp(space: Space, f: np.ndarray, ii: np.ndarray, jj: np.ndarray):
+    """Gradient LP over the pairs (ii, jj): min w.g s.t. -g_i - g_j <= -|f_i - f_j|/d, g >= 0.
+
+    Pairs with f_i = f_j give no row.
+    """
+    rhs = np.abs(f[ii] - f[jj]) / space.dist[ii, jj]
     keep = rhs > 0.0
     ii, jj, rhs = ii[keep], jj[keep], rhs[keep]
     m = ii.size
     rows = np.repeat(np.arange(m), 2)
-    cols = np.concatenate([ii[:, None], jj[:, None]], axis=1).ravel()
-    data = -np.ones(2 * m)
-    return coo_matrix((data, (rows, cols)), shape=(m, n)), -rhs, ii, jj
+    cols = np.stack([ii, jj], axis=1).ravel()
+    a_ub = coo_matrix((-np.ones(2 * m), (rows, cols)), shape=(m, space.n))
+    return space.weight, a_ub, -rhs, [(0.0, None)] * space.n
 
 
 def hajlasz_seminorm_l1(space: Space, f) -> tuple[float, GradientField]:
     """Weighted-L1 infimum over feasible gradient fields, by exact certified LP."""
     f = np.asarray(f, dtype=float)
-    diff = np.abs(f[:, None] - f[None, :])
-    if space.n < 2 or float(diff.max()) == 0.0:
+    if space.n < 2 or float(np.ptp(f)) == 0.0:
         return 0.0, GradientField.certify(space, f, np.zeros(space.n))
-    a_ub, b_ub, _, _ = _pair_constraints(space, diff)
-    res = _solve_lp(space.weight, a_ub, b_ub, [(0.0, None)] * space.n, "gradient-seminorm")
+    res = _row_generation(space, f, lambda ii, jj: _gradient_lp(space, f, ii, jj),
+                          lambda x: (f, x), "gradient-seminorm")
     return float(res.fun), GradientField.certify(space, f, res.x)
 
 
-def _k_functional_lp(space: Space, f: np.ndarray, t: float, inhomogeneous: bool):
+def _k_functional_lp(space: Space, f: np.ndarray, t: float, inhomogeneous: bool,
+                     pairs: tuple[np.ndarray, np.ndarray] | None = None):
     """Joint LP of K(f, t) over (h, g, e), plus a when inhomogeneous, as (c, a_ub, b_ub, bounds).
 
     h is free; g is the gradient field of h; e >= |f - h| and a >= |h| are
-    absolute-value slacks.  Pair k (i < j, triu order) gives rows 2k and 2k+1:
+    absolute-value slacks.  Pair k (i < j; all pairs in triu order, or the
+    pairs (ii, jj) given) gives rows 2k and 2k+1:
     +-(h_i - h_j)/d - g_i - g_j <= 0.  Then each point x gives consecutive rows
     -e_x -+ h_x <= -+f_x, followed when inhomogeneous by -a_x +- h_x <= 0.
     """
     n, w = space.n, space.weight
-    ii, jj = np.triu_indices(n, k=1)
+    ii, jj = np.triu_indices(n, k=1) if pairs is None else pairs
     inv = 1.0 / space.dist[ii, jj]
     neg = -np.ones(ii.size)
     pair_cols = np.stack([ii, jj, n + ii, n + jj], axis=1).repeat(2, axis=0)
@@ -309,8 +383,7 @@ def k_functional_l1(space: Space, f, t: float) -> float:
     f = np.asarray(f, dtype=float)
     if space.n < 2 or float(np.abs(f - f[0]).max()) == 0.0:
         return 0.0
-    res = _solve_lp(*_k_functional_lp(space, f, t, False), f"k-functional t={t}")
-    return float(res.fun)
+    return _k_functional(space, f, t, False, f"k-functional t={t}")
 
 
 def k_functional_l1_nonhomogeneous(space: Space, f, t: float) -> float:
@@ -318,7 +391,15 @@ def k_functional_l1_nonhomogeneous(space: Space, f, t: float) -> float:
     if not t > 0.0:
         raise DomainError("K-functional parameter t must be positive")
     f = np.asarray(f, dtype=float)
-    res = _solve_lp(*_k_functional_lp(space, f, t, True), f"k-functional-inhomogeneous t={t}")
+    return _k_functional(space, f, t, True, f"k-functional-inhomogeneous t={t}")
+
+
+def _k_functional(space: Space, f: np.ndarray, t: float, inhomogeneous: bool, note: str) -> float:
+    """K(f, t) by row generation over the pairs of _k_functional_lp; u = h, g its field."""
+    n = space.n
+    res = _row_generation(space, f,
+                          lambda ii, jj: _k_functional_lp(space, f, t, inhomogeneous, (ii, jj)),
+                          lambda x: (x[:n], x[n:2 * n]), note)
     return float(res.fun)
 
 
@@ -349,14 +430,11 @@ def hajlasz_seminorm_upper(space: Space, f, spec: RISpaceSpec, alpha: float
     Candidates: the canonical field, the L1-optimal field, and their
     coordinate-descent improvements.  Always an upper bound for the true
     infimum; exact when the L1-optimal field is optimal for the target norm.
+    A failed or uncertified L1 solve raises its SolverError, which names the
+    dump of the instance.
     """
     conv = convexify(spec, alpha)
-    cands = [canonical_gradient(space, f).g]
-    try:
-        _, opt = hajlasz_seminorm_l1(space, f)
-        cands.append(opt.g)
-    except SolverError:
-        pass
+    cands = [canonical_gradient(space, f).g, hajlasz_seminorm_l1(space, f)[1].g]
     cands.extend(_coordinate_descent(space, f, g) for g in list(cands))
     best_val, best_g = math.inf, None
     for g in cands:

@@ -3,8 +3,8 @@
 Nothing here may call the evaluation paths it is used to check: rearrangement
 values come from the inf-formula on a grid, norms from dense-grid sups or
 generic quadrature, ball-scan constants from global radius tables, LP optima
-from exhaustive vertex enumeration, LP instances row by row, derivatives from
-central differences.
+from exhaustive vertex enumeration or from one HiGHS solve over every pair,
+LP instances row by row, derivatives from central differences.
 """
 
 import itertools
@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from oscembed.space import critical_radii
@@ -167,6 +168,43 @@ def rowwise_k_functional_lp(space, f, t, inhomogeneous):
     c = [np.zeros(n), t * space.weight, space.weight] + [t * space.weight] * (blocks - 3)
     bounds = [(None, None)] * n + [(0.0, None)] * ((blocks - 1) * n)
     return np.concatenate(c), a_ub, np.asarray(rhs), bounds
+
+
+# HiGHS feasibility tolerances 1000 times below its defaults of 1e-7.  At the
+# defaults, K(f, 1) on path_space(8) with f = (1, 0, 0, 0, 0, 0, 1, 1e-6) came
+# out 2.1e-8 below its optimum.
+TIGHT_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def full_pair_gradient_seminorm(space, f):
+    """Gradient-seminorm optimum from one HiGHS solve with a row for every pair.
+
+    Rows -g(x) - g(y) <= -|f(x) - f(y)| / d(x, y) for all pairs x < y with
+    f(x) != f(y), built at once; no rows means the optimum g = 0.
+    """
+    f = np.asarray(f, dtype=float)
+    n = space.n
+    ii, jj = np.triu_indices(n, k=1)
+    rhs = np.abs(f[ii] - f[jj]) / space.dist[ii, jj]
+    keep = rhs > 0.0
+    ii, jj, rhs = ii[keep], jj[keep], rhs[keep]
+    if not rhs.size:
+        return 0.0
+    m = ii.size
+    a_ub = coo_matrix((-np.ones(2 * m), (np.repeat(np.arange(m), 2),
+                                         np.stack([ii, jj], axis=1).ravel())), shape=(m, n))
+    res = linprog(space.weight, A_ub=a_ub, b_ub=-rhs, bounds=[(0.0, None)] * n, method="highs",
+                  options=TIGHT_HIGHS)
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def full_pair_k_functional(space, f, t, inhomogeneous):
+    """K(f, t) from one HiGHS solve of the row-by-row LP, which holds every pair."""
+    c, a_ub, b_ub, bounds = rowwise_k_functional_lp(space, f, t, inhomogeneous)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=TIGHT_HIGHS)
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def lp_vertex_minimum(c, a_ub, b_ub, n_nonneg):

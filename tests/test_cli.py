@@ -2,10 +2,12 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oscembed import smoothness
 from oscembed.cli import main
 
 
@@ -59,6 +61,26 @@ def test_cli_verify_teomo1_rows_are_float_literals(space_file, tmp_path):
     literals = [row["constant"] for row in payload["rows"] + csv_rows]
     assert len(literals) == 6
     assert all(repr(float(text)) == text for text in literals)
+
+
+def test_cli_uncertified_lp_exits_4_with_dump(space_file, tmp_path, capsys, monkeypatch):
+    solve = smoothness.linprog
+
+    def halved_duals(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.ineqlin.marginals = 0.5 * res.ineqlin.marginals
+        return res
+
+    monkeypatch.setattr(smoothness, "linprog", halved_duals)
+    rc = main(["verify", "--theorem", "teomo1", "--space", space_file,
+               "--corpus", '{"generator": "lipschitz-noise", "count": 3}',
+               "--seed", "2", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: duality gap")
+    path = Path(err.strip().rsplit("instance dumped to ", 1)[1])
+    assert path.is_file()
+    path.unlink()
 
 
 def test_verify_infinito_refusal_exit_code(space_file, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import math
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from oscembed import (DomainError, GradientField, ModulusProfile, besov_seminorm
                       modulus_profile, nabla, path_space, quasi_norm, rearrangement,
                       space_from_matrix, t_r_operator)
 from oscembed import SolverError, smoothness, space_from_graph, space_from_points
+from oscembed.embed import oscillation_gradient_constant
 from oscembed.smoothness import besov_from_profile, k_functional_l1_nonhomogeneous
 from oscembed.space import critical_radii, diagnostics
 
-from _oracles import hajlasz_vertex_oracle, rowwise_k_functional_lp
+from _oracles import (full_pair_gradient_seminorm, full_pair_k_functional, hajlasz_vertex_oracle,
+                      rowwise_k_functional_lp)
 
 TWO = space_from_matrix([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
 
@@ -232,6 +235,13 @@ def test_hajlasz_vertex_oracle_small_instances():
         assert gf.max_violation <= 1e-7
 
 
+def test_hajlasz_keeps_differences_below_default_highs_tolerance():
+    # HiGHS at its default feasibility tolerance 1e-7 took g = 0 as optimal here
+    val, gf = hajlasz_seminorm_l1(TWO, [0.0, 6e-8])
+    assert val == pytest.approx(6e-8, rel=1e-9)
+    assert gf.g.sum() == pytest.approx(6e-8, rel=1e-9)
+
+
 def test_hajlasz_below_canonical():
     rng = np.random.default_rng(48)
     sp = path_space(5)
@@ -432,5 +442,108 @@ def test_uncertified_optimum_is_dumped(monkeypatch):
         with pytest.raises(SolverError, match="duality gap") as info:
             lp_call()
         path = Path(str(info.value).rsplit("instance dumped to ", 1)[1])
+        assert path.is_file()
+        path.unlink()
+
+
+def _dump_path(error: SolverError) -> Path:
+    return Path(str(error).rsplit("instance dumped to ", 1)[1])
+
+
+def test_solver_failures_propagate_with_dump(monkeypatch):
+    solve = smoothness.linprog
+
+    def halved_duals(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.ineqlin.marginals = 0.5 * res.ineqlin.marginals
+        return res
+
+    monkeypatch.setattr(smoothness, "linprog", halved_duals)
+    sp, f = path_space(4), [0.0, 1.0, 3.0, 2.0]
+    for call in (lambda: hajlasz_seminorm_upper(sp, f, lp(1.0), 1.0),
+                 lambda: oscillation_gradient_constant(sp, f, 1.0)):
+        with pytest.raises(SolverError, match="duality gap") as info:
+            call()
+        path = _dump_path(info.value)
+        assert path.is_file()
+        path.unlink()
+
+
+# -- row generation against the full-pair solves -------------------------------------------
+
+
+@st.composite
+def long_trees(draw):
+    """A weighted tree that is mostly one path, so geodesics are long, a function and t > 0."""
+    n = draw(st.integers(2, 9))
+    edges = [(i, max(0, i - 1 - draw(st.integers(0, 1))), draw(st.floats(0.1, 3.0)))
+             for i in range(1, n)]
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    f = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    return space_from_graph(n, edges, weights), np.array(f), draw(st.floats(0.01, 100.0))
+
+
+def _assert_row_generation_exact(sp, f, t):
+    val, gf = hajlasz_seminorm_l1(sp, f)
+    assert abs(val - full_pair_gradient_seminorm(sp, f)) <= 1e-9 * max(1.0, abs(val))
+    gap = np.abs(f[:, None] - f[None, :]) - sp.dist * (gf.g[:, None] + gf.g[None, :])
+    np.fill_diagonal(gap, 0.0)
+    assert gap.max() <= smoothness._FEAS_TOL * max(1.0, float(np.abs(f).max()))
+    for inhomogeneous, k_fn in ((False, k_functional_l1), (True, k_functional_l1_nonhomogeneous)):
+        k = k_fn(sp, f, t)
+        assert abs(k - full_pair_k_functional(sp, f, t, inhomogeneous)) <= 1e-9 * max(1.0, abs(k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(k_instances(), long_trees()), st.booleans())
+def test_row_generation_matches_full_pair_oracle(instance, one_seed_pair):
+    n = instance[0].n
+    seed = (lambda space, f: ([0], [n - 1])) if one_seed_pair else smoothness._seed_pairs
+    with mock.patch.object(smoothness, "_seed_pairs", seed):
+        _assert_row_generation_exact(*instance)
+
+
+def test_row_generation_from_a_single_seed_pair(monkeypatch):
+    monkeypatch.setattr(smoothness, "_seed_pairs", lambda space, f: ([0], [1]))
+    solve, rows = smoothness.linprog, []
+
+    def counted(*args, **kwargs):
+        rows.append(kwargs["A_ub"].shape[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(smoothness, "linprog", counted)
+    rng = np.random.default_rng(58)
+    n = 10
+    sp = space_from_graph(n, [(i, i - 1, float(rng.uniform(0.2, 2.0))) for i in range(1, n)],
+                          rng.uniform(0.5, 2.0, n))
+    for _ in range(3):
+        rows.clear()
+        _assert_row_generation_exact(sp, rng.normal(size=n), float(rng.uniform(0.1, 10.0)))
+        assert rows[0] == 1  # the gradient LP started from the seed pair alone
+
+
+def test_violated_active_pair_stops_with_dump(monkeypatch):
+    solve, calls = smoothness.linprog, []
+    n = 4
+
+    def violating(c, **kwargs):
+        # g = 0, and h = 0, 1, 2, 3 in the K-LPs: every pair is violated, and all are active
+        res = solve(c, **kwargs)
+        calls.append(1)
+        res.x = np.zeros_like(res.x)
+        if res.x.size > n:
+            res.x[:n] = np.arange(n)
+        return res
+
+    monkeypatch.setattr(smoothness, "linprog", violating)
+    sp, f = path_space(n), [0.0, 1.0, 3.0, 2.0]
+    for lp_call in (lambda: hajlasz_seminorm_l1(sp, f),
+                    lambda: k_functional_l1(sp, f, 1.0),
+                    lambda: k_functional_l1_nonhomogeneous(sp, f, 1.0)):
+        calls.clear()
+        with pytest.raises(SolverError, match="pair constraint violated") as info:
+            lp_call()
+        assert len(calls) == 1
+        path = _dump_path(info.value)
         assert path.is_file()
         path.unlink()
