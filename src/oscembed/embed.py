@@ -7,7 +7,9 @@ The central object is the oscillation functional
 where gap is the running-average-minus-value oscillation of the rearranged
 |f|^a, phi the fundamental function of the a-convexified norm family, and Q
 the space's upper dimension.  On step functions the gap equals D/t per panel,
-so every integral here reduces to exact power-log panel integrals.
+so the functional, like the weighted rearranged targets, is one call of the
+power-log panel kernel (weights.PowerLog.panel_sum, or panel_max for
+q = inf) over the panels of the rearranged step function.
 
 The embedding checks compare this functional (and derived rearranged-norm
 targets) against the smoothness seminorm plus the split-norm size of f,
@@ -40,7 +42,7 @@ from .rearrange import StepDecreasing, rearrangement, sum_plus_linf_norm
 from .rispace import (RISpaceSpec, convexify, fundamental_powerlog, lorentz_zygmund)
 from .smoothness import (DEFAULT_GRID_RATIO, GradientField, besov_seminorm,
                          hajlasz_seminorm_l1)
-from .space import Space, _sorted_rows, diagnostics
+from .space import Space, _sorted_rows, diagnostics, noncollapsing_constant
 from .weights import PowerLog
 
 _POOL_WORKERS = 4
@@ -81,22 +83,12 @@ def oscillation_functional(space: Space, f, spec: RISpaceSpec, alpha: float,
         q_dim = diagnostics(space).q_dim
     fstar = rearrangement(space, f)
     w_pl = _oscillation_weight(spec, alpha, s, q_dim)
-    powered = fstar.power(alpha)
-    upper = min(1.0, fstar.mass)
-    panels = powered.panels(upper)
+    lo, hi, _v, gap = np.array(fstar.power(alpha).panels(min(1.0, fstar.mass))).T
+    gap = np.maximum(gap, 0.0)  # a rounded-negative gap is a skipped panel, as a zero one
     if math.isinf(q):
-        best = 0.0
-        pl = PowerLog(-1.0 / alpha) * w_pl
-        for lo, hi, _v, gap in panels:
-            if gap > 0.0:
-                best = max(best, gap ** (1.0 / alpha) * pl.sup_on(lo, hi))
-        return best
-    total = 0.0
+        return (PowerLog(-1.0 / alpha) * w_pl).panel_max(lo, hi, gap ** (1.0 / alpha))
     pl = (w_pl**q) * PowerLog(-q / alpha)
-    for lo, hi, _v, gap in panels:
-        if gap > 0.0:
-            total += gap ** (q / alpha) * pl.integral_dt_over_t(lo, hi)
-    return total ** (1.0 / q)
+    return pl.panel_sum(lo, hi, gap ** (q / alpha)) ** (1.0 / q)
 
 
 # -- embedding reports ---------------------------------------------------------------------
@@ -136,7 +128,7 @@ def _finish_report(theorem_id: str, labels, pairs, params) -> EmbeddingReport:
             ratio = lhs / rhs
         worst = max(worst, ratio)
         rows.append((lab, float(lhs), float(rhs), float(ratio)))
-    return EmbeddingReport(theorem_id, rows, worst, params)
+    return EmbeddingReport(theorem_id, rows, float(worst), params)
 
 
 def _labels_for(corpus, labels):
@@ -212,13 +204,10 @@ def oscillation_gradient_constant(space: Space, f, alpha: float,
     gpow = rearrangement(space, gradient.g).power(alpha)
     mass = fpow.mass
     ts = np.geomspace(mass * 1e-6, mass / 2.0, n_grid)
-    best = 0.0
-    for t in ts:
-        gap = fpow.integral(t) / t - float(fpow.eval(t))
-        denom = t ** (alpha / q_dim) * (gpow.integral(t) / t)
-        if denom > 0.0:
-            best = max(best, float(gap / denom))
-    return best
+    gap = fpow.integral(ts) / ts - fpow.eval(ts)
+    denom = ts ** (alpha / q_dim) * (gpow.integral(ts) / ts)
+    live = denom > 0.0
+    return float((gap[live] / denom[live]).max(initial=0.0))
 
 
 # -- weight machinery for rearranged-norm targets ----------------------------------------
@@ -291,21 +280,10 @@ def target_weight(spec: RISpaceSpec, alpha: float, s: float, q: float,
 
 def weighted_step_norm(fstar: StepDecreasing, w: PowerLog, q: float) -> float:
     """(int_0^1 (f*(t) w(t))^q dt/t)^(1/q), exact panels; sup form for q = inf."""
-    edges = np.concatenate([[0.0], fstar.breakpoints])
+    lo, hi = fstar.edges[:-1], np.minimum(fstar.edges[1:], 1.0)
     if math.isinf(q):
-        best = 0.0
-        for i, v in enumerate(fstar.values):
-            lo, hi = float(edges[i]), float(min(edges[i + 1], 1.0))
-            if hi > lo and v > 0.0:
-                best = max(best, v * w.sup_on(lo, hi))
-        return best
-    wq = w**q
-    total = 0.0
-    for i, v in enumerate(fstar.values):
-        lo, hi = float(edges[i]), float(min(edges[i + 1], 1.0))
-        if hi > lo and v > 0.0:
-            total += v**q * wq.integral_dt_over_t(lo, hi)
-    return total ** (1.0 / q)
+        return w.panel_max(lo, hi, fstar.values)
+    return (w**q).panel_sum(lo, hi, fstar.values**q) ** (1.0 / q)
 
 
 def _stieltjes_target_norm(fstar: StepDecreasing, spec, alpha, s, q, q_dim) -> float:
@@ -320,8 +298,7 @@ def _stieltjes_target_norm(fstar: StepDecreasing, spec, alpha, s, q, q_dim) -> f
         m_t = 0.0 if t >= 1.0 else reciprocal_weight_integral(spec, alpha, s, q, q_dim, t)
         return (1.0 + m_t) ** (1.0 - q / alpha)
 
-    edges = np.concatenate([[0.0], np.minimum(fstar.breakpoints, 1.0)])
-    psi = np.array([primitive(float(t)) for t in edges])
+    psi = np.array([primitive(float(t)) for t in np.minimum(fstar.edges, 1.0)])
     return float(np.sum(fstar.values**q * np.diff(psi))) ** (1.0 / q)
 
 
@@ -398,15 +375,13 @@ def target_norm_check(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: 
         if mode == "derivative":
             lhs = _stieltjes_target_norm(fstar, spec, alpha, s, q, q_dim)
         elif mode == "sup":
-            powered = fstar.power(alpha)
             ts = np.unique(np.concatenate([
                 np.geomspace(1e-10, 1.0, 200),
                 fstar.breakpoints[fstar.breakpoints <= 1.0]]))
+            avgs = fstar.power(alpha).integral(ts) / ts
             best = 0.0
-            for t in ts:
-                m_t = reciprocal_weight_integral(spec, alpha, s, q, q_dim, float(t)) \
-                    if t < 1.0 else 0.0
-                avg = powered.integral(float(t)) / float(t)
+            for t, avg in zip(ts.tolist(), avgs.tolist()):
+                m_t = reciprocal_weight_integral(spec, alpha, s, q, q_dim, t) if t < 1.0 else 0.0
                 best = max(best, (avg / (1.0 + m_t)) ** (1.0 / alpha))
             lhs = best
         else:
@@ -587,6 +562,6 @@ def collapse_sweep(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: flo
         scaled = space.scale_weights(float(eps))
         rep = embedding_report(scaled, corpus, spec, alpha, s, q, q_dim, ratio=ratio)
         rows.append({"eps": float(eps),
-                     "b": float(scaled.ball_masses(1.0).min()),
+                     "b": noncollapsing_constant(scaled),
                      "empirical_constant": rep.empirical_constant})
     return rows

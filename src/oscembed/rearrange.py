@@ -7,10 +7,16 @@ averages, oscillation, weighted norms) is evaluated exactly from the step
 representation:
 
   * eval(t) is the step value, 0 beyond the represented mass;
-  * the running average avg(t) = (1/t) int_0^t is exact piecewise;
+  * integral(t) = int_0^t, hence the running average avg(t) = (1/t) int_0^t,
+    is exact piecewise, for a scalar or an array t;
   * on any breakpoint-free interval the gap avg - eval equals D/t for a
     per-panel constant D >= 0, which is what makes dt/t integrals of the
     oscillation exact.
+
+Each step function builds its panel table once: edges = [0, *breakpoints]
+and prefix[i] = int_0^{edges[i]}.  Its r.i. norms are sums (or maxima) over
+the panels (edges[i], edges[i+1]) of a coefficient times a power-log weight
+integral (or supremum), which weights.PowerLog.panel_sum / panel_max evaluate.
 
 Powers commute with rearrangement ((|f|^a)* = (f*)^a), so the a-oscillation
 is computed from the powered step function directly.
@@ -28,7 +34,11 @@ from .space import Space
 
 @dataclass(frozen=True)
 class StepDecreasing:
-    """Decreasing step function: value values[i] on [breakpoints[i-1], breakpoints[i])."""
+    """Decreasing step function: value values[i] on [edges[i], edges[i+1]).
+
+    edges = [0, *breakpoints] and the prefix integrals prefix[i] =
+    int_0^{edges[i]} are derived at construction.
+    """
 
     breakpoints: np.ndarray  # strictly increasing, last entry = represented mass
     values: np.ndarray       # strictly decreasing, nonnegative
@@ -42,10 +52,12 @@ class StepDecreasing:
             raise DomainError("breakpoints must be strictly increasing and positive")
         if np.any(vals < 0.0) or np.any(np.diff(vals) >= 0.0):
             raise DomainError("values must be strictly decreasing and nonnegative")
-        bp.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        edges = np.concatenate([[0.0], bp])
+        prefix = np.concatenate([[0.0], np.cumsum(vals * np.diff(edges))])
+        for name, arr in (("breakpoints", bp), ("values", vals), ("edges", edges),
+                          ("prefix", prefix)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def mass(self) -> float:
@@ -61,20 +73,17 @@ class StepDecreasing:
         out = padded[idx]
         return out if out.shape else float(out)
 
-    def _prefix_integrals(self) -> np.ndarray:
-        widths = np.diff(np.concatenate([[0.0], self.breakpoints]))
-        return np.concatenate([[0.0], np.cumsum(self.values * widths)])
-
-    def integral(self, t: float) -> float:
-        """int_0^t of the step function, exact; saturates beyond the mass."""
-        if t < 0.0:
+    def integral(self, t):
+        """int_0^t of the step function at t >= 0, exact; saturates beyond the mass."""
+        t_arr = np.asarray(t, dtype=float)
+        if np.any(t_arr < 0.0):
             raise DomainError("integral needs t >= 0")
-        prefix = self._prefix_integrals()
-        j = int(np.searchsorted(self.breakpoints, t, side="right"))
-        if j >= self.breakpoints.size:
-            return float(prefix[-1])
-        left = 0.0 if j == 0 else float(self.breakpoints[j - 1])
-        return float(prefix[j] + self.values[j] * (t - left))
+        j = np.searchsorted(self.breakpoints, t_arr, side="right")
+        inside = j < self.values.size
+        jj = np.where(inside, j, 0)
+        out = np.where(inside, self.prefix[jj] + self.values[jj] * (t_arr - self.edges[jj]),
+                       self.prefix[-1])
+        return out if out.shape else float(out)
 
     def power(self, alpha: float) -> "StepDecreasing":
         """Step function of the pointwise alpha-th power (exact for rearrangements)."""
@@ -94,17 +103,14 @@ class StepDecreasing:
         gap_const / t.  A trailing panel with value 0 covers (mass, upper]
         when upper exceeds the represented mass.
         """
-        prefix = self._prefix_integrals()
-        edges = np.concatenate([[0.0], self.breakpoints])
-        out = []
-        for i in range(self.values.size):
-            lo, hi = float(edges[i]), float(min(edges[i + 1], upper))
-            if hi <= lo:
-                break
-            v = float(self.values[i])
-            out.append((lo, hi, v, float(prefix[i] - v * lo)))
+        k = min(int(np.searchsorted(self.edges, upper)), self.values.size)  # lo < upper
+        lo = self.edges[:k]
+        hi = np.minimum(self.edges[1:k + 1], upper)
+        vals = self.values[:k]
+        out = list(zip(lo.tolist(), hi.tolist(), vals.tolist(),
+                       (self.prefix[:k] - vals * lo).tolist()))
         if upper > self.mass:
-            out.append((self.mass, upper, 0.0, float(prefix[-1])))
+            out.append((self.mass, upper, 0.0, float(self.prefix[-1])))
         return out
 
     def to_json(self) -> dict:

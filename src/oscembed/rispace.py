@@ -217,47 +217,29 @@ def _norm_lp(p: float, fstar: StepDecreasing) -> float:
 
 
 def _norm_lorentz(p: float, q: float, fstar: StepDecreasing) -> float:
-    bp = np.concatenate([[0.0], fstar.breakpoints])
     if math.isinf(q):
         return float(np.max(fstar.values * fstar.breakpoints ** (1.0 / p)))
-    terms = fstar.values**q * np.diff(bp ** (q / p))
+    terms = fstar.values**q * np.diff(fstar.edges ** (q / p))
     return float((terms.sum() * p / q) ** (1.0 / q))
 
 
-def _panel_edges(fstar: StepDecreasing):
-    return np.concatenate([[0.0], fstar.breakpoints])
-
-
 def _norm_lorentz_zygmund(p: float, r: float, beta: float, fstar: StepDecreasing) -> float:
-    edges = _panel_edges(fstar)
     base = PowerLog(1.0 / p, beta)
+    lo, hi = fstar.edges[:-1], fstar.edges[1:]
     if math.isinf(r):
-        best = 0.0
-        for i, v in enumerate(fstar.values):
-            if v > 0.0:
-                best = max(best, v * base.sup_on(edges[i], edges[i + 1]))
-        return best
-    powered = base**r
-    total = 0.0
-    for i, v in enumerate(fstar.values):
-        if v > 0.0:
-            total += v**r * powered.integral_dt_over_t(edges[i], edges[i + 1])
-    return total ** (1.0 / r)
+        return base.panel_max(lo, hi, fstar.values)
+    return (base**r).panel_sum(lo, hi, fstar.values**r) ** (1.0 / r)
 
 
 def _norm_lambda_w(q: float, w: PowerLog, fstar: StepDecreasing) -> float:
-    edges = _panel_edges(fstar)
-    total = 0.0
-    for i, v in enumerate(fstar.values):
-        if v > 0.0:
-            total += v**q * w.integral_dt(edges[i], edges[i + 1])
-    return total ** (1.0 / q)
+    # int (f*)^q w(t) dt = int (f*)^q t w(t) dt/t
+    t_w = w * PowerLog(1.0)
+    return t_w.panel_sum(fstar.edges[:-1], fstar.edges[1:], fstar.values**q) ** (1.0 / q)
 
 
 def _norm_marcinkiewicz(phi, fstar: StepDecreasing) -> float:
     """sup over (0, mass] of (phi(t)/t) int_0^t f*; interior maxima per panel."""
-    edges = _panel_edges(fstar)
-    prefix = np.concatenate([[0.0], np.cumsum(fstar.values * np.diff(edges))])
+    edges, prefix = fstar.edges, fstar.prefix
     best = 0.0
     pure_power = isinstance(phi, PowerLog) and phi.is_pure_power()
     for i, v in enumerate(fstar.values):
@@ -281,7 +263,7 @@ def _norm_marcinkiewicz_tilde(phi, fstar: StepDecreasing) -> float:
 
 
 def _norm_orlicz(fn: OrliczFunction, fstar: StepDecreasing) -> float:
-    widths = np.diff(_panel_edges(fstar))
+    widths = np.diff(fstar.edges)
 
     def budget(lam: float) -> float:
         return float(np.sum(fn(fstar.values / lam) * widths))
@@ -412,8 +394,7 @@ def fundamental_powerlog(spec: RISpaceSpec) -> PowerLog:
 
 def lambda_endpoint_norm(spec: RISpaceSpec, fstar: StepDecreasing) -> float:
     """int f* d(phi_X): the Lorentz endpoint built from the fundamental function."""
-    edges = _panel_edges(fstar)
-    phis = np.array([0.0] + [fundamental_function(spec, t) for t in edges[1:]])
+    phis = np.array([0.0] + [fundamental_function(spec, t) for t in fstar.breakpoints])
     return float(np.sum(fstar.values * np.diff(phis)))
 
 

@@ -13,10 +13,16 @@ module provides exact-or-quadrature evaluation of the integrals
 
 over subintervals of (0, infinity), symbolic decisions about integrability and
 boundedness near t = 0, and suprema over intervals (endpoints plus interior
-critical points).  Integrals on (0, 1] are computed in the variable
-u = ln(1/t), where the integrand becomes exp(-a*u) (1+u)^b (1+ln(1+u))^g and
-scipy.integrate.quad handles the (possibly infinite) range; pure-power and
-single-log cases short-circuit to closed forms.
+critical points).  On [1, infinity) the log factors equal 1 and the integral
+is a closed-form power.  Integrals on (0, 1] are computed in the variable
+u = ln(1/t), where the integrand becomes exp(-a*u) (1+u)^b (1+ln(1+u))^g.
+Only a = 0 has closed forms there: (1+u)^b, and (1+u)^-1 (1+ln(1+u))^g by
+the substitution v = 1 + ln(1+u).  Every a != 0, pure powers t^a included,
+goes to scipy.integrate.quad over the (possibly infinite) range.
+
+The panel kernel, PowerLog.panel_sum and PowerLog.panel_max, evaluates the
+norms of a decreasing step function: sums of coef_i * int p dt/t, or maxima
+of coef_i * sup p, over its panels (lo_i, hi_i).
 
 Orlicz generator functions (for Orlicz-space norms) live here too since they
 share the preset-validation style.
@@ -232,6 +238,22 @@ class PowerLog:
             cands.append(float(self(1.0)))
         return max(cands)
 
+    # -- panel kernel ------------------------------------------------------------
+
+    def panel_sum(self, lo, hi, coef) -> float:
+        """sum_i coef_i * int_{lo_i}^{hi_i} p(t) dt/t over panels with coef_i > 0, hi_i > lo_i."""
+        total = 0.0
+        for c, p_lo, p_hi in _live_panels(lo, hi, coef):
+            total += c * self.integral_dt_over_t(p_lo, p_hi)
+        return total
+
+    def panel_max(self, lo, hi, coef) -> float:
+        """max(0, max_i coef_i * sup of p over [lo_i, hi_i]) over the panel_sum panels."""
+        best = 0.0
+        for c, p_lo, p_hi in _live_panels(lo, hi, coef):
+            best = max(best, c * self.sup_on(p_lo, p_hi))
+        return best
+
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -241,6 +263,13 @@ class PowerLog:
     def from_json(obj: dict) -> "PowerLog":
         return PowerLog(float(obj["a"]), float(obj.get("b", 0.0)),
                         float(obj.get("g", 0.0)), float(obj.get("const", 1.0)))
+
+
+def _live_panels(lo, hi, coef):
+    """(coef_i, lo_i, hi_i) as floats, in panel order, where coef_i > 0 and hi_i > lo_i."""
+    lo, hi, coef = (np.asarray(x, dtype=float) for x in (lo, hi, coef))
+    keep = (coef > 0.0) & (hi > lo)
+    return zip(coef[keep].tolist(), lo[keep].tolist(), hi[keep].tolist())
 
 
 @dataclass(frozen=True)

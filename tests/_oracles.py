@@ -4,7 +4,8 @@ Nothing here may call the evaluation paths it is used to check: rearrangement
 values come from the inf-formula on a grid, norms from dense-grid sups or
 generic quadrature, ball-scan constants from global radius tables, LP optima
 from exhaustive vertex enumeration or from one HiGHS solve over every pair,
-LP instances row by row, derivatives from central differences.
+LP instances row by row, derivatives from central differences, and the
+power-log norms of step functions one panel at a time in a hand-written loop.
 """
 
 import itertools
@@ -15,7 +16,10 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
+from oscembed.embed import _oscillation_weight
+from oscembed.rearrange import rearrangement
 from oscembed.space import critical_radii
+from oscembed.weights import PowerLog
 
 
 def distribution_mass(f, weights, level):
@@ -259,3 +263,79 @@ def numeric_derivative(fn, t, h_rel=1e-5):
 def dense_sup(fn, lo, hi, n=200_000):
     ts = np.geomspace(lo, hi, n)
     return float(max(fn(t) for t in ts))
+
+
+# -- power-log norms of step functions, one hand-written loop per norm ---------------------
+#
+# Each loop integrates (or maximises over) the same panels as the panel kernel
+# PowerLog.panel_sum / panel_max, skipping panels with a nonpositive
+# coefficient or an empty range.
+
+
+def loop_lorentz_zygmund_norm(p, r, beta, fstar):
+    """Lorentz-Zygmund L^{p,r}(log L)^beta quasi-norm of a step function."""
+    edges = np.concatenate([[0.0], fstar.breakpoints])
+    base = PowerLog(1.0 / p, beta)
+    if math.isinf(r):
+        best = 0.0
+        for i, v in enumerate(fstar.values):
+            if v > 0.0:
+                best = max(best, v * base.sup_on(edges[i], edges[i + 1]))
+        return best
+    powered = base**r
+    total = 0.0
+    for i, v in enumerate(fstar.values):
+        if v > 0.0:
+            total += v**r * powered.integral_dt_over_t(edges[i], edges[i + 1])
+    return total ** (1.0 / r)
+
+
+def loop_lambda_w_norm(q, w, fstar):
+    """(int (f*)^q w dt)^(1/q) of a step function."""
+    edges = np.concatenate([[0.0], fstar.breakpoints])
+    total = 0.0
+    for i, v in enumerate(fstar.values):
+        if v > 0.0:
+            total += v**q * w.integral_dt(edges[i], edges[i + 1])
+    return total ** (1.0 / q)
+
+
+def loop_oscillation_functional(space, f, spec, alpha, s, q, q_dim):
+    """Weighted dt/t norm of the oscillation gap over (0, min(1, mass))."""
+    fstar = rearrangement(space, f)
+    w_pl = _oscillation_weight(spec, alpha, s, q_dim)
+    powered = fstar.power(alpha)
+    upper = min(1.0, fstar.mass)
+    panels = powered.panels(upper)
+    if math.isinf(q):
+        best = 0.0
+        pl = PowerLog(-1.0 / alpha) * w_pl
+        for lo, hi, _v, gap in panels:
+            if gap > 0.0:
+                best = max(best, gap ** (1.0 / alpha) * pl.sup_on(lo, hi))
+        return best
+    total = 0.0
+    pl = (w_pl**q) * PowerLog(-q / alpha)
+    for lo, hi, _v, gap in panels:
+        if gap > 0.0:
+            total += gap ** (q / alpha) * pl.integral_dt_over_t(lo, hi)
+    return total ** (1.0 / q)
+
+
+def loop_weighted_step_norm(fstar, w, q):
+    """(int_0^1 (f*(t) w(t))^q dt/t)^(1/q); the sup form for q = inf."""
+    edges = np.concatenate([[0.0], fstar.breakpoints])
+    if math.isinf(q):
+        best = 0.0
+        for i, v in enumerate(fstar.values):
+            lo, hi = float(edges[i]), float(min(edges[i + 1], 1.0))
+            if hi > lo and v > 0.0:
+                best = max(best, v * w.sup_on(lo, hi))
+        return best
+    wq = w**q
+    total = 0.0
+    for i, v in enumerate(fstar.values):
+        lo, hi = float(edges[i]), float(min(edges[i + 1], 1.0))
+        if hi > lo and v > 0.0:
+            total += v**q * wq.integral_dt_over_t(lo, hi)
+    return total ** (1.0 / q)

@@ -142,6 +142,20 @@ def test_cli_collapse_sweep(space_file, tmp_path, capsys):
     assert [row["eps"] for row in payload["rows"]] == [1.0, 0.1]
 
 
+def test_cli_collapse_sweep_rows_are_float_literals(tmp_path):
+    space = tmp_path / "grid.json"
+    space.write_text(json.dumps({"coords": [[i, j] for i in range(4) for j in range(4)],
+                                 "metric": "euclidean", "weights": [1.0] * 16}))
+    out = tmp_path / "out"
+    assert main(["collapse-sweep", "--space", str(space), "--eps", "1,0.1,0.01",
+                 "--out", str(out)]) == 0
+    with open(out / "collapse-sweep.csv") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    literals = [text for row in csv_rows for text in row.values()]
+    assert len(literals) == 9
+    assert all(repr(float(text)) == text for text in literals)
+
+
 def test_cli_norm_table_rederivable(space_file, tmp_path):
     out = tmp_path / "out"
     assert main(["norms", "--space", space_file, "--corpus",
