@@ -56,10 +56,6 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _report_rows(report: embed.EmbeddingReport) -> list[dict]:
-    return list(report.csv_rows())
-
-
 def _load_inputs(args):
     space = load_space(args.space)
     spec = rispace.spec_from_json(json.loads(args.spec)) if args.spec else rispace.lp(1.0)
@@ -201,12 +197,12 @@ def cmd_verify(args) -> int:
             labels, args.grid_ratio)
         payload = report.to_json()
         payload["regime"] = regime.to_json()
-        _write_artifacts(Path(args.out), name, payload, _report_rows(report))
+        _write_artifacts(Path(args.out), name, payload, list(report.csv_rows()))
         print(f"lorentzlog: case={regime.case_id} constant={report.empirical_constant:g}")
         return 0
     else:
         raise AssertionError(args.theorem)
-    _write_artifacts(Path(args.out), name, report.to_json(), _report_rows(report))
+    _write_artifacts(Path(args.out), name, report.to_json(), list(report.csv_rows()))
     print(f"{args.theorem}: empirical_constant={report.empirical_constant:g}")
     return 0
 

@@ -12,8 +12,9 @@ power-log panel kernel (weights.PowerLog.panel_sum, or panel_max for
 q = inf) over the panels of the rearranged step function.
 
 The embedding checks compare this functional (and derived rearranged-norm
-targets) against the smoothness seminorm plus the split-norm size of f,
-reporting per-function ratios and the empirical constant (max ratio).  The
+targets) against the Hajlasz-Besov norm: smoothness seminorm plus split-norm
+size of f.  One routine maps a check's per-function (lhs, rhs) over the
+corpus and reports the ratios and the empirical constant (max ratio).  The
 constants are reported, never asserted against theory: the point of the
 suite is to observe their stability on non-collapsed spaces and their
 blow-up when the unit-ball mass infimum degenerates.
@@ -117,7 +118,11 @@ class EmbeddingReport:
             yield {"label": lab, "lhs": repr(lhs), "rhs": repr(rhs), "ratio": repr(ratio)}
 
 
-def _finish_report(theorem_id: str, labels, pairs, params) -> EmbeddingReport:
+def _finish_report(theorem_id: str, corpus, labels, one, params) -> EmbeddingReport:
+    """Report of the rows one(f) = (lhs, rhs) over the corpus; labels default to f0, f1, ..."""
+    corpus = list(corpus)
+    pairs = _pool_map(one, corpus)
+    labels = [f"f{k}" for k in range(len(corpus))] if labels is None else labels
     rows, worst = [], 0.0
     for lab, (lhs, rhs) in zip(labels, pairs):
         if rhs <= 0.0:
@@ -131,15 +136,14 @@ def _finish_report(theorem_id: str, labels, pairs, params) -> EmbeddingReport:
     return EmbeddingReport(theorem_id, rows, float(worst), params)
 
 
-def _labels_for(corpus, labels):
-    if labels is not None:
-        return list(labels)
-    return [f"f{str(k)}" for k in range(len(corpus))]
-
-
 def _pool_map(fn, items):
     with ThreadPoolExecutor(max_workers=_POOL_WORKERS) as pool:
         return list(pool.map(fn, items))
+
+
+def _hb_norm(space: Space, f, fstar: StepDecreasing, spec, alpha, s, q, ratio) -> float:
+    """Hajlasz-Besov norm of f: smoothness seminorm plus the L^a + L^inf size of fstar = f*."""
+    return besov_seminorm(space, f, s, q, spec, alpha, ratio) + sum_plus_linf_norm(fstar, alpha)
 
 
 def embedding_report(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: float,
@@ -151,14 +155,11 @@ def embedding_report(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: f
         q_dim = diagnostics(space).q_dim
 
     def one(f):
-        lhs = oscillation_functional(space, f, spec, alpha, s, q, q_dim)
-        rhs = (besov_seminorm(space, f, s, q, spec, alpha, ratio)
-               + sum_plus_linf_norm(rearrangement(space, f), alpha))
-        return lhs, rhs
+        return (oscillation_functional(space, f, spec, alpha, s, q, q_dim),
+                _hb_norm(space, f, rearrangement(space, f), spec, alpha, s, q, ratio))
 
-    pairs = _pool_map(one, list(corpus))
     params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": _json_num(q), "Q": q_dim}
-    return _finish_report(theorem_id, _labels_for(corpus, labels), pairs, params)
+    return _finish_report(theorem_id, corpus, labels, one, params)
 
 
 def _json_num(x):
@@ -323,10 +324,9 @@ def sup_norm_embedding_check(space: Space, corpus, spec: RISpaceSpec, alpha: flo
                + sum_plus_linf_norm(rearrangement(space, f), alpha))
         return lhs, rhs
 
-    pairs = _pool_map(one, list(corpus))
     params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": _json_num(q),
               "Q": q_dim, "m0": m0}
-    return _finish_report("infinito", _labels_for(corpus, labels), pairs, params)
+    return _finish_report("infinito", corpus, labels, one, params)
 
 
 def _u_condition_check(u: PowerLog, v_norm: PowerLog, q: float) -> None:
@@ -386,14 +386,11 @@ def target_norm_check(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: 
             lhs = best
         else:
             lhs = weighted_step_norm(fstar, u, q)
-        rhs = (besov_seminorm(space, f, s, q, spec, alpha, ratio)
-               + sum_plus_linf_norm(fstar, alpha))
-        return lhs, rhs
+        return lhs, _hb_norm(space, f, fstar, spec, alpha, s, q, ratio)
 
-    pairs = _pool_map(one, list(corpus))
     params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": _json_num(q),
               "Q": q_dim, "mode": mode}
-    return _finish_report("pesos", _labels_for(corpus, labels), pairs, params)
+    return _finish_report("pesos", corpus, labels, one, params)
 
 
 # -- log-Lorentz case table -------------------------------------------------------------------
@@ -531,15 +528,12 @@ def log_lorentz_embedding_check(space: Space, corpus, p: float, r: float, beta: 
     else:
         def one(f):
             fstar = rearrangement(space, f)
-            lhs = weighted_step_norm(fstar, regime.target_weight, q)
-            rhs = (besov_seminorm(space, f, s, q, base, alpha, ratio)
-                   + sum_plus_linf_norm(fstar, alpha))
-            return lhs, rhs
+            return (weighted_step_norm(fstar, regime.target_weight, q),
+                    _hb_norm(space, f, fstar, base, alpha, s, q, ratio))
 
-        pairs = _pool_map(one, list(corpus))
         params = {"p": p, "r": _json_num(r), "beta": beta, "s": s, "q": _json_num(q),
                   "Q": q_dim, "regime": regime.to_json()}
-        report = _finish_report("lorentzlog", _labels_for(corpus, labels), pairs, params)
+        report = _finish_report("lorentzlog", corpus, labels, one, params)
     return regime, report
 
 

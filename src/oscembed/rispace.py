@@ -254,7 +254,7 @@ def _norm_marcinkiewicz(phi, fstar: StepDecreasing) -> float:
                 if lo < t_star < hi:
                     best = max(best, fn(t_star))
         else:
-            best = max(best, bounded_max_search(fn, max(lo, hi * 1e-12), hi, n_grid=48))
+            best = max(best, bounded_max_search(fn, max(lo, hi * 1e-12), hi))
     return best
 
 

@@ -5,6 +5,8 @@ The local roughness of f at scale r is the ball average
     grad_[r,a] f(x) = ( mean_{y in B(x,r)} |f(x) - f(y)|^a )^(1/a),
 
 and the modulus at scale r is the chosen quasi-norm of its rearrangement.
+Every modulus, alone, in a profile or in a K-bound, comes from one routine
+that forms |f(x) - f(y)|^a once and makes one ball-average pass per radius.
 On a finite space the modulus is piecewise constant in r (balls only change
 at pairwise distances), is identically 0 for r <= the smallest positive
 distance (balls are singletons), and is constant once r exceeds the diameter
@@ -40,7 +42,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from .errors import DomainError, SolverError
-from .rearrange import StepDecreasing, rearrangement, rearrangement_from_weights
+from .rearrange import rearrangement
 from .rispace import RISpaceSpec, convexify, quasi_norm
 from .space import Space
 
@@ -61,32 +63,41 @@ def _ball_average(space: Space, values_sq: np.ndarray, r: float, alpha: float) -
     return (num / den) ** (1.0 / alpha)
 
 
-def nabla(space: Space, f, r: float, alpha: float) -> np.ndarray:
-    """Ball average of |f(x) - f(y)|^alpha over y in B(x, r), to the 1/alpha."""
+def _check_ball_args(r: float, alpha: float) -> None:
     if not r > 0.0:
         raise DomainError("radius must be positive")
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
+
+
+def nabla(space: Space, f, r: float, alpha: float) -> np.ndarray:
+    """Ball average of |f(x) - f(y)|^alpha over y in B(x, r), to the 1/alpha."""
+    _check_ball_args(r, alpha)
     f = np.asarray(f, dtype=float)
-    diffs = np.abs(f[:, None] - f[None, :]) ** alpha
-    return _ball_average(space, diffs, r, alpha)
+    return _ball_average(space, np.abs(f[:, None] - f[None, :]) ** alpha, r, alpha)
 
 
 def t_r_operator(space: Space, f, r: float, alpha: float) -> np.ndarray:
     """Ball average of |f(y)|^alpha over y in B(x, r), to the 1/alpha."""
-    if not r > 0.0:
-        raise DomainError("radius must be positive")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("alpha must lie in (0, 1]")
+    _check_ball_args(r, alpha)
     f = np.abs(np.asarray(f, dtype=float)) ** alpha
     vals = np.broadcast_to(f[None, :], (space.n, space.n))
     return _ball_average(space, vals, r, alpha)
 
 
+def _moduli(space: Space, f, radii, spec: RISpaceSpec, alpha: float) -> list:
+    """The modulus at each radius: one ball average pass and one quasi-norm per radius."""
+    conv = convexify(spec, alpha)
+    f = np.asarray(f, dtype=float)
+    diffs = np.abs(f[:, None] - f[None, :]) ** alpha
+    return [quasi_norm(conv, rearrangement(space, _ball_average(space, diffs, float(r), alpha)))
+            for r in radii]
+
+
 def modulus(space: Space, f, r: float, spec: RISpaceSpec, alpha: float) -> float:
-    """Quasi-norm (in the alpha-convexified spec) of the scale-r ball roughness."""
-    grad = nabla(space, f, r, alpha)
-    return quasi_norm(convexify(spec, alpha), rearrangement(space, grad))
+    """Quasi-norm (in the alpha-convexified spec) of the rearranged nabla at scale r."""
+    _check_ball_args(r, alpha)
+    return _moduli(space, f, [r], spec, alpha)[0]
 
 
 # -- modulus profiles and the scale integral -------------------------------------------
@@ -133,15 +144,7 @@ def radius_grid(space: Space, ratio: float = DEFAULT_GRID_RATIO) -> np.ndarray:
 def modulus_profile(space: Space, f, spec: RISpaceSpec, alpha: float,
                     ratio: float = DEFAULT_GRID_RATIO) -> ModulusProfile:
     radii = radius_grid(space, ratio)
-    conv = convexify(spec, alpha)
-    f = np.asarray(f, dtype=float)
-    diffs = np.abs(f[:, None] - f[None, :]) ** alpha
-    vals = []
-    for r in radii:
-        grad = _ball_average(space, diffs, float(r), alpha)
-        vals.append(quasi_norm(conv, rearrangement(space, grad)))
-    full = _ball_average(space, diffs, 2.0 * space.diameter + 1.0, alpha)
-    tail = quasi_norm(conv, rearrangement(space, full))
+    *vals, tail = _moduli(space, f, [*radii, 2.0 * space.diameter + 1.0], spec, alpha)
     return ModulusProfile(radii, np.asarray(vals), tail)
 
 
@@ -183,17 +186,17 @@ class GradientField:
     max_violation: float
 
     @staticmethod
-    def certify(space: Space, f, g, tol: float = _FEAS_TOL) -> "GradientField":
+    def certify(space: Space, f, g) -> "GradientField":
         g = np.asarray(g, dtype=float)
         f = np.asarray(f, dtype=float)
-        if np.any(g < -tol):
+        if np.any(g < -_FEAS_TOL):
             raise DomainError("gradient field must be nonnegative")
         g = np.maximum(g, 0.0)
         gap = np.abs(f[:, None] - f[None, :]) - space.dist * (g[:, None] + g[None, :])
         np.fill_diagonal(gap, -np.inf)
         violation = float(gap.max())
         scale = max(1.0, float(np.abs(f).max()))
-        if violation > tol * scale:
+        if violation > _FEAS_TOL * scale:
             i, j = np.unravel_index(int(gap.argmax()), gap.shape)
             raise DomainError(f"gradient constraint violated at pair ({i}, {j}) by {violation:g}")
         arr = np.ascontiguousarray(g)
@@ -201,13 +204,18 @@ class GradientField:
         return GradientField(arr, max(violation, 0.0))
 
 
+def _slopes(space: Space, f) -> np.ndarray:
+    """The n x n matrix |f(x) - f(y)| / d(x, y), with 0 on the diagonal."""
+    f = np.asarray(f, dtype=float)
+    return np.abs(f[:, None] - f[None, :]) / np.where(space.dist > 0.0, space.dist, np.inf)
+
+
 def canonical_gradient(space: Space, f) -> GradientField:
     """g(x) = max_y |f(x)-f(y)| / d(x,y): always feasible, usually not optimal."""
     f = np.asarray(f, dtype=float)
     if space.n < 2:
         return GradientField.certify(space, f, np.zeros(space.n))
-    ratio = np.abs(f[:, None] - f[None, :]) / np.where(space.dist > 0.0, space.dist, np.inf)
-    return GradientField.certify(space, f, ratio.max(axis=1))
+    return GradientField.certify(space, f, _slopes(space, f).max(axis=1))
 
 
 # -- linear programs ----------------------------------------------------------------------
@@ -263,7 +271,7 @@ def _seed_pairs(space: Space, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = space.n
     k = min(_SEED_PAIRS, n - 1)
     dist = space.dist + np.diag(np.full(n, np.inf))
-    steep = np.abs(f[:, None] - f[None, :]) / dist
+    steep = _slopes(space, f)
     np.fill_diagonal(steep, -np.inf)
     near = np.argpartition(dist, k - 1, axis=1)[:, :k]
     top = np.argpartition(-steep, k - 1, axis=1)[:, :k]
@@ -291,14 +299,13 @@ def _row_generation(space: Space, f: np.ndarray, lp_of, fields_of, note: str):
     seeded = np.zeros((n, n), dtype=bool)
     seeded[_seed_pairs(space, f)] = True
     active = (seeded | seeded.T)[ii, jj]
-    dist = space.dist[ii, jj]
     scale = max(1.0, float(np.abs(f).max()))
     while True:
         lp = lp_of(ii[active], jj[active])
         res = _solve_lp(*lp, note)
         u, g = fields_of(res.x)
         g = np.maximum(g, 0.0)
-        violation = np.abs(u[ii] - u[jj]) / dist - g[ii] - g[jj]
+        violation = _slopes(space, u)[ii, jj] - g[ii] - g[jj]
         new = (violation > _LP_GAP_TOL * scale) & ~active
         if not new.any():
             break
@@ -315,7 +322,7 @@ def _gradient_lp(space: Space, f: np.ndarray, ii: np.ndarray, jj: np.ndarray):
 
     Pairs with f_i = f_j give no row.
     """
-    rhs = np.abs(f[ii] - f[jj]) / space.dist[ii, jj]
+    rhs = _slopes(space, f)[ii, jj]
     keep = rhs > 0.0
     ii, jj, rhs = ii[keep], jj[keep], rhs[keep]
     m = ii.size
@@ -406,16 +413,15 @@ def _k_functional(space: Space, f: np.ndarray, t: float, inhomogeneous: bool, no
 # -- upper bounds for general quasi-norm gradient seminorms ---------------------------------
 
 
-def _coordinate_descent(space: Space, f, g0: np.ndarray, sweeps: int = 3) -> np.ndarray:
-    """Lower each g(x) to its minimal feasible value given the others, cyclically.
+def _coordinate_descent(space: Space, f, g0: np.ndarray) -> np.ndarray:
+    """Lower each g(x) to its minimal feasible value given the others, in three cyclic sweeps.
 
     Every update preserves feasibility and is pointwise monotone, so any
     lattice quasi-norm of the field can only decrease.
     """
-    f = np.asarray(f, dtype=float)
-    ratio = np.abs(f[:, None] - f[None, :]) / np.where(space.dist > 0.0, space.dist, np.inf)
+    ratio = _slopes(space, f)
     g = g0.copy()
-    for _ in range(sweeps):
+    for _ in range(3):
         for x in range(space.n):
             need = ratio[x] - g
             need[x] = 0.0
@@ -463,18 +469,20 @@ def k_bounds(space: Space, f, t: float, spec: RISpaceSpec, alpha: float) -> KBou
 
     The dyadic sum over scales 2^j t is truncated once the scale covers the
     space (2^J t >= 2 * diameter); beyond that the modulus is constant and the
-    remaining geometric tail is folded in exactly.  For the weighted-L1 spec
-    at alpha = 1 the exact split infimum is attached for calibration.
+    remaining geometric tail is folded in exactly.  One pass per radius: the
+    lower bound is the j = 0 term, or the tail when J = 0 (every ball at t is
+    then the whole space).  For the weighted-L1 spec at alpha = 1 the exact
+    split infimum is attached for calibration.
     """
-    if not t > 0.0:
-        raise DomainError("t must be positive")
-    lower = modulus(space, f, t, spec, alpha)
+    _check_ball_args(t, alpha)
     top = 2.0 * space.diameter
     j_cut = max(0, math.ceil(math.log2(top / t))) if t < top else 0
+    radii = [(2.0**j) * t for j in range(j_cut)] + [max(top, t) + 1.0]
+    *scales, tail_e = _moduli(space, f, radii, spec, alpha)
+    lower = scales[0] if scales else tail_e
     total = 0.0
-    for j in range(j_cut):
-        total += 2.0 ** (-j * alpha) * modulus(space, f, (2.0**j) * t, spec, alpha) ** alpha
-    tail_e = modulus(space, f, max(top, t) + 1.0, spec, alpha)
+    for j, e in enumerate(scales):
+        total += 2.0 ** (-j * alpha) * e**alpha
     total += 2.0 ** (-j_cut * alpha) * tail_e**alpha / (1.0 - 2.0 ** (-alpha))
     upper = total ** (1.0 / alpha)
     exact = None

@@ -33,14 +33,14 @@ MAX_POINTS = 2000  # dense n x n distance storage
 
 @dataclass(frozen=True)
 class Space:
-    """Immutable finite metric measure space."""
+    """Immutable finite metric measure space, on read-only copies of the caller's arrays."""
 
     dist: np.ndarray
     weight: np.ndarray
 
     def __post_init__(self):
-        d = np.ascontiguousarray(np.asarray(self.dist, dtype=float))
-        w = np.ascontiguousarray(np.asarray(self.weight, dtype=float))
+        d = np.array(self.dist, dtype=float, order="C")
+        w = np.array(self.weight, dtype=float, order="C")
         d.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "dist", d)

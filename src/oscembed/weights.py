@@ -37,7 +37,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import DomainError, EvaluationError, SymbolicAnalysisError
+from .errors import DomainError, EvaluationError
 
 _QUAD_OPTS = {"limit": 200, "epsabs": 1e-13, "epsrel": 1e-11}
 
@@ -335,16 +335,16 @@ class OrliczFunction:
         return OrliczFunction(obj["kind"], float(obj["p"]), float(obj.get("b", 0.0)))
 
 
-def bounded_max_search(fn, lo: float, hi: float, n_grid: int = 256) -> float:
-    """Max of a continuous fn over [lo, hi]: log-grid scan + local refinement."""
+def bounded_max_search(fn, lo: float, hi: float) -> float:
+    """Max of a continuous fn over [lo, hi]: 48-point log-grid scan + local refinement."""
     if hi <= lo:
         return fn(lo)
-    ts = np.geomspace(max(lo, 1e-300), hi, n_grid) if lo > 0 else np.linspace(lo, hi, n_grid)
+    ts = np.geomspace(max(lo, 1e-300), hi, 48) if lo > 0 else np.linspace(lo, hi, 48)
     vals = np.array([fn(t) for t in ts])
     k = int(np.argmax(vals))
     best = float(vals[k])
     a = ts[max(k - 1, 0)]
-    b = ts[min(k + 1, n_grid - 1)]
+    b = ts[min(k + 1, ts.size - 1)]
     if b > a:
         res = minimize_scalar(lambda t: -fn(t), bounds=(a, b), method="bounded",
                               options={"xatol": 1e-12 * max(1.0, b)})

@@ -4,8 +4,9 @@ Nothing here may call the evaluation paths it is used to check: rearrangement
 values come from the inf-formula on a grid, norms from dense-grid sups or
 generic quadrature, ball-scan constants from global radius tables, LP optima
 from exhaustive vertex enumeration or from one HiGHS solve over every pair,
-LP instances row by row, derivatives from central differences, and the
-power-log norms of step functions one panel at a time in a hand-written loop.
+LP instances row by row, derivatives from central differences, the
+power-log norms of step functions one panel at a time in a hand-written loop,
+and moduli one radius at a time, from nabla or one ball average per radius.
 """
 
 import itertools
@@ -17,7 +18,11 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from oscembed.embed import _oscillation_weight
+from oscembed.errors import DomainError
 from oscembed.rearrange import rearrangement
+from oscembed.rispace import convexify, quasi_norm
+from oscembed.smoothness import (DEFAULT_GRID_RATIO, KBounds, ModulusProfile, _ball_average,
+                                 k_functional_l1, nabla, radius_grid)
 from oscembed.space import critical_radii
 from oscembed.weights import PowerLog
 
@@ -339,3 +344,46 @@ def loop_weighted_step_norm(fstar, w, q):
         if hi > lo and v > 0.0:
             total += v**q * wq.integral_dt_over_t(lo, hi)
     return total ** (1.0 / q)
+
+
+# The modulus, the modulus profile and the K-bounds one radius at a time, as
+# written before smoothness._moduli: k_bounds evaluates the j = 0 scale twice.
+
+
+def loop_modulus(space, f, r, spec, alpha):
+    """Quasi-norm (in the alpha-convexified spec) of the scale-r ball roughness."""
+    grad = nabla(space, f, r, alpha)
+    return quasi_norm(convexify(spec, alpha), rearrangement(space, grad))
+
+
+def loop_modulus_profile(space, f, spec, alpha, ratio=DEFAULT_GRID_RATIO):
+    radii = radius_grid(space, ratio)
+    conv = convexify(spec, alpha)
+    f = np.asarray(f, dtype=float)
+    diffs = np.abs(f[:, None] - f[None, :]) ** alpha
+    vals = []
+    for r in radii:
+        grad = _ball_average(space, diffs, float(r), alpha)
+        vals.append(quasi_norm(conv, rearrangement(space, grad)))
+    full = _ball_average(space, diffs, 2.0 * space.diameter + 1.0, alpha)
+    tail = quasi_norm(conv, rearrangement(space, full))
+    return ModulusProfile(radii, np.asarray(vals), tail)
+
+
+def loop_k_bounds(space, f, t, spec, alpha):
+    """Modulus lower bound and truncated dyadic-sum upper bound at parameter t."""
+    if not t > 0.0:
+        raise DomainError("t must be positive")
+    lower = loop_modulus(space, f, t, spec, alpha)
+    top = 2.0 * space.diameter
+    j_cut = max(0, math.ceil(math.log2(top / t))) if t < top else 0
+    total = 0.0
+    for j in range(j_cut):
+        total += 2.0 ** (-j * alpha) * loop_modulus(space, f, (2.0**j) * t, spec, alpha) ** alpha
+    tail_e = loop_modulus(space, f, max(top, t) + 1.0, spec, alpha)
+    total += 2.0 ** (-j_cut * alpha) * tail_e**alpha / (1.0 - 2.0 ** (-alpha))
+    upper = total ** (1.0 / alpha)
+    exact = None
+    if spec.family == "lp" and spec.p == 1.0 and spec.convexify_power == 1.0 and alpha == 1.0:
+        exact = k_functional_l1(space, f, t)
+    return KBounds(t=t, lower=lower, upper=upper, exact=exact)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oscembed import (PowerLog, PreconditionError, convexify, collapse_sweep,
+from oscembed import (DomainError, PowerLog, PreconditionError, convexify, collapse_sweep,
                       choose_alpha, embedding_report, grid_space, lorentz,
                       lorentz_zygmund, lp, measure_growth_constant,
                       oscillation_functional, oscillation_gradient_constant,
@@ -13,7 +13,7 @@ from oscembed import (PowerLog, PreconditionError, convexify, collapse_sweep,
                       regime_classify, space_from_matrix, sup_norm_embedding_check,
                       target_norm_check, target_weight, tent_function, tent_gradient,
                       weighted_step_norm)
-from oscembed.embed import lz_base_spec, log_lorentz_embedding_check
+from oscembed.embed import _finish_report, lz_base_spec, log_lorentz_embedding_check
 from oscembed.space import diagnostics
 
 from _oracles import numeric_derivative
@@ -432,3 +432,18 @@ def test_collapse_sweep_monotone_growth():
     assert consts[-1] > 0.0
     assert rows[0]["b"] == pytest.approx(1.0)
     assert rows[-1]["b"] == pytest.approx(0.01)
+
+
+def test_finish_report_default_labels():
+    rep = _finish_report("k1", [1.0, 2.0, 0.0], None, lambda f: (f, 2.0), {})
+    assert [row[0] for row in rep.per_function] == ["f0", "f1", "f2"]
+    assert [row[3] for row in rep.per_function] == [0.5, 1.0, 0.0]
+    assert rep.empirical_constant == 1.0
+    rep = _finish_report("k1", [1.0], ["tent"], lambda f: (f, 2.0), {})
+    assert rep.per_function == [("tent", 1.0, 2.0, 0.5)]
+
+
+def test_finish_report_refuses_positive_lhs_over_zero_rhs():
+    assert _finish_report("k1", [0.0], None, lambda f: (f, 0.0), {}).empirical_constant == 0.0
+    with pytest.raises(DomainError, match="inconsistent report row 'f1'"):
+        _finish_report("k1", [0.0, 1.0], None, lambda f: (f, 0.0), {})

@@ -12,7 +12,7 @@ from oscembed import (SpaceValidationError, diagnostics, doubling_constant,
                       space_from_matrix, upper_dimension)
 from oscembed import (measure_growth_constant, random_geometric_space, space_from_graph,
                       space_from_points)
-from oscembed.space import critical_radii
+from oscembed.space import Space, critical_radii
 
 from _oracles import (brute_force_growth_constant, dense_grid_doubling, iterated_doubling_margin,
                       table_doubling_constant)
@@ -185,3 +185,17 @@ def test_iterated_doubling_holds_with_computed_dimension():
     for sp in (path_space(5), grid_space(3, 3), two_point()):
         diag = diagnostics(sp)
         assert iterated_doubling_margin(sp, diag.q_dim) >= -1e-9
+
+
+def test_space_copies_the_callers_arrays():
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    w = np.ones(2)
+    sp = space_from_matrix(d, w)
+    d[0, 1] = d[1, 0] = 3.0  # the caller's arrays stay writable
+    w[0] = 7.0
+    assert sp.dist[0, 1] == 1.0 and sp.weight[0] == 1.0
+    base = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sp = Space(base[:], np.ones(2))
+    base[0, 1] = 5.0  # a write through another view leaves the space alone
+    assert sp.dist[0, 1] == 1.0
+    assert not sp.dist.flags.writeable and not sp.weight.flags.writeable
