@@ -121,8 +121,10 @@ class EmbeddingReport:
 def _finish_report(theorem_id: str, corpus, labels, one, params) -> EmbeddingReport:
     """Report of the rows one(f) = (lhs, rhs) over the corpus; labels default to f0, f1, ..."""
     corpus = list(corpus)
+    labels = [f"f{k}" for k in range(len(corpus))] if labels is None else list(labels)
+    if len(labels) != len(corpus):
+        raise DomainError(f"{len(labels)} labels for a corpus of {len(corpus)} functions")
     pairs = _pool_map(one, corpus)
-    labels = [f"f{k}" for k in range(len(corpus))] if labels is None else labels
     rows, worst = [], 0.0
     for lab, (lhs, rhs) in zip(labels, pairs):
         if rhs <= 0.0:

@@ -87,6 +87,7 @@ def t_r_operator(space: Space, f, r: float, alpha: float) -> np.ndarray:
 
 def _moduli(space: Space, f, radii, spec: RISpaceSpec, alpha: float) -> list:
     """The modulus at each radius: one ball average pass and one quasi-norm per radius."""
+    _check_ball_args(min(radii), alpha)
     conv = convexify(spec, alpha)
     f = np.asarray(f, dtype=float)
     diffs = np.abs(f[:, None] - f[None, :]) ** alpha
@@ -96,7 +97,6 @@ def _moduli(space: Space, f, radii, spec: RISpaceSpec, alpha: float) -> list:
 
 def modulus(space: Space, f, r: float, spec: RISpaceSpec, alpha: float) -> float:
     """Quasi-norm (in the alpha-convexified spec) of the rearranged nabla at scale r."""
-    _check_ball_args(r, alpha)
     return _moduli(space, f, [r], spec, alpha)[0]
 
 

@@ -16,9 +16,27 @@ boundedness near t = 0, and suprema over intervals (endpoints plus interior
 critical points).  On [1, infinity) the log factors equal 1 and the integral
 is a closed-form power.  Integrals on (0, 1] are computed in the variable
 u = ln(1/t), where the integrand becomes exp(-a*u) (1+u)^b (1+ln(1+u))^g.
-Only a = 0 has closed forms there: (1+u)^b, and (1+u)^-1 (1+ln(1+u))^g by
-the substitution v = 1 + ln(1+u).  Every a != 0, pure powers t^a included,
-goes to scipy.integrate.quad over the (possibly infinite) range.
+PowerLog._u_integrals evaluates all panels of a call at once, and each panel
+takes the first of these paths that applies:
+
+  1. a = 0 and g = 0, or a = 0 and b = -1: closed forms in (1+u) and, by the
+     substitution v = ln(1+u), in (1 + ln(1+u)).
+  2. a > 0, g = 0 and s = b + 1 > 0: with x = a(1+u) the integral is
+     e^a a^-s Gamma(s) [Q(s, x_lo) - Q(s, x_hi)], Q = scipy.special.gammaincc
+     the regularized upper incomplete gamma function (DLMF 8.2), or the same
+     with P(s, x_hi) - P(s, x_lo) when the lower tail P is the smaller.  It is
+     taken where that tail exceeds 1e-290, x_lo is a normal float and the
+     difference keeps at least a quarter of the tail: P and Q carry relative
+     errors up to about 1e-13, so cancellation may cost no more than 4x that.
+  3. Panels of case 2 where the difference cancels: those narrow against both
+     scales of the integrand, width <= (1+u_lo)/2 and width <= 2/a, take a
+     16-point Gauss-Legendre rule, vectorized.
+  4. Everything else, notably g != 0, a < 0 and s <= 0: one
+     scipy.integrate.quad call per panel with a relative tolerance only, in u
+     on finite panels and in w = ln(1+u) on improper ones, where power-law
+     tails decay exponentially.
+
+Which path a panel takes depends only on (a, b, g) and the panel's ends.
 
 The panel kernel, PowerLog.panel_sum and PowerLog.panel_max, evaluates the
 norms of a decreasing step function: sums of coef_i * int p dt/t, or maxima
@@ -30,16 +48,23 @@ share the preset-validation style.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
+from scipy.special import exprel, gamma, gammainc, gammaincc
 
 from .errors import DomainError, EvaluationError
 
-_QUAD_OPTS = {"limit": 200, "epsabs": 1e-13, "epsrel": 1e-11}
+# relative tolerance only: an absolute one would cut short tiny improper integrals
+_QUAD_OPTS = {"limit": 200, "epsabs": 0.0, "epsrel": 1e-11}
+# incomplete-gamma panels (path 2 above)
+_TAIL_UNDERFLOW = 1e-290
+_NORMAL_MIN = np.finfo(float).tiny  # a subnormal x = a(1+u) has lost its digits
+_MAX_CANCEL = 4.0
 
 
 def _lfac(t):
@@ -129,38 +154,76 @@ class PowerLog:
 
     # -- integrals -------------------------------------------------------------
 
-    def _u_integral(self, u_lo: float, u_hi: float) -> float:
-        """int_{u_lo}^{u_hi} e^{-a u} (1+u)^b (1+ln(1+u))^g du (u_hi may be inf)."""
-        a, b, g = self.a, self.b, self.g
-        if u_hi <= u_lo:
-            return 0.0
-        if math.isinf(u_hi):
-            # caller must have verified convergence
-            if a < 0.0 or (a == 0.0 and not self.integrable_at_zero_dt_over_t()):
-                raise EvaluationError("divergent power-log integral")
+    def _u_integrals(self, u_lo: np.ndarray, u_hi: np.ndarray) -> np.ndarray:
+        """int_{u_lo_i}^{u_hi_i} e^{-a u} (1+u)^b (1+ln(1+u))^g du per panel.
+
+        u_hi_i may be inf where the caller has checked that the integral converges.
+        """
+        a, b, g, s = self.a, self.b, self.g, self.b + 1.0
+        out = np.zeros(u_lo.shape)
+        live = u_hi > u_lo
+        u_lo, u_hi = u_lo[live], u_hi[live]
         if a == 0.0 and g == 0.0:
-            if b == -1.0:
-                if math.isinf(u_hi):
-                    raise EvaluationError("divergent power-log integral")
-                return math.log1p(u_hi) - math.log1p(u_lo)
-            hi = 0.0 if (math.isinf(u_hi) and b < -1.0) else (1.0 + u_hi) ** (b + 1.0)
-            return (hi - (1.0 + u_lo) ** (b + 1.0)) / (b + 1.0)
+            # ((1+u_hi)^s - (1+u_lo)^s) / s, written to stay exact as s -> 0
+            span = np.log1p(u_hi) - np.log1p(u_lo)
+            out[live] = span if s == 0.0 else (1.0 + u_lo) ** s * np.expm1(s * span) / s
+            return out
         if a == 0.0 and b == -1.0:
-            # substitute v = 1 + ln(1+u)
-            v_lo = 1.0 + math.log1p(u_lo)
-            v_hi = math.inf if math.isinf(u_hi) else 1.0 + math.log1p(u_hi)
-            return PowerLog(0.0, g)._u_integral(v_lo - 1.0, math.inf if math.isinf(v_hi) else v_hi - 1.0)
-        def fn(u):
-            # log-stable product; saturates instead of overflowing in extreme
-            # parameter corners (the symbolic finiteness decision is separate)
+            # substitute v = ln(1+u)
+            out[live] = PowerLog(0.0, g)._u_integrals(np.log1p(u_lo), np.log1p(u_hi))
+            return out
+        vals = np.zeros(u_lo.shape)
+        done = np.zeros(u_lo.shape, dtype=bool)
+        if a > 0.0 and g == 0.0 and s > 0.0:
+            done = _gamma_panels(a, s, u_lo, u_hi, vals)
+
+        # log-stable integrands; they saturate instead of overflowing in extreme
+        # parameter corners (the symbolic finiteness decision is separate)
+        def in_u(u):
             expo = -a * u + b * math.log1p(u) + g * math.log(1.0 + math.log1p(u))
             return math.exp(min(expo, 700.0))
 
-        val, _ = quad(fn, u_lo, u_hi, **_QUAD_OPTS)
-        return val
+        log_a = math.log(a) if a > 0.0 else -math.inf
+
+        def in_w(w):
+            # w = ln(1+u), where the power-law tails of improper panels decay exponentially
+            expo = a - math.exp(min(w + log_a, 700.0)) + s * w + g * math.log1p(w)
+            return math.exp(min(expo, 700.0))
+
+        for i in np.flatnonzero(~done).tolist():
+            if math.isinf(u_hi[i]):
+                # the cut-off e^(-a e^w) sets in at w = ln(1/a): one finite piece up to there
+                w_lo = math.log1p(u_lo[i])
+                w_cut = max(w_lo, -log_a + 1.0) if a > 0.0 else w_lo
+                head = quad(in_w, w_lo, w_cut, **_QUAD_OPTS)[0] if w_cut > w_lo else 0.0
+                vals[i] = head + quad(in_w, w_cut, math.inf, **_QUAD_OPTS)[0]
+            else:
+                vals[i] = quad(in_u, float(u_lo[i]), float(u_hi[i]), **_QUAD_OPTS)[0]
+        out[live] = vals
+        return out
+
+    def _integrals_dt_over_t(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """int_{lo_i}^{hi_i} p(t) dt/t per panel, for 0 <= lo_i < hi_i."""
+        if not self.integrable_at_zero_dt_over_t() and (lo == 0.0).any():
+            raise EvaluationError("power-log integral diverges at 0")
+        total = np.zeros(lo.shape)
+        # piece on (0,1]: log factors active, in u = ln(1/t)
+        low = lo < 1.0
+        if low.any():
+            with np.errstate(divide="ignore"):
+                u_hi = -np.log(lo[low])
+            total[low] = self._u_integrals(-np.log(np.minimum(hi[low], 1.0)), u_hi)
+        # piece on (1, hi): plain power
+        high = hi > 1.0
+        if high.any():
+            # (hi^a - p_lo^a) / a, written to stay exact as a -> 0
+            p_lo = np.maximum(lo[high], 1.0)
+            span = np.log(hi[high] / p_lo)
+            total[high] += p_lo**self.a * span * exprel(self.a * span)
+        return self.const * total
 
     def integral_dt_over_t(self, lo: float, hi: float) -> float:
-        """int_lo^hi p(t) dt/t, exact where closed forms exist, quad otherwise.
+        """int_lo^hi p(t) dt/t, by the paths of the module docstring.
 
         lo may be 0 (improper); raises EvaluationError if symbolically divergent.
         """
@@ -168,23 +231,8 @@ class PowerLog:
             raise DomainError(f"bad integration range ({lo}, {hi})")
         if hi == lo:
             return 0.0
-        if lo == 0.0 and not self.integrable_at_zero_dt_over_t():
-            raise EvaluationError("power-log integral diverges at 0")
-        total = 0.0
-        # piece on (0,1]: log factors active
-        p_lo, p_hi = lo, min(hi, 1.0)
-        if p_hi > p_lo:
-            u_hi = math.inf if p_lo == 0.0 else math.log(1.0 / p_lo)
-            u_lo = math.log(1.0 / p_hi)
-            total += self.const * self._u_integral(u_lo, u_hi)
-        # piece on (1, hi): plain power
-        if hi > 1.0:
-            p_lo = max(lo, 1.0)
-            if self.a == 0.0:
-                total += self.const * math.log(hi / p_lo)
-            else:
-                total += self.const * (hi**self.a - p_lo**self.a) / self.a
-        return total
+        return float(self._integrals_dt_over_t(np.array([lo], dtype=float),
+                                               np.array([hi], dtype=float))[0])
 
     def integral_dt(self, lo: float, hi: float) -> float:
         """int_lo^hi p(t) dt  (= integral of t*p(t) dt/t)."""
@@ -242,16 +290,15 @@ class PowerLog:
 
     def panel_sum(self, lo, hi, coef) -> float:
         """sum_i coef_i * int_{lo_i}^{hi_i} p(t) dt/t over panels with coef_i > 0, hi_i > lo_i."""
-        total = 0.0
-        for c, p_lo, p_hi in _live_panels(lo, hi, coef):
-            total += c * self.integral_dt_over_t(p_lo, p_hi)
-        return total
+        c, p_lo, p_hi = _live_panels(lo, hi, coef)
+        return float(c @ self._integrals_dt_over_t(p_lo, p_hi))
 
     def panel_max(self, lo, hi, coef) -> float:
         """max(0, max_i coef_i * sup of p over [lo_i, hi_i]) over the panel_sum panels."""
+        c, p_lo, p_hi = _live_panels(lo, hi, coef)
         best = 0.0
-        for c, p_lo, p_hi in _live_panels(lo, hi, coef):
-            best = max(best, c * self.sup_on(p_lo, p_hi))
+        for c_i, lo_i, hi_i in zip(c.tolist(), p_lo.tolist(), p_hi.tolist()):
+            best = max(best, c_i * self.sup_on(lo_i, hi_i))
         return best
 
     # -- serialization -----------------------------------------------------------
@@ -266,10 +313,53 @@ class PowerLog:
 
 
 def _live_panels(lo, hi, coef):
-    """(coef_i, lo_i, hi_i) as floats, in panel order, where coef_i > 0 and hi_i > lo_i."""
+    """Arrays coef, lo, hi, in panel order, of the panels where coef_i > 0 and hi_i > lo_i."""
     lo, hi, coef = (np.asarray(x, dtype=float) for x in (lo, hi, coef))
     keep = (coef > 0.0) & (hi > lo)
-    return zip(coef[keep].tolist(), lo[keep].tolist(), hi[keep].tolist())
+    return coef[keep], lo[keep], hi[keep]
+
+
+def _gamma_panels(a: float, s: float, u_lo, u_hi, vals) -> np.ndarray:
+    """int e^{-a u} (1+u)^(s-1) du for a, s > 0 into vals; returns the panels it filled.
+
+    With x = a(1+u) the integral is e^a a^-s Gamma(s) times the difference of
+    the regularized incomplete gamma functions at x_lo and x_hi: Q(s, x_lo) -
+    Q(s, x_hi), or P(s, x_hi) - P(s, x_lo) where P(s, x_hi) is the smaller
+    tail.  A panel takes it where that tail does not underflow and the
+    difference keeps at least 1/_MAX_CANCEL of it.  A difference cancels on
+    panels narrow against the integrand's scales 1 + u and 1/a; those with
+    width <= (1 + u_lo)/2 and a * width <= 2 take a 16-point Gauss-Legendre
+    rule instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.exp(a) * np.float64(a) ** -s * gamma(s)
+    x_lo, x_hi = a * (1.0 + u_lo), a * (1.0 + u_hi)
+    q_lo, q_hi = gammaincc(s, x_lo), gammaincc(s, x_hi)
+    p_lo, p_hi = gammainc(s, x_lo), gammainc(s, x_hi)
+    upper = q_lo <= p_hi
+    tail = np.where(upper, q_lo, p_hi)
+    diff = np.where(upper, q_lo - q_hi, p_hi - p_lo)
+    closed = ((x_lo >= _NORMAL_MIN) & (tail > _TAIL_UNDERFLOW) & (diff * _MAX_CANCEL >= tail)
+              & np.isfinite(factor))
+    vals[closed] = factor * diff[closed]
+    width = u_hi - u_lo
+    narrow = ~closed & (width * 2.0 <= 1.0 + u_lo) & (a * width <= 2.0)
+    if narrow.any():
+        nodes, weights = _gauss_legendre_16()
+        half = width[narrow, None] / 2.0
+        u = u_lo[narrow, None] + half * (1.0 + nodes)
+        vals[narrow] = (np.exp(-a * u) * (1.0 + u) ** (s - 1.0) * half) @ weights
+    return closed | narrow
+
+
+@functools.cache
+def _gauss_legendre_16():
+    """Nodes and weights of the 16-point Gauss-Legendre rule on [-1, 1] (path 3 above).
+
+    Built on first use: the eigenvalue solve behind it loads LAPACK, which
+    costs runs that never need the rule about 1 MB of memory.
+    """
+    return np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)

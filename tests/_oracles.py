@@ -2,16 +2,18 @@
 
 Nothing here may call the evaluation paths it is used to check: rearrangement
 values come from the inf-formula on a grid, norms from dense-grid sups or
-generic quadrature, ball-scan constants from global radius tables, LP optima
-from exhaustive vertex enumeration or from one HiGHS solve over every pair,
-LP instances row by row, derivatives from central differences, the
-power-log norms of step functions one panel at a time in a hand-written loop,
-and moduli one radius at a time, from nabla or one ball average per radius.
+generic quadrature, power-log integrals from mpmath quadrature at 30 digits,
+ball-scan constants from global radius tables, LP optima from exhaustive
+vertex enumeration or from one HiGHS solve over every pair, LP instances row
+by row, derivatives from central differences, the power-log norms of step
+functions one panel at a time in a hand-written loop, and moduli one radius at
+a time, from nabla or one ball average per radius.
 """
 
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
@@ -268,6 +270,43 @@ def numeric_derivative(fn, t, h_rel=1e-5):
 def dense_sup(fn, lo, hi, n=200_000):
     ts = np.geomspace(lo, hi, n)
     return float(max(fn(t) for t in ts))
+
+
+# -- power-log integrals at 30 digits ---------------------------------------------------------
+
+
+def mp_power_log_integral(a, b, g, lo, hi):
+    """int_lo^hi t^a (1 + ln+(1/t))^b (1 + ln(1 + ln+(1/t)))^g dt/t by mpmath quadrature.
+
+    On (0, 1] it integrates in w = ln(1 + ln(1/t)), where the log powers become
+    exponentials, split at the scales of the factor e^(-a u) (u = ln(1/t)) and
+    at doublings of 1 + u.  lo = 0 is allowed where the integral converges.
+    """
+    with mp.workdps(30):
+        a, b, g = mp.mpf(a), mp.mpf(b), mp.mpf(g)
+        total = mp.mpf(0)
+        if hi > 1.0:
+            p = mp.mpf(max(lo, 1.0))
+            span = mp.log(hi / p)
+            total += span if a == 0 else p**a * mp.expm1(a * span) / a
+        if lo < 1.0:
+            u_lo = -mp.log(mp.mpf(min(hi, 1.0)))
+            u_hi = mp.inf if lo == 0.0 else -mp.log(mp.mpf(lo))
+            # past u_lo + 2^9/a the factor e^(-a u) has fallen by e^(-512): stop there
+            top = u_hi if a <= 0 else min(u_hi, u_lo + 2**9 / a)
+            us = {u_lo}
+            for k in range(-2, 65, 2):
+                if a != 0:
+                    us.update((u_lo + 2**k / abs(a), u_hi - 2**k / abs(a)))
+                us.add((1 + u_lo) * 2**k - 1)
+            ws = sorted(mp.log1p(u) for u in us if u_lo <= u < top) + [mp.log1p(top)]
+            f = lambda w: mp.exp(-a * mp.expm1(w) + (b + 1) * w) * (1 + w) ** g
+            # mpmath's quad stops on an absolute error estimate: integrate f / max f
+            scale = max(f(w) for w in ws if w != mp.inf)
+            val, err = mp.quad(lambda w: f(w) / scale, ws, error=True)
+            assert err < mp.mpf(10) ** -20 * val, (a, b, g, lo, hi, val, err)
+            total += val * scale
+        return float(total)
 
 
 # -- power-log norms of step functions, one hand-written loop per norm ---------------------

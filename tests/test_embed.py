@@ -443,6 +443,17 @@ def test_finish_report_default_labels():
     assert rep.per_function == [("tent", 1.0, 2.0, 0.5)]
 
 
+def test_reports_refuse_labels_not_matching_the_corpus():
+    sp = path_space(4)
+    corpus = [np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0, 1.0]),
+              np.array([0.0, 0.0, 0.0, 2.0])]
+    for labels in (["a"], ["a", "b", "c", "d"], []):
+        with pytest.raises(DomainError, match="labels for a corpus of 3"):
+            embedding_report(sp, corpus, lp(1.0), 1.0, 0.5, 1.0, labels=labels)
+    rep = embedding_report(sp, corpus, lp(1.0), 1.0, 0.5, 1.0, labels=["a", "b", "c"])
+    assert [row[0] for row in rep.per_function] == ["a", "b", "c"]
+
+
 def test_finish_report_refuses_positive_lhs_over_zero_rhs():
     assert _finish_report("k1", [0.0], None, lambda f: (f, 0.0), {}).empirical_constant == 0.0
     with pytest.raises(DomainError, match="inconsistent report row 'f1'"):

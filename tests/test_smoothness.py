@@ -113,6 +113,17 @@ def test_modulus_profile_structure():
     assert prof.tail_value == pytest.approx(full)
 
 
+@pytest.mark.parametrize("alpha", [2.0, 0.0, -0.5, math.nan])
+def test_moduli_refuse_alpha_outside_unit_interval(alpha):
+    sp, f = path_space(4), [0.0, 1.0, 2.0, 3.0]
+    with pytest.raises(DomainError, match="alpha must lie in"):
+        modulus(sp, f, 1.5, lp(1.0), alpha)
+    with pytest.raises(DomainError, match="alpha must lie in"):
+        modulus_profile(sp, f, lp(1.0), alpha)
+    with pytest.raises(DomainError, match="alpha must lie in"):
+        besov_seminorm(sp, f, 0.5, 1.0, lp(1.0), alpha)
+
+
 # -- Besov seminorm -------------------------------------------------------------------------
 
 
