@@ -3,23 +3,18 @@ doubling metric measure spaces."""
 
 from .space import (Space, SpaceDiagnostics, load_space, space_from_matrix,
                     space_from_points, space_from_graph, path_space, grid_space,
-                    random_geometric_space, doubling_constant, upper_dimension,
+                    random_geometric_space, doubling_constant,
                     noncollapsing_constant, diagnostics)
-from .rearrange import (StepDecreasing, OscillationProfile, rearrangement,
-                        maximal_average, oscillation, sum_plus_linf_norm)
+from .rearrange import StepDecreasing, rearrangement, sum_plus_linf_norm
 from .rispace import (RISpaceSpec, lp, lorentz, lorentz_zygmund, lambda_w,
                       marcinkiewicz, marcinkiewicz_tilde, orlicz, convexify,
-                      quasi_norm, fundamental_function, fundamental_dual,
-                      fundamental_powerlog, alpha_convexity_defect, spec_from_json)
-from .smoothness import (GradientField, ModulusProfile, KBounds, nabla,
-                         t_r_operator, modulus, modulus_profile, besov_seminorm,
-                         canonical_gradient, hajlasz_seminorm_l1,
-                         hajlasz_seminorm_upper, k_functional_l1, k_bounds)
-from .embed import (EmbeddingReport, Regime, tent_function, tent_gradient,
-                    oscillation_functional, embedding_report,
+                      quasi_norm, fundamental_powerlog, spec_from_json)
+from .smoothness import (GradientField, ModulusProfile, KBounds, modulus_profile,
+                         besov_seminorm, hajlasz_seminorm_l1, k_functional_l1, k_bounds)
+from .corpus import tent_function
+from .embed import (EmbeddingReport, Regime, oscillation_functional, embedding_report,
                     oscillation_gradient_constant, measure_growth_constant,
-                    reciprocal_weight_integral, reciprocal_weight_finite,
-                    target_weight, regime_classify,
+                    reciprocal_weight_integral, reciprocal_weight_finite, regime_classify,
                     choose_alpha, sup_norm_embedding_check, target_norm_check,
                     log_lorentz_embedding_check, collapse_sweep, weighted_step_norm)
 from .weights import PowerLog, OrliczFunction

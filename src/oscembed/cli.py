@@ -57,12 +57,14 @@ def _json_default(obj):
 
 
 def _load_inputs(args):
+    """The space, the norm spec, and the corpus with its labels."""
     space = load_space(args.space)
     spec = rispace.spec_from_json(json.loads(args.spec)) if args.spec else rispace.lp(1.0)
     corpus_spec = args.corpus
     if corpus_spec and corpus_spec.strip().startswith("{"):
         corpus_spec = json.loads(corpus_spec)
-    return space, spec, corpus_spec
+    corpus, labels = build_corpus(space, corpus_spec, args.seed)
+    return space, spec, corpus, labels
 
 
 def cmd_space_info(args) -> int:
@@ -78,8 +80,7 @@ def cmd_space_info(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    space, spec, corpus_spec = _load_inputs(args)
-    corpus, labels = build_corpus(space, corpus_spec, args.seed)
+    space, spec, corpus, labels = _load_inputs(args)
     rows = []
     for lab, f in zip(labels, corpus):
         fstar = rearrangement(space, f)
@@ -91,8 +92,7 @@ def cmd_norms(args) -> int:
 
 
 def cmd_modulus(args) -> int:
-    space, spec, corpus_spec = _load_inputs(args)
-    corpus, labels = build_corpus(space, corpus_spec, args.seed)
+    space, spec, corpus, labels = _load_inputs(args)
     rows = []
     profiles = {}
     for lab, f in zip(labels, corpus):
@@ -106,8 +106,7 @@ def cmd_modulus(args) -> int:
 
 
 def cmd_besov(args) -> int:
-    space, spec, corpus_spec = _load_inputs(args)
-    corpus, labels = build_corpus(space, corpus_spec, args.seed)
+    space, spec, corpus, labels = _load_inputs(args)
     rows = []
     for lab, f in zip(labels, corpus):
         val = smoothness.besov_seminorm(space, f, args.s, args.q, spec, args.alpha,
@@ -119,8 +118,7 @@ def cmd_besov(args) -> int:
 
 
 def cmd_kfun(args) -> int:
-    space, spec, corpus_spec = _load_inputs(args)
-    corpus, labels = build_corpus(space, corpus_spec, args.seed)
+    space, spec, corpus, labels = _load_inputs(args)
     ts = np.geomspace(args.t_min, args.t_max, args.t_count)
     rows = []
     for lab, f in zip(labels, corpus):
@@ -134,20 +132,23 @@ def cmd_kfun(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    space, spec, corpus_spec = _load_inputs(args)
-    corpus, labels = build_corpus(space, corpus_spec, args.seed)
+    space, spec, corpus, labels = _load_inputs(args)
     diag = diagnostics(space)
     q_dim = diag.q_dim
     name = f"verify-{args.theorem}"
-    if args.theorem in ("k1", "teolp"):
+    theorem = args.theorem
+    if theorem == "embteo":
+        finite = embed.reciprocal_weight_finite(spec, args.alpha, args.s, args.q, q_dim)
+        theorem = "infinito" if finite else "pesos"
+    if theorem in ("k1", "teolp"):
         alpha, use_spec = args.alpha, spec
-        if args.theorem == "teolp":
+        if theorem == "teolp":
             p = args.p if args.p is not None else 2.0
             use_spec = rispace.lp(max(p, 1.0)) if p >= 1.0 else rispace.lp(1.0)
             alpha = 1.0 if p >= 1.0 else p
         report = embed.embedding_report(space, corpus, use_spec, alpha, args.s, args.q,
                                         q_dim, labels, args.grid_ratio, args.theorem)
-    elif args.theorem == "teointerpol":
+    elif theorem == "teointerpol":
         ts = np.geomspace(args.t_min, args.t_max, args.t_count)
         rows, c1, c2 = [], 0.0, 0.0
         for lab, f in zip(labels, corpus):
@@ -162,7 +163,7 @@ def cmd_verify(args) -> int:
         _write_artifacts(Path(args.out), name, payload, rows)
         print(f"teointerpol: C1={c1:g} C2={c1 * c2:g}")
         return 0
-    elif args.theorem == "teomo1":
+    elif theorem == "teomo1":
         growth = embed.measure_growth_constant(space, q_dim)
         rows = []
         worst = 0.0
@@ -174,24 +175,15 @@ def cmd_verify(args) -> int:
         _write_artifacts(Path(args.out), name, payload, rows)
         print(f"teomo1: growth={growth:g} max_constant={worst:g}")
         return 0
-    elif args.theorem == "infinito":
+    elif theorem == "infinito":
         report = embed.sup_norm_embedding_check(space, corpus, spec, args.alpha,
                                                 args.s, args.q, q_dim, labels,
                                                 args.grid_ratio)
-    elif args.theorem == "pesos":
+    elif theorem == "pesos":
         report = embed.target_norm_check(space, corpus, spec, args.alpha, args.s,
                                          args.q, q_dim, labels=labels,
                                          ratio=args.grid_ratio)
-    elif args.theorem == "embteo":
-        if embed.reciprocal_weight_finite(spec, args.alpha, args.s, args.q, q_dim):
-            report = embed.sup_norm_embedding_check(space, corpus, spec, args.alpha,
-                                                    args.s, args.q, q_dim, labels,
-                                                    args.grid_ratio)
-        else:
-            report = embed.target_norm_check(space, corpus, spec, args.alpha, args.s,
-                                             args.q, q_dim, labels=labels,
-                                             ratio=args.grid_ratio)
-    elif args.theorem == "lorentzlog":
+    elif theorem == "lorentzlog":
         regime, report = embed.log_lorentz_embedding_check(
             space, corpus, args.p, args.r, args.beta, args.s, args.q, q_dim,
             labels, args.grid_ratio)
@@ -201,7 +193,7 @@ def cmd_verify(args) -> int:
         print(f"lorentzlog: case={regime.case_id} constant={report.empirical_constant:g}")
         return 0
     else:
-        raise AssertionError(args.theorem)
+        raise AssertionError(theorem)
     _write_artifacts(Path(args.out), name, report.to_json(), list(report.csv_rows()))
     print(f"{args.theorem}: empirical_constant={report.empirical_constant:g}")
     return 0
@@ -226,8 +218,7 @@ def cmd_regimes(args) -> int:
 
 
 def cmd_collapse_sweep(args) -> int:
-    space, spec, corpus_spec = _load_inputs(args)
-    corpus, _labels = build_corpus(space, corpus_spec, args.seed)
+    space, spec, corpus, _labels = _load_inputs(args)
     diag = diagnostics(space)
     eps_list = [float(e) for e in args.eps.split(",")]
     rows_raw = embed.collapse_sweep(space, corpus, spec, args.alpha, args.s, args.q,

@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import DomainError
 from .space import Space
-from .embed import tent_function
 
 
 def random_uniform(space: Space, count: int, seed: int, low: float = -1.0,
@@ -32,6 +31,12 @@ def indicators(space: Space, count: int, seed: int) -> list[np.ndarray]:
         r = float(rng.choice(radii)) * (1.0 + 1e-9)
         out.append((space.dist[x] < r).astype(float))
     return out
+
+
+def tent_function(space: Space, x0: int) -> np.ndarray:
+    """Unit bump: 1 inside B(x0, 1), linear decay 2 - d on B(x0, 2), 0 outside."""
+    d = space.dist[x0]
+    return np.where(d < 1.0, 1.0, np.where(d < 2.0, 2.0 - d, 0.0))
 
 
 def tents_at_all_centers(space: Space) -> list[np.ndarray]:

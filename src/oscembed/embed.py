@@ -24,8 +24,9 @@ Weight machinery for the rearranged-norm targets:
   * reciprocal_weight_integral: the finiteness gauge m(t) built from the
     reciprocal weight t^(s/Q)/phi(t); its value at 0 decides between the
     sup-norm target (finite) and weighted-rearrangement targets (infinite);
-  * target_weight: the closed-form weight w with w(t)^q/t equal to the
-    derivative of (1 + m(t))^(1-q/a), used when a < q < infinity;
+  * the target weight w of the a < q < infinity case, with w(t)^q/t equal to
+    the derivative of (1 + m(t))^(1-q/a): target_norm_check integrates
+    against it through that exact primitive, so w itself is never evaluated;
   * regime_classify: the total case table for log-Lorentz parameters
     (p, r, beta, s, q, Q), emitting the target weight per case.
 """
@@ -47,21 +48,6 @@ from .space import Space, _sorted_rows, diagnostics, noncollapsing_constant
 from .weights import PowerLog
 
 _POOL_WORKERS = 4
-
-
-# -- witness functions ---------------------------------------------------------------
-
-
-def tent_function(space: Space, x0: int) -> np.ndarray:
-    """Unit bump: 1 inside B(x0, 1), linear decay 2 - d on B(x0, 2), 0 outside."""
-    d = space.dist[x0]
-    return np.where(d < 1.0, 1.0, np.where(d < 2.0, 2.0 - d, 0.0))
-
-
-def tent_gradient(space: Space, x0: int) -> GradientField:
-    """Indicator of B(x0, 2), certified feasible for the tent at x0."""
-    g = (space.dist[x0] < 2.0).astype(float)
-    return GradientField.certify(space, tent_function(space, x0), g)
 
 
 # -- the oscillation functional ---------------------------------------------------------
@@ -254,28 +240,6 @@ def reciprocal_weight_integral(spec: RISpaceSpec, alpha: float, s: float, q: flo
     if t == 0.0 and not integrand.integrable_at_zero_dt_over_t():
         return math.inf
     return integrand.integral_dt_over_t(t, 1.0)
-
-
-def target_weight(spec: RISpaceSpec, alpha: float, s: float, q: float,
-                  q_dim: float, t: float) -> float:
-    """Closed-form weight w(t) with w^q(t)/t = d/dt (1 + m(t))^(1 - q/a).
-
-    Only defined in the a < q < inf case with m(0) infinite; other parameter
-    ranges are served by the sup form (q = inf) or a supplied u-weight
-    (q <= a), and raise a domain error pointing there.
-    """
-    if not alpha < q or math.isinf(q):
-        raise DomainError("target_weight covers alpha < q < inf only; "
-                          "use the sup form for q = inf or a u-weight for q <= alpha")
-    if not 0.0 < t <= 1.0:
-        raise DomainError("weight defined on (0, 1]")
-    if reciprocal_weight_finite(spec, alpha, s, q, q_dim):
-        raise DomainError("m(0) is finite: the sup-norm embedding applies, no weight needed")
-    v = _reciprocal_weight(spec, alpha, s, q_dim)
-    m_t = reciprocal_weight_integral(spec, alpha, s, q, q_dim, t) if t < 1.0 else 0.0
-    return ((q / alpha - 1.0) ** (1.0 / q)
-            * (1.0 + m_t) ** (-1.0 / alpha)
-            * float(v(t)) ** (alpha / (q - alpha)))
 
 
 # -- weighted rearranged-norm evaluation ---------------------------------------------------

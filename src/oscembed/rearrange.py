@@ -3,11 +3,11 @@
 For a function f on a finite weighted space, the decreasing rearrangement of
 |f| is a right-continuous decreasing step function on [0, total mass): sort
 |f| descending and accumulate weights.  Everything downstream (running
-averages, oscillation, weighted norms) is evaluated exactly from the step
-representation:
+averages, oscillation gaps, weighted norms) is evaluated exactly from the step
+representation; callers form the first two from eval and integral directly:
 
   * eval(t) is the step value, 0 beyond the represented mass;
-  * integral(t) = int_0^t, hence the running average avg(t) = (1/t) int_0^t,
+  * integral(t) = int_0^t, hence the running average avg(t) = integral(t) / t,
     is exact piecewise, for a scalar or an array t;
   * on any breakpoint-free interval the gap avg - eval equals D/t for a
     per-panel constant D >= 0, which is what makes dt/t integrals of the
@@ -122,13 +122,6 @@ class StepDecreasing:
             out.append((self.mass, upper, 0.0, float(self.prefix[-1])))
         return out
 
-    def to_json(self) -> dict:
-        return {"breakpoints": self.breakpoints.tolist(), "values": self.values.tolist()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "StepDecreasing":
-        return StepDecreasing(np.asarray(obj["breakpoints"]), np.asarray(obj["values"]))
-
 
 def rearrangement_from_weights(f, weights) -> StepDecreasing:
     """Decreasing rearrangement of |f| under atomic weights (ties merged)."""
@@ -150,39 +143,6 @@ def rearrangement(space: Space, f) -> StepDecreasing:
     if f.shape != (space.n,):
         raise DomainError(f"function has shape {f.shape}, expected ({space.n},)")
     return rearrangement_from_weights(f, space.weight)
-
-
-def maximal_average(fstar: StepDecreasing, t: float) -> float:
-    """Running average (1/t) int_0^t of the step function; decreasing in t."""
-    if not t > 0.0:
-        raise DomainError(f"running average needs t > 0, got {t}")
-    return fstar.integral(t) / t
-
-
-def oscillation(fstar: StepDecreasing, alpha: float, t: float) -> float:
-    """Gap (|f|^alpha running average - |f|^alpha value) at time t; always >= 0."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    powered = fstar.power(alpha)
-    return maximal_average(powered, t) - float(powered.eval(t))
-
-
-@dataclass(frozen=True)
-class OscillationProfile:
-    """Evaluator bundling the powered running average and its gap at one alpha."""
-
-    fstar: StepDecreasing
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        object.__setattr__(self, "_powered", self.fstar.power(self.alpha))
-
-    def eval(self, t: float) -> tuple[float, float]:
-        """(powered running average, oscillation gap) at time t."""
-        avg = maximal_average(self._powered, t)
-        return avg, avg - float(self._powered.eval(t))
 
 
 def sum_plus_linf_norm(fstar: StepDecreasing, alpha: float) -> float:

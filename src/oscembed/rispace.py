@@ -30,8 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, EvaluationError, SymbolicAnalysisError
-from .rearrange import StepDecreasing, rearrangement
-from .space import Space
+from .rearrange import StepDecreasing
 from .weights import OrliczFunction, PowerLog, bounded_max_search
 
 _NORMALIZABLE = {"lp", "lorentz", "lorentz_zygmund", "lambda_w", "marcinkiewicz_tilde"}
@@ -313,42 +312,7 @@ def quasi_norm(spec: RISpaceSpec, fstar: StepDecreasing) -> float:
     return val ** (1.0 / r) if r != 1.0 else val
 
 
-def indicator_step(mass: float) -> StepDecreasing:
-    if not mass > 0.0:
-        raise DomainError("indicator mass must be positive")
-    return StepDecreasing(np.array([mass]), np.array([1.0]))
-
-
 # -- fundamental functions -----------------------------------------------------------
-
-
-def fundamental_function(spec: RISpaceSpec, t: float) -> float:
-    """Quasi-norm of an indicator of mass t (closed forms where they exist)."""
-    if not t > 0.0:
-        raise DomainError(f"fundamental function needs t > 0, got {t}")
-    r = spec.convexify_power
-    fam = spec.family
-    if fam == "lp":
-        val = 1.0 if math.isinf(spec.p) else t ** (1.0 / spec.p)
-    elif fam == "lorentz":
-        if math.isinf(spec.q):
-            val = t ** (1.0 / spec.p)
-        else:
-            val = (spec.p / spec.q) ** (1.0 / spec.q) * t ** (1.0 / spec.p)
-    elif fam in ("marcinkiewicz", "marcinkiewicz_tilde"):
-        val = float(spec.weight(t))
-    elif fam == "lambda_w":
-        val = spec.weight.integral_dt(0.0, t) ** (1.0 / spec.q)
-    elif fam == "orlicz":
-        val = 1.0 / spec.orlicz_fn.inverse(1.0 / t)
-    else:
-        val = quasi_norm(replace(spec, convexify_power=1.0), indicator_step(t))
-    return val ** (1.0 / r) if r != 1.0 else val
-
-
-def fundamental_dual(spec: RISpaceSpec, t: float) -> float:
-    """t / phi(t): the fundamental function of the associate space."""
-    return t / fundamental_function(spec, t)
 
 
 def fundamental_powerlog(spec: RISpaceSpec) -> PowerLog:
@@ -387,45 +351,3 @@ def fundamental_powerlog(spec: RISpaceSpec) -> PowerLog:
     else:
         raise DomainError(f"unknown family {fam!r}")
     return base ** (1.0 / spec.convexify_power)
-
-
-# -- derived Lorentz / Marcinkiewicz endpoints of a space --------------------------------
-
-
-def lambda_endpoint_norm(spec: RISpaceSpec, fstar: StepDecreasing) -> float:
-    """int f* d(phi_X): the Lorentz endpoint built from the fundamental function."""
-    phis = np.array([0.0] + [fundamental_function(spec, t) for t in fstar.breakpoints])
-    return float(np.sum(fstar.values * np.diff(phis)))
-
-
-def marcinkiewicz_endpoint_norm(spec: RISpaceSpec, fstar: StepDecreasing) -> float:
-    """sup (phi_X(t)/t) int_0^t f*: the Marcinkiewicz endpoint of the space."""
-    if float(fstar.values.max()) == 0.0:
-        return 0.0
-    return _norm_marcinkiewicz(lambda t: fundamental_function(spec, float(t)), fstar)
-
-
-# -- convexity diagnostics ----------------------------------------------------------
-
-
-def alpha_convexity_defect(spec: RISpaceSpec, alpha: float, samples, space: Space) -> float:
-    """Empirical lower bound for the alpha-convexity constant.
-
-    samples is a sequence of tuples of function vectors; for each tuple the
-    ratio || (sum |f_j|^alpha)^(1/alpha) || / (sum ||f_j||^alpha)^(1/alpha)
-    is computed and the max is returned.  Values above 1 witness failure of
-    the triangle-type inequality at this alpha.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("alpha must lie in (0, 1]")
-    if not samples:
-        raise DomainError("need at least one sample tuple")
-    worst = 0.0
-    for tup in samples:
-        stack = np.stack([np.abs(np.asarray(f, dtype=float)) for f in tup])
-        combined = (np.sum(stack**alpha, axis=0)) ** (1.0 / alpha)
-        num = quasi_norm(spec, rearrangement(space, combined))
-        den = sum(quasi_norm(spec, rearrangement(space, f)) ** alpha for f in tup) ** (1.0 / alpha)
-        if den > 0.0:
-            worst = max(worst, num / den)
-    return worst

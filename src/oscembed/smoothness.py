@@ -5,7 +5,7 @@ The local roughness of f at scale r is the ball average
     grad_[r,a] f(x) = ( mean_{y in B(x,r)} |f(x) - f(y)|^a )^(1/a),
 
 and the modulus at scale r is the chosen quasi-norm of its rearrangement.
-Every modulus, alone, in a profile or in a K-bound, comes from one routine
+Every modulus, in a profile or in a K-bound, comes from one routine
 that forms |f(x) - f(y)|^a once and makes one ball-average pass per radius.
 On a finite space the modulus is piecewise constant in r (balls only change
 at pairwise distances), is identically 0 for r <= the smallest positive
@@ -70,21 +70,6 @@ def _check_ball_args(r: float, alpha: float) -> None:
         raise DomainError("alpha must lie in (0, 1]")
 
 
-def nabla(space: Space, f, r: float, alpha: float) -> np.ndarray:
-    """Ball average of |f(x) - f(y)|^alpha over y in B(x, r), to the 1/alpha."""
-    _check_ball_args(r, alpha)
-    f = np.asarray(f, dtype=float)
-    return _ball_average(space, np.abs(f[:, None] - f[None, :]) ** alpha, r, alpha)
-
-
-def t_r_operator(space: Space, f, r: float, alpha: float) -> np.ndarray:
-    """Ball average of |f(y)|^alpha over y in B(x, r), to the 1/alpha."""
-    _check_ball_args(r, alpha)
-    f = np.abs(np.asarray(f, dtype=float)) ** alpha
-    vals = np.broadcast_to(f[None, :], (space.n, space.n))
-    return _ball_average(space, vals, r, alpha)
-
-
 def _moduli(space: Space, f, radii, spec: RISpaceSpec, alpha: float) -> list:
     """The modulus at each radius: one ball average pass and one quasi-norm per radius."""
     _check_ball_args(min(radii), alpha)
@@ -93,11 +78,6 @@ def _moduli(space: Space, f, radii, spec: RISpaceSpec, alpha: float) -> list:
     diffs = np.abs(f[:, None] - f[None, :]) ** alpha
     return [quasi_norm(conv, rearrangement(space, _ball_average(space, diffs, float(r), alpha)))
             for r in radii]
-
-
-def modulus(space: Space, f, r: float, spec: RISpaceSpec, alpha: float) -> float:
-    """Quasi-norm (in the alpha-convexified spec) of the rearranged nabla at scale r."""
-    return _moduli(space, f, [r], spec, alpha)[0]
 
 
 # -- modulus profiles and the scale integral -------------------------------------------
@@ -210,14 +190,6 @@ def _slopes(space: Space, f) -> np.ndarray:
     return np.abs(f[:, None] - f[None, :]) / np.where(space.dist > 0.0, space.dist, np.inf)
 
 
-def canonical_gradient(space: Space, f) -> GradientField:
-    """g(x) = max_y |f(x)-f(y)| / d(x,y): always feasible, usually not optimal."""
-    f = np.asarray(f, dtype=float)
-    if space.n < 2:
-        return GradientField.certify(space, f, np.zeros(space.n))
-    return GradientField.certify(space, f, _slopes(space, f).max(axis=1))
-
-
 # -- linear programs ----------------------------------------------------------------------
 
 
@@ -283,12 +255,14 @@ def _row_generation(space: Space, f: np.ndarray, lp_of, fields_of, note: str):
 
     The pair rows say |u(x) - u(y)| / d(x, y) <= g(x) + g(y).  lp_of(ii, jj)
     builds the LP (c, a_ub, b_ub, bounds) with the rows of the pairs (ii, jj)
-    only, and fields_of(x) reads (u, g) off a solution.  Starting from the
-    pairs of _seed_pairs, each round solves the relaxed LP through _solve_lp,
-    checks all n(n-1)/2 pairs at once and adds the violated inactive ones.  It
-    stops when no inactive pair is violated; each round adds one pair at
-    least, so it always stops.  An active pair may still be violated beyond
-    the solver's tolerance: then the instance is dumped and SolverError raised.
+    only, and fields_of(x) reads (_slopes(space, u), g) off a solution; where u
+    is fixed (u = f in the gradient LP) it returns one precomputed matrix.
+    Starting from the pairs of _seed_pairs, each round solves the relaxed LP
+    through _solve_lp, checks all n(n-1)/2 pairs at once and adds the violated
+    inactive ones.  It stops when no inactive pair is violated; each round adds
+    one pair at least, so it always stops.  An active pair may still be
+    violated beyond the solver's tolerance: then the instance is dumped and
+    SolverError raised.
 
     A pair counts as violated beyond 1e-9 relative, not beyond 0: where the
     optimal u is constant and g = 0 (K at large t) every pair is tight, and
@@ -303,9 +277,9 @@ def _row_generation(space: Space, f: np.ndarray, lp_of, fields_of, note: str):
     while True:
         lp = lp_of(ii[active], jj[active])
         res = _solve_lp(*lp, note)
-        u, g = fields_of(res.x)
+        slopes, g = fields_of(res.x)
         g = np.maximum(g, 0.0)
-        violation = _slopes(space, u)[ii, jj] - g[ii] - g[jj]
+        violation = slopes[ii, jj] - g[ii] - g[jj]
         new = (violation > _LP_GAP_TOL * scale) & ~active
         if not new.any():
             break
@@ -317,12 +291,12 @@ def _row_generation(space: Space, f: np.ndarray, lp_of, fields_of, note: str):
     return res
 
 
-def _gradient_lp(space: Space, f: np.ndarray, ii: np.ndarray, jj: np.ndarray):
-    """Gradient LP over the pairs (ii, jj): min w.g s.t. -g_i - g_j <= -|f_i - f_j|/d, g >= 0.
+def _gradient_lp(space: Space, slopes: np.ndarray, ii: np.ndarray, jj: np.ndarray):
+    """Gradient LP over the pairs (ii, jj): min w.g s.t. -g_i - g_j <= -slopes[i, j], g >= 0.
 
-    Pairs with f_i = f_j give no row.
+    slopes is _slopes(space, f).  Pairs with f_i = f_j, of slope 0, give no row.
     """
-    rhs = _slopes(space, f)[ii, jj]
+    rhs = slopes[ii, jj]
     keep = rhs > 0.0
     ii, jj, rhs = ii[keep], jj[keep], rhs[keep]
     m = ii.size
@@ -337,8 +311,9 @@ def hajlasz_seminorm_l1(space: Space, f) -> tuple[float, GradientField]:
     f = np.asarray(f, dtype=float)
     if space.n < 2 or float(np.ptp(f)) == 0.0:
         return 0.0, GradientField.certify(space, f, np.zeros(space.n))
-    res = _row_generation(space, f, lambda ii, jj: _gradient_lp(space, f, ii, jj),
-                          lambda x: (f, x), "gradient-seminorm")
+    slopes = _slopes(space, f)
+    res = _row_generation(space, f, lambda ii, jj: _gradient_lp(space, slopes, ii, jj),
+                          lambda x: (slopes, x), "gradient-seminorm")
     return float(res.fun), GradientField.certify(space, f, res.x)
 
 
@@ -406,48 +381,8 @@ def _k_functional(space: Space, f: np.ndarray, t: float, inhomogeneous: bool, no
     n = space.n
     res = _row_generation(space, f,
                           lambda ii, jj: _k_functional_lp(space, f, t, inhomogeneous, (ii, jj)),
-                          lambda x: (x[:n], x[n:2 * n]), note)
+                          lambda x: (_slopes(space, x[:n]), x[n:2 * n]), note)
     return float(res.fun)
-
-
-# -- upper bounds for general quasi-norm gradient seminorms ---------------------------------
-
-
-def _coordinate_descent(space: Space, f, g0: np.ndarray) -> np.ndarray:
-    """Lower each g(x) to its minimal feasible value given the others, in three cyclic sweeps.
-
-    Every update preserves feasibility and is pointwise monotone, so any
-    lattice quasi-norm of the field can only decrease.
-    """
-    ratio = _slopes(space, f)
-    g = g0.copy()
-    for _ in range(3):
-        for x in range(space.n):
-            need = ratio[x] - g
-            need[x] = 0.0
-            g[x] = max(0.0, float(need.max()))
-    return g
-
-
-def hajlasz_seminorm_upper(space: Space, f, spec: RISpaceSpec, alpha: float
-                           ) -> tuple[float, GradientField]:
-    """Best feasible-field upper bound for the gradient seminorm in spec^(alpha).
-
-    Candidates: the canonical field, the L1-optimal field, and their
-    coordinate-descent improvements.  Always an upper bound for the true
-    infimum; exact when the L1-optimal field is optimal for the target norm.
-    A failed or uncertified L1 solve raises its SolverError, which names the
-    dump of the instance.
-    """
-    conv = convexify(spec, alpha)
-    cands = [canonical_gradient(space, f).g, hajlasz_seminorm_l1(space, f)[1].g]
-    cands.extend(_coordinate_descent(space, f, g) for g in list(cands))
-    best_val, best_g = math.inf, None
-    for g in cands:
-        val = quasi_norm(conv, rearrangement(space, g))
-        if val < best_val:
-            best_val, best_g = val, g
-    return best_val, GradientField.certify(space, f, best_g)
 
 
 # -- two-sided K bounds -------------------------------------------------------------------
@@ -459,9 +394,6 @@ class KBounds:
     lower: float
     upper: float
     exact: float | None = None
-
-    def to_json(self) -> dict:
-        return {"t": self.t, "lower": self.lower, "upper": self.upper, "exact": self.exact}
 
 
 def k_bounds(space: Space, f, t: float, spec: RISpaceSpec, alpha: float) -> KBounds:

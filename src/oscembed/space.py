@@ -83,9 +83,6 @@ class Space:
             raise SpaceValidationError("weight scale factor must be positive")
         return Space(self.dist, self.weight * factor)
 
-    def to_json(self) -> dict:
-        return {"dist": self.dist.tolist(), "weights": self.weight.tolist()}
-
 
 @dataclass(frozen=True)
 class SpaceDiagnostics:
@@ -104,6 +101,18 @@ class SpaceDiagnostics:
 
 
 def _validate(dist: np.ndarray, weight: np.ndarray) -> None:
+    """Refuse anything but a finite metric with positive weights.
+
+    The triangle inequality is checked against the shortest-path closure of
+    dist: no distance d may exceed the shortest path between its ends by more
+    than _TRIANGLE_TOL * max(1, d).  This is stricter than checking each
+    triple on its own, since a chain of violations, each below the tolerance,
+    fails when their sum exceeds it.  The tolerance is relative beyond 1
+    because the closure sums whole chains of distances, and their rounding
+    grows with the distances: a path of 500 edges of length 0.3 comes out
+    1.1e-12 above its own closure.  A failure names the triple with the
+    largest violation at the worst pair.
+    """
     n = weight.shape[0]
     if dist.shape != (n, n):
         raise SpaceValidationError(f"distance matrix shape {dist.shape} does not match {n} weights")
@@ -125,11 +134,11 @@ def _validate(dist: np.ndarray, weight: np.ndarray) -> None:
     if n > 1 and np.any(off <= 0.0):
         idx = np.argwhere((dist <= 0.0) & ~np.eye(n, dtype=bool))[0]
         raise SpaceValidationError(f"zero/negative distance between distinct points ({idx[0]}, {idx[1]})")
-    for j in range(n):
-        slack = dist - (dist[:, j][:, None] + dist[j][None, :])
-        if slack.max() > _TRIANGLE_TOL:
-            i, k = np.unravel_index(int(slack.argmax()), slack.shape)
-            raise SpaceValidationError(f"triangle inequality violated at ({i}, {j}, {k})")
+    excess = (dist - shortest_path(dist, method="FW")) / np.maximum(dist, 1.0)
+    if excess.max() > _TRIANGLE_TOL:
+        i, k = np.unravel_index(int(excess.argmax()), excess.shape)
+        j = int(np.argmax(dist[i, k] - (dist[i] + dist[:, k])))
+        raise SpaceValidationError(f"triangle inequality violated at ({i}, {j}, {k})")
 
 
 def space_from_matrix(dist, weights) -> Space:
@@ -227,17 +236,6 @@ def random_geometric_space(n: int, radius: float, seed: int,
 # -- diagnostics -----------------------------------------------------------------
 
 
-def critical_radii(space: Space) -> np.ndarray:
-    """Radii where some ball B(x, r) or B(x, 2r) changes content, plus gap midpoints."""
-    n = space.n
-    if n < 2:
-        return np.array([1.0])
-    off = space.dist[np.triu_indices(n, k=1)]
-    base = np.unique(np.concatenate([off, off / 2.0]))
-    mids = (base[:-1] + base[1:]) / 2.0
-    return np.unique(np.concatenate([base, mids]))
-
-
 def _sorted_rows(space: Space) -> tuple[np.ndarray, np.ndarray]:
     """Rows of dist sorted, and weight prefix sums: mu(B(x, r)) = prefix[x, #{d(x, .) < r}]."""
     order = np.argsort(space.dist, axis=1, kind="stable")
@@ -258,12 +256,6 @@ def doubling_constant(space: Space) -> float:
         ratio = pre[np.searchsorted(row, 2.0 * row[1:])] / pre[np.searchsorted(row, row[1:])]
         best = max(best, float(ratio.max(initial=1.0)))
     return best
-
-
-def upper_dimension(space: Space, c_mu: float | None = None) -> float:
-    """log2 of the doubling constant."""
-    c = doubling_constant(space) if c_mu is None else c_mu
-    return float(np.log2(c))
 
 
 def noncollapsing_constant(space: Space) -> float:

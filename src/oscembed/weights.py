@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -112,9 +112,6 @@ class PowerLog:
 
     def reciprocal(self) -> "PowerLog":
         return self**-1.0
-
-    def scaled(self, factor: float) -> "PowerLog":
-        return replace(self, const=self.const * factor)
 
     def is_pure_power(self) -> bool:
         return self.b == 0.0 and self.g == 0.0

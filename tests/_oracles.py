@@ -8,10 +8,19 @@ vertex enumeration or from one HiGHS solve over every pair, LP instances row
 by row, derivatives from central differences, the power-log norms of step
 functions one panel at a time in a hand-written loop, and moduli one radius at
 a time, from nabla or one ball average per radius.
+
+The last sections hold the helpers that the command line never runs, moved
+here unchanged from the package: critical radii, running averages and
+oscillation gaps of step functions, fundamental functions and endpoint norms,
+ball averages, canonical and upper-bound gradient fields, tent gradients and
+the target weight.  Unlike the oracles above, several of them call the
+package's own paths (modulus calls smoothness._moduli), so the tests check
+them rather than check with them; nabla stays the moduli oracles' primitive.
 """
 
 import itertools
 import math
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
@@ -19,13 +28,16 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from oscembed.embed import _oscillation_weight
+from oscembed.corpus import tent_function
+from oscembed.embed import (_oscillation_weight, _reciprocal_weight, reciprocal_weight_finite,
+                            reciprocal_weight_integral)
 from oscembed.errors import DomainError
-from oscembed.rearrange import rearrangement
-from oscembed.rispace import convexify, quasi_norm
-from oscembed.smoothness import (DEFAULT_GRID_RATIO, KBounds, ModulusProfile, _ball_average,
-                                 k_functional_l1, nabla, radius_grid)
-from oscembed.space import critical_radii
+from oscembed.rearrange import StepDecreasing, rearrangement
+from oscembed.rispace import RISpaceSpec, _norm_marcinkiewicz, convexify, quasi_norm
+from oscembed.smoothness import (DEFAULT_GRID_RATIO, GradientField, KBounds, ModulusProfile,
+                                 _ball_average, _check_ball_args, _moduli, _slopes,
+                                 hajlasz_seminorm_l1, k_functional_l1, radius_grid)
+from oscembed.space import Space, doubling_constant
 from oscembed.weights import PowerLog
 
 
@@ -426,3 +438,232 @@ def loop_k_bounds(space, f, t, spec, alpha):
     if spec.family == "lp" and spec.p == 1.0 and spec.convexify_power == 1.0 and alpha == 1.0:
         exact = k_functional_l1(space, f, t)
     return KBounds(t=t, lower=lower, upper=upper, exact=exact)
+
+
+# -- moved from oscembed.space ----------------------------------------------------------------
+
+
+def critical_radii(space: Space) -> np.ndarray:
+    """Radii where some ball B(x, r) or B(x, 2r) changes content, plus gap midpoints."""
+    n = space.n
+    if n < 2:
+        return np.array([1.0])
+    off = space.dist[np.triu_indices(n, k=1)]
+    base = np.unique(np.concatenate([off, off / 2.0]))
+    mids = (base[:-1] + base[1:]) / 2.0
+    return np.unique(np.concatenate([base, mids]))
+
+
+def upper_dimension(space: Space, c_mu: float | None = None) -> float:
+    """log2 of the doubling constant."""
+    c = doubling_constant(space) if c_mu is None else c_mu
+    return float(np.log2(c))
+
+
+# -- moved from oscembed.rearrange ------------------------------------------------------------
+
+
+def maximal_average(fstar: StepDecreasing, t: float) -> float:
+    """Running average (1/t) int_0^t of the step function; decreasing in t."""
+    if not t > 0.0:
+        raise DomainError(f"running average needs t > 0, got {t}")
+    return fstar.integral(t) / t
+
+
+def oscillation(fstar: StepDecreasing, alpha: float, t: float) -> float:
+    """Gap (|f|^alpha running average - |f|^alpha value) at time t; always >= 0."""
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    powered = fstar.power(alpha)
+    return maximal_average(powered, t) - float(powered.eval(t))
+
+
+@dataclass(frozen=True)
+class OscillationProfile:
+    """Evaluator bundling the powered running average and its gap at one alpha."""
+
+    fstar: StepDecreasing
+    alpha: float
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha <= 1.0:
+            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
+        object.__setattr__(self, "_powered", self.fstar.power(self.alpha))
+
+    def eval(self, t: float) -> tuple[float, float]:
+        """(powered running average, oscillation gap) at time t."""
+        avg = maximal_average(self._powered, t)
+        return avg, avg - float(self._powered.eval(t))
+
+
+# -- moved from oscembed.rispace --------------------------------------------------------------
+
+
+def indicator_step(mass: float) -> StepDecreasing:
+    if not mass > 0.0:
+        raise DomainError("indicator mass must be positive")
+    return StepDecreasing(np.array([mass]), np.array([1.0]))
+
+
+def fundamental_function(spec: RISpaceSpec, t: float) -> float:
+    """Quasi-norm of an indicator of mass t (closed forms where they exist)."""
+    if not t > 0.0:
+        raise DomainError(f"fundamental function needs t > 0, got {t}")
+    r = spec.convexify_power
+    fam = spec.family
+    if fam == "lp":
+        val = 1.0 if math.isinf(spec.p) else t ** (1.0 / spec.p)
+    elif fam == "lorentz":
+        if math.isinf(spec.q):
+            val = t ** (1.0 / spec.p)
+        else:
+            val = (spec.p / spec.q) ** (1.0 / spec.q) * t ** (1.0 / spec.p)
+    elif fam in ("marcinkiewicz", "marcinkiewicz_tilde"):
+        val = float(spec.weight(t))
+    elif fam == "lambda_w":
+        val = spec.weight.integral_dt(0.0, t) ** (1.0 / spec.q)
+    elif fam == "orlicz":
+        val = 1.0 / spec.orlicz_fn.inverse(1.0 / t)
+    else:
+        val = quasi_norm(replace(spec, convexify_power=1.0), indicator_step(t))
+    return val ** (1.0 / r) if r != 1.0 else val
+
+
+def fundamental_dual(spec: RISpaceSpec, t: float) -> float:
+    """t / phi(t): the fundamental function of the associate space."""
+    return t / fundamental_function(spec, t)
+
+
+def lambda_endpoint_norm(spec: RISpaceSpec, fstar: StepDecreasing) -> float:
+    """int f* d(phi_X): the Lorentz endpoint built from the fundamental function."""
+    phis = np.array([0.0] + [fundamental_function(spec, t) for t in fstar.breakpoints])
+    return float(np.sum(fstar.values * np.diff(phis)))
+
+
+def marcinkiewicz_endpoint_norm(spec: RISpaceSpec, fstar: StepDecreasing) -> float:
+    """sup (phi_X(t)/t) int_0^t f*: the Marcinkiewicz endpoint of the space."""
+    if float(fstar.values.max()) == 0.0:
+        return 0.0
+    return _norm_marcinkiewicz(lambda t: fundamental_function(spec, float(t)), fstar)
+
+
+def alpha_convexity_defect(spec: RISpaceSpec, alpha: float, samples, space: Space) -> float:
+    """Empirical lower bound for the alpha-convexity constant.
+
+    samples is a sequence of tuples of function vectors; for each tuple the
+    ratio || (sum |f_j|^alpha)^(1/alpha) || / (sum ||f_j||^alpha)^(1/alpha)
+    is computed and the max is returned.  Values above 1 witness failure of
+    the triangle-type inequality at this alpha.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError("alpha must lie in (0, 1]")
+    if not samples:
+        raise DomainError("need at least one sample tuple")
+    worst = 0.0
+    for tup in samples:
+        stack = np.stack([np.abs(np.asarray(f, dtype=float)) for f in tup])
+        combined = (np.sum(stack**alpha, axis=0)) ** (1.0 / alpha)
+        num = quasi_norm(spec, rearrangement(space, combined))
+        den = sum(quasi_norm(spec, rearrangement(space, f)) ** alpha for f in tup) ** (1.0 / alpha)
+        if den > 0.0:
+            worst = max(worst, num / den)
+    return worst
+
+
+# -- moved from oscembed.smoothness -----------------------------------------------------------
+
+
+def nabla(space: Space, f, r: float, alpha: float) -> np.ndarray:
+    """Ball average of |f(x) - f(y)|^alpha over y in B(x, r), to the 1/alpha."""
+    _check_ball_args(r, alpha)
+    f = np.asarray(f, dtype=float)
+    return _ball_average(space, np.abs(f[:, None] - f[None, :]) ** alpha, r, alpha)
+
+
+def t_r_operator(space: Space, f, r: float, alpha: float) -> np.ndarray:
+    """Ball average of |f(y)|^alpha over y in B(x, r), to the 1/alpha."""
+    _check_ball_args(r, alpha)
+    f = np.abs(np.asarray(f, dtype=float)) ** alpha
+    vals = np.broadcast_to(f[None, :], (space.n, space.n))
+    return _ball_average(space, vals, r, alpha)
+
+
+def modulus(space: Space, f, r: float, spec: RISpaceSpec, alpha: float) -> float:
+    """Quasi-norm (in the alpha-convexified spec) of the rearranged nabla at scale r."""
+    return _moduli(space, f, [r], spec, alpha)[0]
+
+
+def canonical_gradient(space: Space, f) -> GradientField:
+    """g(x) = max_y |f(x)-f(y)| / d(x,y): always feasible, usually not optimal."""
+    f = np.asarray(f, dtype=float)
+    if space.n < 2:
+        return GradientField.certify(space, f, np.zeros(space.n))
+    return GradientField.certify(space, f, _slopes(space, f).max(axis=1))
+
+
+def _coordinate_descent(space: Space, f, g0: np.ndarray) -> np.ndarray:
+    """Lower each g(x) to its minimal feasible value given the others, in three cyclic sweeps.
+
+    Every update preserves feasibility and is pointwise monotone, so any
+    lattice quasi-norm of the field can only decrease.
+    """
+    ratio = _slopes(space, f)
+    g = g0.copy()
+    for _ in range(3):
+        for x in range(space.n):
+            need = ratio[x] - g
+            need[x] = 0.0
+            g[x] = max(0.0, float(need.max()))
+    return g
+
+
+def hajlasz_seminorm_upper(space: Space, f, spec: RISpaceSpec, alpha: float
+                           ) -> tuple[float, GradientField]:
+    """Best feasible-field upper bound for the gradient seminorm in spec^(alpha).
+
+    Candidates: the canonical field, the L1-optimal field, and their
+    coordinate-descent improvements.  Always an upper bound for the true
+    infimum; exact when the L1-optimal field is optimal for the target norm.
+    A failed or uncertified L1 solve raises its SolverError, which names the
+    dump of the instance.
+    """
+    conv = convexify(spec, alpha)
+    cands = [canonical_gradient(space, f).g, hajlasz_seminorm_l1(space, f)[1].g]
+    cands.extend(_coordinate_descent(space, f, g) for g in list(cands))
+    best_val, best_g = math.inf, None
+    for g in cands:
+        val = quasi_norm(conv, rearrangement(space, g))
+        if val < best_val:
+            best_val, best_g = val, g
+    return best_val, GradientField.certify(space, f, best_g)
+
+
+# -- moved from oscembed.embed ----------------------------------------------------------------
+
+
+def tent_gradient(space: Space, x0: int) -> GradientField:
+    """Indicator of B(x0, 2), certified feasible for the tent at x0."""
+    g = (space.dist[x0] < 2.0).astype(float)
+    return GradientField.certify(space, tent_function(space, x0), g)
+
+
+def target_weight(spec: RISpaceSpec, alpha: float, s: float, q: float,
+                  q_dim: float, t: float) -> float:
+    """Closed-form weight w(t) with w^q(t)/t = d/dt (1 + m(t))^(1 - q/a).
+
+    Only defined in the a < q < inf case with m(0) infinite; other parameter
+    ranges are served by the sup form (q = inf) or a supplied u-weight
+    (q <= a), and raise a domain error pointing there.
+    """
+    if not alpha < q or math.isinf(q):
+        raise DomainError("target_weight covers alpha < q < inf only; "
+                          "use the sup form for q = inf or a u-weight for q <= alpha")
+    if not 0.0 < t <= 1.0:
+        raise DomainError("weight defined on (0, 1]")
+    if reciprocal_weight_finite(spec, alpha, s, q, q_dim):
+        raise DomainError("m(0) is finite: the sup-norm embedding applies, no weight needed")
+    v = _reciprocal_weight(spec, alpha, s, q_dim)
+    m_t = reciprocal_weight_integral(spec, alpha, s, q, q_dim, t) if t < 1.0 else 0.0
+    return ((q / alpha - 1.0) ** (1.0 / q)
+            * (1.0 + m_t) ** (-1.0 / alpha)
+            * float(v(t)) ** (alpha / (q - alpha)))

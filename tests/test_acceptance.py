@@ -16,15 +16,13 @@ from oscembed import (collapse_sweep, diagnostics, embedding_report, grid_space,
                       lorentz_zygmund, lp, oscillation_gradient_constant,
                       path_space, random_geometric_space,
                       reciprocal_weight_finite, reciprocal_weight_integral,
-                      regime_classify, space_from_matrix, target_weight,
-                      tent_function)
+                      regime_classify, space_from_matrix, tent_function)
 from oscembed.cli import main as cli_main
 from oscembed.embed import lz_base_spec
-from oscembed.rearrange import maximal_average, rearrangement_from_weights
-from oscembed.space import critical_radii
+from oscembed.rearrange import rearrangement_from_weights
 
-from _oracles import (distribution_mass, hajlasz_vertex_oracle, numeric_derivative,
-                      product_step_integral)
+from _oracles import (distribution_mass, hajlasz_vertex_oracle, maximal_average,
+                      numeric_derivative, product_step_integral, target_weight)
 
 
 def _report(name: str, runtime: float, ok: bool, detail: str = "") -> None:

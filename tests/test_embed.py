@@ -11,12 +11,11 @@ from oscembed import (DomainError, PowerLog, PreconditionError, convexify, colla
                       oscillation_functional, oscillation_gradient_constant,
                       path_space, rearrangement, reciprocal_weight_integral,
                       regime_classify, space_from_matrix, sup_norm_embedding_check,
-                      target_norm_check, target_weight, tent_function, tent_gradient,
-                      weighted_step_norm)
+                      target_norm_check, tent_function, weighted_step_norm)
 from oscembed.embed import _finish_report, lz_base_spec, log_lorentz_embedding_check
 from oscembed.space import diagnostics
 
-from _oracles import numeric_derivative
+from _oracles import numeric_derivative, target_weight, tent_gradient
 
 
 def fine_grid_space(rows=8, cols=8, h=0.4):
@@ -391,7 +390,7 @@ def test_target_check_bad_u_weight_names_t():
 
 
 def test_weighted_step_norm_closed_form():
-    from oscembed.rispace import indicator_step
+    from _oracles import indicator_step
 
     fs = indicator_step(0.5)
     w = PowerLog(1.0)  # weight t

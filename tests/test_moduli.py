@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscembed import (grid_space, k_bounds, lorentz, lorentz_zygmund, lp,
-                      modulus, modulus_profile, path_space, smoothness, space_from_graph)
+                      modulus_profile, path_space, smoothness, space_from_graph)
 
-from _oracles import loop_k_bounds, loop_modulus, loop_modulus_profile
+from _oracles import loop_k_bounds, loop_modulus, loop_modulus_profile, modulus
 
 SPECS = {"lp1": lp(1.0), "lp2": lp(2.0), "lorentz": lorentz(2.0, 1.0),
          "lorentz_zygmund": lorentz_zygmund(1.5, 2.0, 0.5)}

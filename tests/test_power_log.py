@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oscembed import (PowerLog, StepDecreasing, lorentz_zygmund, modulus_profile, nabla,
+from oscembed import (PowerLog, StepDecreasing, lorentz_zygmund, modulus_profile,
                       quasi_norm, rearrangement, space_from_points, tent_function, weights)
 
-from _oracles import mp_power_log_integral
+from _oracles import mp_power_log_integral, nabla
 
 
 @st.composite

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscembed import (DomainError, OscillationProfile, StepDecreasing,
-                      maximal_average, oscillation, path_space, rearrangement,
+from oscembed import (DomainError, StepDecreasing, path_space, rearrangement,
                       space_from_matrix, sum_plus_linf_norm)
 from oscembed.rearrange import rearrangement_from_weights
 
-from _oracles import (distribution_mass, product_step_integral,
-                      quad_average, rearrangement_inf_formula, step_eval)
+from _oracles import (OscillationProfile, distribution_mass, maximal_average, oscillation,
+                      product_step_integral, quad_average, rearrangement_inf_formula, step_eval)
 
 
 def unit_space(n):

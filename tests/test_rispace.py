@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from oscembed import (DomainError, OrliczFunction, PowerLog, alpha_convexity_defect,
-                      convexify, fundamental_dual, fundamental_function,
+from oscembed import (DomainError, OrliczFunction, PowerLog, convexify,
                       fundamental_powerlog, lambda_w, lorentz, lorentz_zygmund, lp,
                       marcinkiewicz, marcinkiewicz_tilde, orlicz, path_space,
                       quasi_norm, rearrangement, spec_from_json)
 from oscembed.rearrange import rearrangement_from_weights
-from oscembed.rispace import (indicator_step, lambda_endpoint_norm,
-                              marcinkiewicz_endpoint_norm)
 
-from _oracles import dense_sup
+from _oracles import (alpha_convexity_defect, dense_sup, fundamental_dual, fundamental_function,
+                      indicator_step, lambda_endpoint_norm, marcinkiewicz_endpoint_norm)
 
 SP5 = path_space(5)
 

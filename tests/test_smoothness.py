@@ -11,17 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscembed import (DomainError, GradientField, ModulusProfile, besov_seminorm,
-                      canonical_gradient, convexify, grid_space, hajlasz_seminorm_l1,
-                      hajlasz_seminorm_upper, k_bounds, k_functional_l1, lp, modulus,
-                      modulus_profile, nabla, path_space, quasi_norm, rearrangement,
-                      space_from_matrix, t_r_operator)
+                      convexify, grid_space, hajlasz_seminorm_l1, k_bounds, k_functional_l1,
+                      lp, modulus_profile, path_space, quasi_norm, rearrangement,
+                      space_from_matrix)
 from oscembed import SolverError, smoothness, space_from_graph, space_from_points
 from oscembed.embed import oscillation_gradient_constant
 from oscembed.smoothness import besov_from_profile, k_functional_l1_nonhomogeneous
-from oscembed.space import critical_radii, diagnostics
+from oscembed.space import diagnostics
 
-from _oracles import (full_pair_gradient_seminorm, full_pair_k_functional, hajlasz_vertex_oracle,
-                      rowwise_k_functional_lp)
+from _oracles import (canonical_gradient, critical_radii, full_pair_gradient_seminorm,
+                      full_pair_k_functional, hajlasz_seminorm_upper, hajlasz_vertex_oracle,
+                      modulus, nabla, rowwise_k_functional_lp, t_r_operator)
 
 TWO = space_from_matrix([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
 
@@ -531,6 +531,22 @@ def test_row_generation_from_a_single_seed_pair(monkeypatch):
         rows.clear()
         _assert_row_generation_exact(sp, rng.normal(size=n), float(rng.uniform(0.1, 10.0)))
         assert rows[0] == 1  # the gradient LP started from the seed pair alone
+
+
+def test_gradient_lp_forms_the_slope_matrix_once(monkeypatch):
+    monkeypatch.setattr(smoothness, "_seed_pairs", lambda space, f: ([0], [1]))
+    slopes, solve, calls, solves = smoothness._slopes, smoothness.linprog, [], []
+    monkeypatch.setattr(smoothness, "_slopes",
+                        lambda space, f: calls.append(1) or slopes(space, f))
+    monkeypatch.setattr(smoothness, "linprog",
+                        lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+    rng = np.random.default_rng(58)
+    n = 10
+    sp = space_from_graph(n, [(i, i - 1, float(rng.uniform(0.2, 2.0))) for i in range(1, n)],
+                          rng.uniform(0.5, 2.0, n))
+    hajlasz_seminorm_l1(sp, rng.normal(size=n))
+    assert len(solves) > 1  # several rounds of row generation
+    assert len(calls) == 1
 
 
 def test_violated_active_pair_stops_with_dump(monkeypatch):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from oscembed import (SpaceValidationError, diagnostics, doubling_constant,
                       grid_space, load_space, noncollapsing_constant, path_space,
-                      space_from_matrix, upper_dimension)
+                      space_from_matrix)
 from oscembed import (measure_growth_constant, random_geometric_space, space_from_graph,
                       space_from_points)
-from oscembed.space import Space, critical_radii
+from oscembed.space import Space
 
-from _oracles import (brute_force_growth_constant, dense_grid_doubling, iterated_doubling_margin,
-                      table_doubling_constant)
+from _oracles import (brute_force_growth_constant, critical_radii, dense_grid_doubling,
+                      iterated_doubling_margin, table_doubling_constant, upper_dimension)
 
 
 def two_point(d=1.0, w=(1.0, 1.0)):
@@ -40,6 +40,30 @@ def test_triangle_violation_named():
     dist = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(SpaceValidationError, match=r"triangle inequality violated at \(0, 1, 2\)"):
         space_from_matrix(dist, [1.0, 1.0, 1.0])
+
+
+def test_chain_of_small_triangle_violations_rejected():
+    # d(i, l) = 0.1 k + c k^2 with k = |i - l|: the triple (i, j, l) on the line falls
+    # short by 2 c |i - j| |j - l| <= c m^2 / 2 < 1e-12, but the chain of m unit steps
+    # falls short of d(0, m) by c (m^2 - m) > 1e-12.
+    m, c = 10, 1.5e-14
+    k = np.abs(np.subtract.outer(np.arange(m + 1), np.arange(m + 1)))
+    dist = 0.1 * k + c * k**2
+    worst_triple = max((dist - (dist[:, [j]] + dist[[j], :])).max() for j in range(m + 1))
+    assert 0.0 < worst_triple < 1e-12
+    with pytest.raises(SpaceValidationError, match="triangle inequality violated"):
+        space_from_matrix(dist, np.ones(m + 1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: path_space(500, edge_length=0.3),  # its own closure is 1.1e-12 shorter by rounding
+    lambda: grid_space(15, 15),
+    lambda: random_geometric_space(300, 0.1, 4),
+    lambda: space_from_points(np.random.default_rng(5).random((200, 3)) * 100.0, np.ones(200)),
+    lambda: space_from_points(np.random.default_rng(6).random((200, 1)) * 1000.0, np.ones(200)),
+], ids=["path", "grid", "random-geometric", "points-3d", "points-on-a-line"])
+def test_graph_and_euclidean_builds_validate(build):
+    assert build().n > 1
 
 
 def test_asymmetry_and_negative_weight_rejected():
