@@ -122,9 +122,8 @@ def cmd_kfun(args) -> int:
     ts = np.geomspace(args.t_min, args.t_max, args.t_count)
     rows = []
     for lab, f in zip(labels, corpus):
-        for t in ts:
-            kb = smoothness.k_bounds(space, f, float(t), spec, args.alpha)
-            rows.append({"label": lab, "t": repr(float(t)), "lower": repr(kb.lower),
+        for kb in smoothness.k_bounds_path(space, f, ts, spec, args.alpha):
+            rows.append({"label": lab, "t": repr(kb.t), "lower": repr(kb.lower),
                          "upper": repr(kb.upper),
                          "exact": "" if kb.exact is None else repr(kb.exact)})
     _write_artifacts(Path(args.out), "kfun", {"rows": rows}, rows)
@@ -152,12 +151,11 @@ def cmd_verify(args) -> int:
         ts = np.geomspace(args.t_min, args.t_max, args.t_count)
         rows, c1, c2 = [], 0.0, 0.0
         for lab, f in zip(labels, corpus):
-            for t in ts:
-                kb = smoothness.k_bounds(space, f, float(t), rispace.lp(1.0), 1.0)
+            for kb in smoothness.k_bounds_path(space, f, ts, rispace.lp(1.0), 1.0):
                 if kb.exact and kb.exact > 0.0:
                     c1 = max(c1, kb.lower / kb.exact)
                     c2 = max(c2, kb.exact / kb.upper)
-                rows.append({"label": lab, "t": repr(float(t)), "lower": repr(kb.lower),
+                rows.append({"label": lab, "t": repr(kb.t), "lower": repr(kb.lower),
                              "exact": repr(kb.exact), "upper": repr(kb.upper)})
         payload = {"C1": c1, "C2": c2 * c1, "rows": rows}
         _write_artifacts(Path(args.out), name, payload, rows)

@@ -20,14 +20,16 @@ Gradient seminorms come from the pairwise relaxation
 
 whose feasible fields form a polytope.  The weighted-L1 infimum over that
 polytope, and the split-infimum K(f, t) against the L1 error term, are plain
-linear programs solved with HiGHS.  They carry one block of rows per pair of
-points, of which only a few are ever binding, so they are solved by row
-generation: solve with an active set of pairs, check every pair, add the
-violated ones, and repeat.  The optimum is exact: a relaxed optimum that
-satisfies every pair is feasible for the full LP, and the relaxed dual padded
-with zeros is feasible for the full dual, so the same duality gap certifies
-it.  Failed or uncertified solves dump the instance to a text file for
-inspection.
+linear programs.  They carry one block of rows per pair of points, of which
+only a few are ever binding, so they are solved by row generation on one
+persistent HiGHS model per (space, f): run with an active set of pairs, check
+every pair, add the violated ones as new rows, and re-run from the last basis.
+K(f, t) along a t-grid stays on the same model; a new t only changes the costs
+of the gradient columns.  Every optimum is certified by a two-sided enclosure:
+U is the objective at the solution repaired to exact feasibility for every
+pair, L a safe dual bound over a box known to hold an optimum, and U - L must
+be at most 1e-9 relative.  Failed or uncertified solves dump the instance to a
+text file for inspection.
 """
 
 from __future__ import annotations
@@ -38,8 +40,13 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix, vstack
+
+try:  # HiGHS's own bindings, which scipy ships privately
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs, kHighsInf
+except ImportError as exc:
+    raise ImportError("oscembed needs scipy >= 1.17.1, whose scipy.optimize._highspy._core "
+                      "provides the HiGHS models its LPs run on") from exc
 
 from .errors import DomainError, SolverError
 from .rearrange import rearrangement
@@ -47,7 +54,8 @@ from .rispace import RISpaceSpec, convexify, quasi_norm
 from .space import Space
 
 DEFAULT_GRID_RATIO = 2.0 ** 0.25
-_LP_GAP_TOL = 1e-9
+_LP_TOL = 1e-9  # HiGHS's feasibility tolerances, the violation rule, the enclosure's width
+_LP_RETRY_TOL = 1e-10  # the tolerances of the one re-run of a solve left uncertified
 _FEAS_TOL = 1e-7
 _SEED_PAIRS = 3  # per point: its steepest pairs and its nearest neighbours seed the active set
 
@@ -205,33 +213,46 @@ def _dump_lp(c, a_ub, b_ub, note: str) -> str:
     return path
 
 
-def _solve_lp(c, a_ub, b_ub, bounds, note: str):
-    """Solve min c.x s.t. a_ub x <= b_ub with HiGHS and certify the optimum.
+@dataclass
+class _Run:
+    """One HiGHS run: status 0 when optimal, then the column values and the row duals."""
 
-    The certificate is the duality gap |c.x - b_ub.y| <= 1e-9 relative, with y
-    the inequality marginals.  That b_ub.y is the whole dual objective assumes
-    every finite variable bound is 0, as in all the LPs of this module.  A
-    failed solve or an open gap dumps the instance and raises SolverError.
-    HiGHS is held to feasibility tolerances of 1e-9 as well: at its default of
-    1e-7, a pair with |f(x) - f(y)| / d = 6e-8 is taken as met by g = 0, and
-    the returned optimum is off by that much with the gap closed.
+    status: int
+    message: str
+    x: np.ndarray | None = None
+    duals: np.ndarray | None = None  # <= 0 on binding rows of a_ub x <= b_ub
 
-    Under row generation the instance holds the active pairs only.  Dropping
-    rows leaves the dual constraints (one per column) as they are, so y padded
-    with zeros is dual-feasible for the full LP with the same objective b_ub.y:
-    once x also satisfies every pair, the gap certifies x for the full LP.
+
+def _run(highs: _Highs) -> _Run:
+    """Run a model from its current basis: every HiGHS run of this module goes through here.
+
+    Each _PairLP keeps one model per (space, f) across its rounds and t-grid;
+    this seam only runs it and reads the solution.  _PairLP.optimum certifies
+    what comes back by _enclosure, and dumps the instance when a run fails or
+    the bracket stays open.
     """
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": _LP_GAP_TOL,
-                           "dual_feasibility_tolerance": _LP_GAP_TOL})
-    if res.status != 0:
-        path = _dump_lp(c, a_ub, b_ub, note)
-        raise SolverError(f"LP solve failed ({res.message.strip()}); instance dumped to {path}")
-    gap = abs(res.fun - float(b_ub @ res.ineqlin.marginals))
-    if gap > _LP_GAP_TOL * max(1.0, abs(res.fun)):
-        path = _dump_lp(c, a_ub, b_ub, f"{note} duality gap")
-        raise SolverError(f"duality gap {gap:g} too large; instance dumped to {path}")
-    return res
+    highs.run()
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        return _Run(int(status), highs.modelStatusToString(status))
+    sol = highs.getSolution()
+    return _Run(0, "optimal", np.array(sol.col_value), np.array(sol.row_dual))
+
+
+def _enclosure(c, a_ub, b_ub, lo, hi, x, duals) -> tuple[float, float]:
+    """[L, U] around the optimum of min c.x s.t. a_ub x <= b_ub, for a feasible x.
+
+    U = c.x.  L is the safe dual bound of Neumaier and Shcherbina: with
+    lam = max(-duals, 0), every feasible x' in the box [lo, hi] has
+    c.x' >= (c + a_ub^T lam).x' - lam.b_ub >= L, the sum of each term's minimum
+    over the box.  So L bounds the optimum from below whenever the box holds an
+    optimal point, whatever the duals are; rows missing from a_ub count as
+    lam = 0.  Rounding in the two sums is far below the widths compared.
+    """
+    lam = np.maximum(-duals, 0.0)
+    r = c + a_ub.T @ lam
+    lower = float(np.minimum(r * lo, r * hi).sum() - lam @ b_ub)
+    return lower, float(c @ x)
 
 
 def _seed_pairs(space: Space, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,45 +271,203 @@ def _seed_pairs(space: Space, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(n), 2 * k), np.concatenate([top, near], axis=1).ravel()
 
 
-def _row_generation(space: Space, f: np.ndarray, lp_of, fields_of, note: str):
-    """Certified optimum of an LP with one block of rows per pair, by row generation.
+class _PairLP:
+    """One HiGHS model of a pair LP for one (space, f): the gradient LP, or K(f, t).
 
-    The pair rows say |u(x) - u(y)| / d(x, y) <= g(x) + g(y).  lp_of(ii, jj)
-    builds the LP (c, a_ub, b_ub, bounds) with the rows of the pairs (ii, jj)
-    only, and fields_of(x) reads (_slopes(space, u), g) off a solution; where u
-    is fixed (u = f in the gradient LP) it returns one precomputed matrix.
-    Starting from the pairs of _seed_pairs, each round solves the relaxed LP
-    through _solve_lp, checks all n(n-1)/2 pairs at once and adds the violated
-    inactive ones.  It stops when no inactive pair is violated; each round adds
-    one pair at least, so it always stops.  An active pair may still be
-    violated beyond the solver's tolerance: then the instance is dumped and
-    SolverError raised.
+    family is "gradient", "k" or "k-inhomogeneous".  The pair rows say
+    |u(x) - u(y)| / d(x, y) <= g(x) + g(y), with u = f in the gradient LP and
+    u = h in the K-LPs.  The columns and the point rows come once from
+    _gradient_lp or _k_functional_lp with no pairs, so those functions stay the
+    only row emitters.  Pair rows come in by addRows, starting from the pairs
+    of _seed_pairs; none is ever removed, so the active set carries over from
+    one t to the next.  set_t changes the costs of the g (and a) columns, and
+    every run starts from the basis of the last.
 
-    A pair counts as violated beyond 1e-9 relative, not beyond 0: where the
-    optimal u is constant and g = 0 (K at large t) every pair is tight, and
-    rounding in u alone would otherwise pull them all in.
+    The box [lo, hi] holds an optimal point, as the enclosure needs.  In the
+    gradient LP, 0 <= g <= the canonical gradient max_y |f(x) - f(y)| / d(x, y),
+    since lowering g to it keeps every pair.  In the K-LPs, h lies in
+    [min f, max f], widened to hold 0 when inhomogeneous: clipping h there
+    shrinks |h(x) - h(y)|, |f - h| and |h|.  Then e, a <= the width of that
+    interval, and g(x) <= width / (distance from x to its nearest neighbour).
     """
-    n = space.n
-    ii, jj = np.triu_indices(n, k=1)
-    seeded = np.zeros((n, n), dtype=bool)
-    seeded[_seed_pairs(space, f)] = True
-    active = (seeded | seeded.T)[ii, jj]
-    scale = max(1.0, float(np.abs(f).max()))
-    while True:
-        lp = lp_of(ii[active], jj[active])
-        res = _solve_lp(*lp, note)
-        slopes, g = fields_of(res.x)
-        g = np.maximum(g, 0.0)
-        violation = slopes[ii, jj] - g[ii] - g[jj]
-        new = (violation > _LP_GAP_TOL * scale) & ~active
-        if not new.any():
-            break
-        active |= new
-    worst = float(violation.max(initial=0.0))
-    if worst > _FEAS_TOL * scale:
-        path = _dump_lp(*lp[:3], f"{note} pair constraint violated")
-        raise SolverError(f"pair constraint violated by {worst:g}; instance dumped to {path}")
-    return res
+
+    def __init__(self, space: Space, f: np.ndarray, family: str, t: float = 1.0):
+        n = space.n
+        none = np.zeros(0, dtype=int)
+        # HiGHS's tolerances are absolute.  So where max |f| < 1 the model holds
+        # f / unit instead, unit the power of 2 that lifts max |f| into [0.5, 1),
+        # and its optima are scaled back exactly.
+        self.unit = math.ldexp(1.0, min(0, math.frexp(float(np.abs(f).max()))[1]))
+        f = f / self.unit
+        self.space, self.f = space, f
+        self.is_k = family != "gradient"
+        self.inhomogeneous = family == "k-inhomogeneous"
+        self.scale = max(1.0, float(np.abs(f).max()))
+        if self.is_k:
+            self.slopes = None
+            lp = _k_functional_lp(space, f, t, self.inhomogeneous, (none, none))
+            self.g_cols = slice(n, 2 * n)
+            f_lo, f_hi = float(f.min()), float(f.max())
+            if self.inhomogeneous:
+                f_lo, f_hi = min(0.0, f_lo), max(0.0, f_hi)
+            width = f_hi - f_lo
+            nearest = (space.dist + np.diag(np.full(n, np.inf))).min(axis=1)
+            self.lo = np.concatenate([np.full(n, f_lo), np.zeros(lp[0].size - n)])
+            self.hi = np.full(lp[0].size, width)
+            self.hi[:n] = f_hi
+            self.hi[self.g_cols] = width / nearest
+        else:
+            self.slopes = _slopes(space, f)
+            lp = _gradient_lp(space, self.slopes, none, none)
+            self.g_cols = slice(0, n)
+            self.lo, self.hi = np.zeros(n), self.slopes.max(axis=1)
+        self.c, a_ub, b_ub, bounds = lp
+        self.highs = _Highs()
+        for option, value in (("output_flag", False), ("solver", "simplex"), ("presolve", "off"),
+                              ("primal_feasibility_tolerance", _LP_TOL),
+                              ("dual_feasibility_tolerance", _LP_TOL)):
+            self.highs.setOptionValue(option, value)
+        lower = np.array([-kHighsInf if lo is None else lo for lo, _ in bounds])
+        upper = np.array([kHighsInf if hi is None else hi for _, hi in bounds])
+        self.highs.addVars(self.c.size, lower, upper)
+        self.highs.changeColsCost(self.c.size, np.arange(self.c.size, dtype=np.int32), self.c)
+        self.a_blocks, self.b_blocks = [], []
+        self._add_rows(a_ub, b_ub)
+        self.ii, self.jj = np.triu_indices(n, k=1)
+        self.active = np.zeros(self.ii.size, dtype=bool)
+        seeded = np.zeros((n, n), dtype=bool)
+        seeded[_seed_pairs(space, f)] = True
+        self._add_pairs((seeded | seeded.T)[self.ii, self.jj])
+
+    def _add_rows(self, a_ub, b_ub) -> None:
+        a, b = csr_matrix(a_ub), np.asarray(b_ub, dtype=float)
+        if b.size:
+            self.highs.addRows(b.size, np.full(b.size, -kHighsInf), b, a.nnz,
+                               a.indptr[:-1].astype(np.int32), a.indices.astype(np.int32), a.data)
+        self.a_blocks.append(a)
+        self.b_blocks.append(b)
+
+    def _add_pairs(self, new: np.ndarray) -> None:
+        ii, jj = self.ii[new], self.jj[new]
+        if self.is_k:
+            rows, cols, data = _k_pair_triplets(self.space, ii, jj)
+            a_ub = coo_matrix((data, (rows, cols)), shape=(2 * ii.size, self.c.size))
+            self._add_rows(a_ub, np.zeros(2 * ii.size))
+        else:
+            self._add_rows(*_gradient_lp(self.space, self.slopes, ii, jj)[1:3])
+        self.active |= new
+
+    def _fields(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slope matrix of u and the field g of a solution x."""
+        g = np.maximum(x[self.g_cols], 0.0)
+        if self.is_k:
+            return _slopes(self.space, x[:self.space.n]), g
+        return self.slopes, g
+
+    def _repaired(self, x: np.ndarray) -> np.ndarray:
+        """x made feasible for every pair and every point row, inside the box.
+
+        x is clipped into the box, then repaired by raising g.  In the K-LPs a
+        second repair first lowers h to the largest h' <= h that the field g
+        allows, h'(x) <= h'(y) + d(x, y) (g(x) + g(y)) for all pairs (by
+        Bellman-Ford rounds), and the cheaper of the two is kept: at large t a
+        pair violated by v costs t w v through g but only about w v d through h.
+        """
+        n = self.space.n
+        x = np.clip(x, self.lo, self.hi)
+        if not self.is_k:
+            return self._raise_g(x)
+        g = x[self.g_cols]
+        reach = self.space.dist * (g[:, None] + g[None, :])
+        lowered = x.copy()
+        for _ in range(n):
+            h = lowered[:n]
+            below = (h[None, :] + reach).min(axis=1)
+            if not np.any(below < h):
+                break
+            lowered[:n] = np.minimum(h, below)
+        return min((self._raise_g(x), self._raise_g(lowered)), key=lambda y: float(self.c @ y))
+
+    def _raise_g(self, x: np.ndarray) -> np.ndarray:
+        """x with e = |f - h| and a = |h| in the K-LPs, and g(x) raised by half
+        the largest remaining violation of a pair at x."""
+        n = self.space.n
+        x = x.copy()
+        if self.is_k:
+            h = x[:n]
+            x[2 * n:3 * n] = np.abs(self.f - h)
+            if self.inhomogeneous:
+                x[3 * n:] = np.abs(h)
+        slopes, g = self._fields(x)
+        violation = slopes - g[:, None] - g[None, :]
+        np.fill_diagonal(violation, 0.0)
+        x[self.g_cols] = g + 0.5 * np.maximum(violation.max(axis=1), 0.0)
+        return x
+
+    def set_t(self, t: float) -> None:
+        """Move the K-LP to parameter t: new costs on the columns whose cost changes."""
+        c = _k_functional_lp(self.space, self.f, t, self.inhomogeneous,
+                             (self.ii[:0], self.jj[:0]))[0]
+        cols = np.flatnonzero(c != self.c).astype(np.int32)
+        self.highs.changeColsCost(cols.size, cols, c[cols])
+        self.c = c
+
+    def _lp(self):
+        return self.c, vstack(self.a_blocks, format="csr"), np.concatenate(self.b_blocks)
+
+    def _dump(self, note: str) -> str:
+        if self.unit != 1.0:
+            note = f"{note}, f scaled by 1/{self.unit!r}"
+        return _dump_lp(*self._lp(), note)
+
+    def optimum(self, note: str) -> tuple[float, float, np.ndarray]:
+        """The enclosure [L, U] of the optimum over all pairs, and a feasible point of value U.
+
+        Row generation: run, check all n(n-1)/2 pairs at once, add the violated
+        inactive ones, and run again from the last basis, until no inactive pair
+        is violated beyond 1e-9 relative.  (Not beyond 0: where the optimal u is
+        constant and g = 0, as for K at large t, every pair is tight, and
+        rounding in u alone would pull them all in.)  An active pair violated
+        beyond _FEAS_TOL relative means the solver broke its tolerance: the
+        instance is dumped and SolverError raised.
+
+        Certificate: the repaired point gives U and the row duals give L (see
+        _enclosure).  If U - L > 1e-9 max(1, |U|), the model's tolerances go to
+        1e-10 and row generation runs once more, warm, now taking in every
+        violated pair: pairs left out below 1e-9 can open the bracket once t w
+        is large.  A bracket still open, or a failed run, dumps the instance and
+        raises SolverError.  L, U and the point come back in units of f.
+        """
+        for attempt, (tol, joins) in enumerate(((_LP_TOL, _LP_TOL * self.scale),
+                                                (_LP_RETRY_TOL, 0.0))):
+            if attempt:
+                for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+                    self.highs.setOptionValue(option, tol)
+            while True:
+                run = _run(self.highs)
+                if run.status != 0:
+                    path = self._dump(note)
+                    raise SolverError(f"LP solve failed ({run.message.strip()}); "
+                                      f"instance dumped to {path}")
+                slopes, g = self._fields(run.x)
+                violation = slopes[self.ii, self.jj] - g[self.ii] - g[self.jj]
+                new = (violation > joins) & ~self.active
+                if not new.any():
+                    break
+                self._add_pairs(new)
+            worst = float(violation.max(initial=0.0))
+            if worst > _FEAS_TOL * self.scale:
+                path = self._dump(f"{note} pair constraint violated")
+                raise SolverError(f"pair constraint violated by {worst:g}; "
+                                  f"instance dumped to {path}")
+            x = self._repaired(run.x)
+            c, a_ub, b_ub = self._lp()
+            lower, upper = _enclosure(c, a_ub, b_ub, self.lo, self.hi, x, run.duals)
+            if upper - lower <= _LP_TOL * max(1.0, abs(upper)):
+                return lower * self.unit, upper * self.unit, x * self.unit
+        path = self._dump(f"{note} duality gap")
+        raise SolverError(f"duality gap {upper - lower:g} too large ([{lower!r}, {upper!r}]); "
+                          f"instance dumped to {path}")
 
 
 def _gradient_lp(space: Space, slopes: np.ndarray, ii: np.ndarray, jj: np.ndarray):
@@ -311,10 +490,18 @@ def hajlasz_seminorm_l1(space: Space, f) -> tuple[float, GradientField]:
     f = np.asarray(f, dtype=float)
     if space.n < 2 or float(np.ptp(f)) == 0.0:
         return 0.0, GradientField.certify(space, f, np.zeros(space.n))
-    slopes = _slopes(space, f)
-    res = _row_generation(space, f, lambda ii, jj: _gradient_lp(space, slopes, ii, jj),
-                          lambda x: (slopes, x), "gradient-seminorm")
-    return float(res.fun), GradientField.certify(space, f, res.x)
+    _, value, g = _PairLP(space, f, "gradient").optimum("gradient-seminorm")
+    return value, GradientField.certify(space, f, g)
+
+
+def _k_pair_triplets(space: Space, ii: np.ndarray, jj: np.ndarray):
+    """(rows, cols, data) of the pair rows of _k_functional_lp for the pairs (ii, jj)."""
+    n = space.n
+    inv = 1.0 / space.dist[ii, jj]
+    neg = -np.ones(ii.size)
+    pair_cols = np.stack([ii, jj, n + ii, n + jj], axis=1).repeat(2, axis=0)
+    pair_data = np.stack([inv, -inv, neg, neg, -inv, inv, neg, neg], axis=1)
+    return np.repeat(np.arange(2 * ii.size), 4), pair_cols.ravel(), pair_data.ravel()
 
 
 def _k_functional_lp(space: Space, f: np.ndarray, t: float, inhomogeneous: bool,
@@ -329,10 +516,7 @@ def _k_functional_lp(space: Space, f: np.ndarray, t: float, inhomogeneous: bool,
     """
     n, w = space.n, space.weight
     ii, jj = np.triu_indices(n, k=1) if pairs is None else pairs
-    inv = 1.0 / space.dist[ii, jj]
-    neg = -np.ones(ii.size)
-    pair_cols = np.stack([ii, jj, n + ii, n + jj], axis=1).repeat(2, axis=0)
-    pair_data = np.stack([inv, -inv, neg, neg, -inv, inv, neg, neg], axis=1)
+    pair_rows, pair_cols, pair_data = _k_pair_triplets(space, ii, jj)
     # per point x: row r is -(slack block slack[r])_x + h_sign[r] * h_x <= rhs[r]_x
     slack, h_sign, rhs = [2, 2], [-1.0, 1.0], [-f, f]
     c = [np.zeros(n), t * w, w]
@@ -344,45 +528,50 @@ def _k_functional_lp(space: Space, f: np.ndarray, t: float, inhomogeneous: bool,
     point_cols = np.stack([n * np.array(slack) + x, x.repeat(k, axis=1)], axis=2)
     point_data = np.stack([np.full((n, k), -1.0), np.tile(h_sign, (n, 1))], axis=2)
     n_pair_rows = 2 * ii.size
-    rows = np.concatenate([np.repeat(np.arange(n_pair_rows), 4),
-                           np.repeat(n_pair_rows + np.arange(n * k), 2)])
-    cols = np.concatenate([pair_cols.ravel(), point_cols.ravel()])
-    data = np.concatenate([pair_data.ravel(), point_data.ravel()])
+    rows = np.concatenate([pair_rows, np.repeat(n_pair_rows + np.arange(n * k), 2)])
+    cols = np.concatenate([pair_cols, point_cols.ravel()])
+    data = np.concatenate([pair_data, point_data.ravel()])
     a_ub = coo_matrix((data, (rows, cols)), shape=(n_pair_rows + n * k, len(c) * n))
     b_ub = np.concatenate([np.zeros(n_pair_rows), np.stack(rhs, axis=1).ravel()])
     bounds = [(None, None)] * n + [(0.0, None)] * ((len(c) - 1) * n)
     return np.concatenate(c), a_ub, b_ub, bounds
 
 
-def k_functional_l1(space: Space, f, t: float) -> float:
-    """Exact split infimum: min over h of ||f - h||_L1 + t * (L1 gradient seminorm of h).
+def k_functional_path(space: Space, f, ts, inhomogeneous: bool = False) -> list[float]:
+    """K(f, t) at each t of ts, all on one HiGHS model of the joint LP.
 
-    Joint LP in (h, g, e): e absolute-value slacks for f - h, g the gradient
-    field of h, pairwise constraints linearized two-sided.
+    K(f, t) = min over h of ||f - h||_L1 + t * (L1 gradient seminorm of h), or
+    against the inhomogeneous norm ||h||_L1 + seminorm when inhomogeneous.
+    Pairs found binding at one t stay in the model for the next, and each solve
+    starts from the last basis, so an ascending t-grid costs far fewer simplex
+    iterations than separate solves.
     """
-    if not t > 0.0:
+    ts = [float(t) for t in ts]
+    if not all(t > 0.0 for t in ts):
         raise DomainError("K-functional parameter t must be positive")
     f = np.asarray(f, dtype=float)
-    if space.n < 2 or float(np.abs(f - f[0]).max()) == 0.0:
-        return 0.0
-    return _k_functional(space, f, t, False, f"k-functional t={t}")
+    if not ts:
+        return []
+    if not inhomogeneous and (space.n < 2 or float(np.abs(f - f[0]).max()) == 0.0):
+        return [0.0] * len(ts)
+    family = "k-inhomogeneous" if inhomogeneous else "k"
+    model = _PairLP(space, f, family, ts[0])
+    values = []
+    for t in ts:
+        model.set_t(t)
+        note = f"k-functional-inhomogeneous t={t}" if inhomogeneous else f"k-functional t={t}"
+        values.append(model.optimum(note)[1])
+    return values
+
+
+def k_functional_l1(space: Space, f, t: float) -> float:
+    """Exact split infimum: min over h of ||f - h||_L1 + t * (L1 gradient seminorm of h)."""
+    return k_functional_path(space, f, [t])[0]
 
 
 def k_functional_l1_nonhomogeneous(space: Space, f, t: float) -> float:
     """Split infimum against the inhomogeneous gradient norm ||h||_L1 + seminorm."""
-    if not t > 0.0:
-        raise DomainError("K-functional parameter t must be positive")
-    f = np.asarray(f, dtype=float)
-    return _k_functional(space, f, t, True, f"k-functional-inhomogeneous t={t}")
-
-
-def _k_functional(space: Space, f: np.ndarray, t: float, inhomogeneous: bool, note: str) -> float:
-    """K(f, t) by row generation over the pairs of _k_functional_lp; u = h, g its field."""
-    n = space.n
-    res = _row_generation(space, f,
-                          lambda ii, jj: _k_functional_lp(space, f, t, inhomogeneous, (ii, jj)),
-                          lambda x: (_slopes(space, x[:n]), x[n:2 * n]), note)
-    return float(res.fun)
+    return k_functional_path(space, f, [t], inhomogeneous=True)[0]
 
 
 # -- two-sided K bounds -------------------------------------------------------------------
@@ -396,16 +585,32 @@ class KBounds:
     exact: float | None = None
 
 
-def k_bounds(space: Space, f, t: float, spec: RISpaceSpec, alpha: float) -> KBounds:
-    """Modulus lower bound and truncated dyadic-sum upper bound at parameter t.
+def k_bounds_path(space: Space, f, ts, spec: RISpaceSpec, alpha: float) -> list[KBounds]:
+    """Modulus lower bound and truncated dyadic-sum upper bound at each parameter t of ts.
 
     The dyadic sum over scales 2^j t is truncated once the scale covers the
     space (2^J t >= 2 * diameter); beyond that the modulus is constant and the
     remaining geometric tail is folded in exactly.  One pass per radius: the
     lower bound is the j = 0 term, or the tail when J = 0 (every ball at t is
     then the whole space).  For the weighted-L1 spec at alpha = 1 the exact
-    split infimum is attached for calibration.
+    split infimum is attached for calibration, from one k_functional_path call.
     """
+    ts = [float(t) for t in ts]
+    bounds = [_modulus_bounds(space, f, t, spec, alpha) for t in ts]
+    exact = [None] * len(ts)
+    if spec.family == "lp" and spec.p == 1.0 and spec.convexify_power == 1.0 and alpha == 1.0:
+        exact = k_functional_path(space, f, ts)
+    return [KBounds(t=t, lower=lower, upper=upper, exact=e)
+            for t, (lower, upper), e in zip(ts, bounds, exact)]
+
+
+def k_bounds(space: Space, f, t: float, spec: RISpaceSpec, alpha: float) -> KBounds:
+    """k_bounds_path at the one parameter t."""
+    return k_bounds_path(space, f, [t], spec, alpha)[0]
+
+
+def _modulus_bounds(space: Space, f, t: float, spec: RISpaceSpec, alpha: float):
+    """The (lower, upper) modulus bounds of k_bounds_path at t."""
     _check_ball_args(t, alpha)
     top = 2.0 * space.diameter
     j_cut = max(0, math.ceil(math.log2(top / t))) if t < top else 0
@@ -416,8 +621,4 @@ def k_bounds(space: Space, f, t: float, spec: RISpaceSpec, alpha: float) -> KBou
     for j, e in enumerate(scales):
         total += 2.0 ** (-j * alpha) * e**alpha
     total += 2.0 ** (-j_cut * alpha) * tail_e**alpha / (1.0 - 2.0 ** (-alpha))
-    upper = total ** (1.0 / alpha)
-    exact = None
-    if spec.family == "lp" and spec.p == 1.0 and spec.convexify_power == 1.0 and alpha == 1.0:
-        exact = k_functional_l1(space, f, t)
-    return KBounds(t=t, lower=lower, upper=upper, exact=exact)
+    return lower, total ** (1.0 / alpha)

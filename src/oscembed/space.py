@@ -169,7 +169,9 @@ def space_from_graph(n_points: int, edges, weights) -> Space:
     dist = shortest_path(adj, directed=False)
     if not np.all(np.isfinite(dist)):
         raise SpaceValidationError("graph is disconnected: infinite shortest-path distance")
-    return space_from_matrix(dist, weights)
+    # Dijkstra sums d(x, y) and d(y, x) along their paths in opposite orders, so
+    # long edges leave the two a few ulps apart; both are lengths of real paths.
+    return space_from_matrix(np.minimum(dist, dist.T), weights)
 
 
 def load_space(spec) -> Space:

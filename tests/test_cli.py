@@ -64,14 +64,14 @@ def test_cli_verify_teomo1_rows_are_float_literals(space_file, tmp_path):
 
 
 def test_cli_uncertified_lp_exits_4_with_dump(space_file, tmp_path, capsys, monkeypatch):
-    solve = smoothness.linprog
+    solve = smoothness._run
 
     def halved_duals(*args, **kwargs):
         res = solve(*args, **kwargs)
-        res.ineqlin.marginals = 0.5 * res.ineqlin.marginals
+        res.duals = 0.5 * res.duals
         return res
 
-    monkeypatch.setattr(smoothness, "linprog", halved_duals)
+    monkeypatch.setattr(smoothness, "_run", halved_duals)
     rc = main(["verify", "--theorem", "teomo1", "--space", space_file,
                "--corpus", '{"generator": "lipschitz-noise", "count": 3}',
                "--seed", "2", "--out", str(tmp_path / "out")])

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscembed import (DomainError, GradientField, ModulusProfile, besov_seminorm,
@@ -265,7 +265,7 @@ def test_hajlasz_below_canonical():
 
 def test_failed_lp_is_dumped_as_sparse_triplets(monkeypatch):
     failed = types.SimpleNamespace(status=2, message="The problem is infeasible. ")
-    monkeypatch.setattr(smoothness, "linprog", lambda *args, **kwargs: failed)
+    monkeypatch.setattr(smoothness, "_run", lambda *args, **kwargs: failed)
     with pytest.raises(SolverError, match="instance dumped to ") as info:
         hajlasz_seminorm_l1(path_space(4), [0.0, 1.0, 3.0, 2.0])
     path = Path(str(info.value).rsplit("instance dumped to ", 1)[1])
@@ -439,14 +439,14 @@ def test_k_lp_builder_matches_rowwise_oracle(instance, inhomogeneous):
 
 
 def test_uncertified_optimum_is_dumped(monkeypatch):
-    solve = smoothness.linprog
+    solve = smoothness._run
 
     def halved_duals(*args, **kwargs):
         res = solve(*args, **kwargs)
-        res.ineqlin.marginals = 0.5 * res.ineqlin.marginals
+        res.duals = 0.5 * res.duals
         return res
 
-    monkeypatch.setattr(smoothness, "linprog", halved_duals)
+    monkeypatch.setattr(smoothness, "_run", halved_duals)
     f = [0.0, 1.0, 3.0, 2.0]
     for lp_call in (lambda: k_functional_l1(path_space(4), f, 1.0),
                     lambda: hajlasz_seminorm_l1(path_space(4), f)):
@@ -462,14 +462,14 @@ def _dump_path(error: SolverError) -> Path:
 
 
 def test_solver_failures_propagate_with_dump(monkeypatch):
-    solve = smoothness.linprog
+    solve = smoothness._run
 
     def halved_duals(*args, **kwargs):
         res = solve(*args, **kwargs)
-        res.ineqlin.marginals = 0.5 * res.ineqlin.marginals
+        res.duals = 0.5 * res.duals
         return res
 
-    monkeypatch.setattr(smoothness, "linprog", halved_duals)
+    monkeypatch.setattr(smoothness, "_run", halved_duals)
     sp, f = path_space(4), [0.0, 1.0, 3.0, 2.0]
     for call in (lambda: hajlasz_seminorm_upper(sp, f, lp(1.0), 1.0),
                  lambda: oscillation_gradient_constant(sp, f, 1.0)):
@@ -507,6 +507,8 @@ def _assert_row_generation_exact(sp, f, t):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(k_instances(), long_trees()), st.booleans())
+@example((path_space(4), np.array([0.0, 0.0, 1.0, 1e-9]), 1.0), False)
+@example((path_space(4), np.array([0.0, 0.0, 1e-9, 1.0]), 1.0), False)
 def test_row_generation_matches_full_pair_oracle(instance, one_seed_pair):
     n = instance[0].n
     seed = (lambda space, f: ([0], [n - 1])) if one_seed_pair else smoothness._seed_pairs
@@ -516,13 +518,13 @@ def test_row_generation_matches_full_pair_oracle(instance, one_seed_pair):
 
 def test_row_generation_from_a_single_seed_pair(monkeypatch):
     monkeypatch.setattr(smoothness, "_seed_pairs", lambda space, f: ([0], [1]))
-    solve, rows = smoothness.linprog, []
+    solve, rows = smoothness._run, []
 
-    def counted(*args, **kwargs):
-        rows.append(kwargs["A_ub"].shape[0])
-        return solve(*args, **kwargs)
+    def counted(highs):
+        rows.append(highs.getNumRow())
+        return solve(highs)
 
-    monkeypatch.setattr(smoothness, "linprog", counted)
+    monkeypatch.setattr(smoothness, "_run", counted)
     rng = np.random.default_rng(58)
     n = 10
     sp = space_from_graph(n, [(i, i - 1, float(rng.uniform(0.2, 2.0))) for i in range(1, n)],
@@ -535,10 +537,10 @@ def test_row_generation_from_a_single_seed_pair(monkeypatch):
 
 def test_gradient_lp_forms_the_slope_matrix_once(monkeypatch):
     monkeypatch.setattr(smoothness, "_seed_pairs", lambda space, f: ([0], [1]))
-    slopes, solve, calls, solves = smoothness._slopes, smoothness.linprog, [], []
+    slopes, solve, calls, solves = smoothness._slopes, smoothness._run, [], []
     monkeypatch.setattr(smoothness, "_slopes",
                         lambda space, f: calls.append(1) or slopes(space, f))
-    monkeypatch.setattr(smoothness, "linprog",
+    monkeypatch.setattr(smoothness, "_run",
                         lambda *a, **kw: solves.append(1) or solve(*a, **kw))
     rng = np.random.default_rng(58)
     n = 10
@@ -550,19 +552,19 @@ def test_gradient_lp_forms_the_slope_matrix_once(monkeypatch):
 
 
 def test_violated_active_pair_stops_with_dump(monkeypatch):
-    solve, calls = smoothness.linprog, []
+    solve, calls = smoothness._run, []
     n = 4
 
-    def violating(c, **kwargs):
+    def violating(highs):
         # g = 0, and h = 0, 1, 2, 3 in the K-LPs: every pair is violated, and all are active
-        res = solve(c, **kwargs)
+        res = solve(highs)
         calls.append(1)
         res.x = np.zeros_like(res.x)
         if res.x.size > n:
             res.x[:n] = np.arange(n)
         return res
 
-    monkeypatch.setattr(smoothness, "linprog", violating)
+    monkeypatch.setattr(smoothness, "_run", violating)
     sp, f = path_space(n), [0.0, 1.0, 3.0, 2.0]
     for lp_call in (lambda: hajlasz_seminorm_l1(sp, f),
                     lambda: k_functional_l1(sp, f, 1.0),
@@ -574,3 +576,53 @@ def test_violated_active_pair_stops_with_dump(monkeypatch):
         path = _dump_path(info.value)
         assert path.is_file()
         path.unlink()
+
+
+# -- one model along a t-grid, and the enclosure ------------------------------------------
+
+
+ascending_ts = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=6, unique=True).map(sorted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(k_instances(), long_trees()), ascending_ts, st.booleans())
+def test_k_path_matches_one_point_calls_and_full_pair_oracle(instance, ts, inhomogeneous):
+    sp, f, _ = instance
+    one_point = k_functional_l1_nonhomogeneous if inhomogeneous else k_functional_l1
+    path = smoothness.k_functional_path(sp, f, ts, inhomogeneous)
+    assert len(path) == len(ts)
+    for t, k in zip(ts, path):
+        tol = 1e-9 * max(1.0, abs(k))
+        assert abs(k - one_point(sp, f, t)) <= tol
+        assert abs(k - full_pair_k_functional(sp, f, t, inhomogeneous)) <= tol
+
+
+def test_k_path_makes_fewer_highs_runs_than_one_point_calls(monkeypatch):
+    solve, runs = smoothness._run, []
+    monkeypatch.setattr(smoothness, "_run", lambda highs: runs.append(1) or solve(highs))
+    sp = grid_space(5, 5)
+    f = np.random.default_rng(59).normal(size=25)
+    ts = np.geomspace(0.1, 10.0, 8)
+    path = smoothness.k_functional_path(sp, f, ts)
+    path_runs = len(runs)
+    runs.clear()
+    one_point = [k_functional_l1(sp, f, float(t)) for t in ts]
+    assert path_runs < len(runs)
+    assert np.allclose(path, one_point, rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(k_instances(), long_trees()),
+       st.sampled_from(["gradient", "k", "k-inhomogeneous"]))
+@example((path_space(4), np.array([0.0, 0.0, 1.0, 1e-9]), 1.0), "gradient")
+@example((path_space(4), np.array([0.0, 0.0, 1e-9, 1.0]), 1.0), "k-inhomogeneous")
+def test_enclosure_brackets_full_pair_oracle(instance, family):
+    sp, f, t = instance
+    lower, upper, _ = smoothness._PairLP(sp, f, family, t).optimum(family)
+    if family == "gradient":
+        oracle = full_pair_gradient_seminorm(sp, f)
+    else:
+        oracle = full_pair_k_functional(sp, f, t, family == "k-inhomogeneous")
+    slack = 1e-10 * max(1.0, abs(oracle))  # the oracle's own HiGHS tolerance
+    assert lower - slack <= oracle <= upper + slack
+    assert upper - lower <= 1e-9 * max(1.0, abs(upper))

@@ -66,6 +66,19 @@ def test_graph_and_euclidean_builds_validate(build):
     assert build().n > 1
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_long_edge_graph_builds_symmetric(seed):
+    # Dijkstra's sums of d(x, y) and d(y, x) differ in their last bits at these lengths
+    rng = np.random.default_rng(seed)
+    n = 300
+    edges = [(i, i - 1, float(rng.uniform(500.0, 1500.0))) for i in range(1, n)]
+    for _ in range(100):
+        i, j = rng.choice(n, 2, replace=False)
+        edges.append((int(i), int(j), float(rng.uniform(500.0, 1500.0))))
+    sp = space_from_graph(n, edges, np.ones(n))
+    assert np.array_equal(sp.dist, sp.dist.T)
+
+
 def test_asymmetry_and_negative_weight_rejected():
     with pytest.raises(SpaceValidationError, match="asymmetric"):
         space_from_matrix([[0.0, 1.0], [2.0, 0.0]], [1.0, 1.0])
