@@ -3,7 +3,8 @@
 Every subcommand writes one JSON and one CSV artifact into the output
 directory; floats are serialized with repr (shortest round-trip), so a fixed
 config and seed reproduce byte-identical files.  Exit codes: 0 success,
-2 usage/config error (argparse), 3 precondition refusal, 4 solver failure.
+2 usage or config error (from argparse, or a space or value outside its
+domain), 3 precondition refusal, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import numpy as np
 
 from . import embed, rispace, smoothness
 from .corpus import build_corpus
-from .errors import PreconditionError, SolverError
+from .errors import DomainError, PreconditionError, SolverError, SpaceValidationError
 from .rearrange import rearrangement, sum_plus_linf_norm
 from .space import diagnostics, load_space
 
+EXIT_CONFIG = 2
 EXIT_REFUSED = 3
 EXIT_SOLVER = 4
 
@@ -293,6 +295,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except (SpaceValidationError, DomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except PreconditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED

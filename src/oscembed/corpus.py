@@ -64,12 +64,15 @@ def build_corpus(space: Space, spec, seed: int) -> tuple[list[np.ndarray], list[
 
     Generator form: {"generator": "random-uniform" | "indicators" |
     "tents-at-all-centers" | "lipschitz-noise", "count": ...}; file form is a
-    path to a JSON list of length-n arrays.
+    path to a JSON list of length-n arrays of finite numbers.
     """
     if isinstance(spec, str):
         with open(spec) as fh:
             data = json.load(fh)
         vecs = [np.asarray(v, dtype=float) for v in data]
+        for i, v in enumerate(vecs):
+            if v.shape != (space.n,) or not np.all(np.isfinite(v)):
+                raise DomainError(f"corpus vector {i} must hold {space.n} finite numbers")
         return vecs, [f"file{i}" for i in range(len(vecs))]
     kind = spec.get("generator")
     count = int(spec.get("count", 20))

@@ -13,8 +13,9 @@ q = inf) over the panels of the rearranged step function.
 
 The embedding checks compare this functional (and derived rearranged-norm
 targets) against the Hajlasz-Besov norm: smoothness seminorm plus split-norm
-size of f.  One routine maps a check's per-function (lhs, rhs) over the
-corpus and reports the ratios and the empirical constant (max ratio).  The
+size of f.  One routine computes a check's per-function (lhs, rhs) on the
+calling thread, one function at a time in corpus order, and reports the
+ratios and the empirical constant (max ratio).  The
 constants are reported, never asserted against theory: the point of the
 suite is to observe their stability on non-collapsed spaces and their
 blow-up when the unit-ball mass infimum degenerates.
@@ -34,7 +35,6 @@ Weight machinery for the rearranged-norm targets:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +47,9 @@ from .smoothness import (DEFAULT_GRID_RATIO, GradientField, besov_seminorm,
 from .space import Space, _sorted_rows, diagnostics, noncollapsing_constant
 from .weights import PowerLog
 
-_POOL_WORKERS = 4
+# The number of threads a report runs on.  Only the benchmark's environment
+# record reads it; ROADMAP item 2's benchmark change deletes it.
+_POOL_WORKERS = 1
 
 
 # -- the oscillation functional ---------------------------------------------------------
@@ -110,9 +112,9 @@ def _finish_report(theorem_id: str, corpus, labels, one, params) -> EmbeddingRep
     labels = [f"f{k}" for k in range(len(corpus))] if labels is None else list(labels)
     if len(labels) != len(corpus):
         raise DomainError(f"{len(labels)} labels for a corpus of {len(corpus)} functions")
-    pairs = _pool_map(one, corpus)
     rows, worst = [], 0.0
-    for lab, (lhs, rhs) in zip(labels, pairs):
+    for lab, f in zip(labels, corpus):
+        lhs, rhs = one(f)
         if rhs <= 0.0:
             if lhs > 0.0:
                 raise DomainError(f"inconsistent report row {lab!r}: lhs {lhs:g} with rhs 0")
@@ -122,11 +124,6 @@ def _finish_report(theorem_id: str, corpus, labels, one, params) -> EmbeddingRep
         worst = max(worst, ratio)
         rows.append((lab, float(lhs), float(rhs), float(ratio)))
     return EmbeddingReport(theorem_id, rows, float(worst), params)
-
-
-def _pool_map(fn, items):
-    with ThreadPoolExecutor(max_workers=_POOL_WORKERS) as pool:
-        return list(pool.map(fn, items))
 
 
 def _hb_norm(space: Space, f, fstar: StepDecreasing, spec, alpha, s, q, ratio) -> float:

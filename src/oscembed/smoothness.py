@@ -43,7 +43,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, vstack
 
 try:  # HiGHS's own bindings, which scipy ships privately
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs, kHighsInf
+    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs, kHighsInf
 except ImportError as exc:
     raise ImportError("oscembed needs scipy >= 1.17.1, whose scipy.optimize._highspy._core "
                       "provides the HiGHS models its LPs run on") from exc
@@ -292,6 +292,8 @@ class _PairLP:
     """
 
     def __init__(self, space: Space, f: np.ndarray, family: str, t: float = 1.0):
+        if not np.all(np.isfinite(f)):
+            raise DomainError("the function of a pair LP must be finite")
         n = space.n
         none = np.zeros(0, dtype=int)
         # HiGHS's tolerances are absolute.  So where max |f| < 1 the model holds
@@ -322,6 +324,8 @@ class _PairLP:
             self.g_cols = slice(0, n)
             self.lo, self.hi = np.zeros(n), self.slopes.max(axis=1)
         self.c, a_ub, b_ub, bounds = lp
+        # an empty first block, so that a failed setup call can dump the instance
+        self.a_blocks, self.b_blocks = [csr_matrix((0, self.c.size))], [np.zeros(0)]
         self.highs = _Highs()
         for option, value in (("output_flag", False), ("solver", "simplex"), ("presolve", "off"),
                               ("primal_feasibility_tolerance", _LP_TOL),
@@ -329,9 +333,9 @@ class _PairLP:
             self.highs.setOptionValue(option, value)
         lower = np.array([-kHighsInf if lo is None else lo for lo, _ in bounds])
         upper = np.array([kHighsInf if hi is None else hi for _, hi in bounds])
-        self.highs.addVars(self.c.size, lower, upper)
-        self.highs.changeColsCost(self.c.size, np.arange(self.c.size, dtype=np.int32), self.c)
-        self.a_blocks, self.b_blocks = [], []
+        self._check(self.highs.addVars(self.c.size, lower, upper), "addVars")
+        self._check(self.highs.changeColsCost(self.c.size, np.arange(self.c.size, dtype=np.int32),
+                                              self.c), "changeColsCost")
         self._add_rows(a_ub, b_ub)
         self.ii, self.jj = np.triu_indices(n, k=1)
         self.active = np.zeros(self.ii.size, dtype=bool)
@@ -339,13 +343,20 @@ class _PairLP:
         seeded[_seed_pairs(space, f)] = True
         self._add_pairs((seeded | seeded.T)[self.ii, self.jj])
 
+    def _check(self, status, call: str) -> None:
+        """Dump the instance and raise SolverError when a HiGHS call returned kError."""
+        if status == HighsStatus.kError:
+            path = self._dump(f"HiGHS {call} failed")
+            raise SolverError(f"HiGHS {call} failed; instance dumped to {path}")
+
     def _add_rows(self, a_ub, b_ub) -> None:
         a, b = csr_matrix(a_ub), np.asarray(b_ub, dtype=float)
-        if b.size:
-            self.highs.addRows(b.size, np.full(b.size, -kHighsInf), b, a.nnz,
-                               a.indptr[:-1].astype(np.int32), a.indices.astype(np.int32), a.data)
         self.a_blocks.append(a)
         self.b_blocks.append(b)
+        if b.size:
+            self._check(self.highs.addRows(b.size, np.full(b.size, -kHighsInf), b, a.nnz,
+                                           a.indptr[:-1].astype(np.int32),
+                                           a.indices.astype(np.int32), a.data), "addRows")
 
     def _add_pairs(self, new: np.ndarray) -> None:
         ii, jj = self.ii[new], self.jj[new]
@@ -409,8 +420,8 @@ class _PairLP:
         c = _k_functional_lp(self.space, self.f, t, self.inhomogeneous,
                              (self.ii[:0], self.jj[:0]))[0]
         cols = np.flatnonzero(c != self.c).astype(np.int32)
-        self.highs.changeColsCost(cols.size, cols, c[cols])
         self.c = c
+        self._check(self.highs.changeColsCost(cols.size, cols, c[cols]), "changeColsCost")
 
     def _lp(self):
         return self.c, vstack(self.a_blocks, format="csr"), np.concatenate(self.b_blocks)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,29 @@ def test_cli_uncertified_lp_exits_4_with_dump(space_file, tmp_path, capsys, monk
     path = Path(err.strip().rsplit("instance dumped to ", 1)[1])
     assert path.is_file()
     path.unlink()
+
+
+@pytest.mark.parametrize("command, files", [
+    (["collapse-sweep", "--eps", "1,0"], {}),
+    (["space-info"], {"space": {"dist": [[0, 1], [2, 0]], "weights": [1, 1]}}),
+    (["besov", "--grid-ratio", "1"], {}),
+    (["norms", "--corpus", '{"generator": "nope"}'], {}),
+    (["norms"], {"corpus": [[0.0, 1.0, 2.0]]}),
+    (["verify", "--theorem", "teomo1"], {"corpus": [[0.0, math.nan] + [1.0] * 6]}),
+])
+def test_cli_config_errors_exit_2_without_traceback(space_file, tmp_path, capsys,
+                                                    command, files):
+    paths = {"space": space_file}
+    for name, content in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(content))
+    argv = command + ["--space", paths["space"], "--out", str(tmp_path / "out")]
+    if "corpus" in paths:
+        argv += ["--corpus", paths["corpus"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_infinito_refusal_exit_code(space_file, tmp_path, capsys):

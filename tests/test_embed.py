@@ -1,6 +1,7 @@
 """Oscillation functional, weight machinery, regimes, and embedding checks."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -451,6 +452,18 @@ def test_reports_refuse_labels_not_matching_the_corpus():
             embedding_report(sp, corpus, lp(1.0), 1.0, 0.5, 1.0, labels=labels)
     rep = embedding_report(sp, corpus, lp(1.0), 1.0, 0.5, 1.0, labels=["a", "b", "c"])
     assert [row[0] for row in rep.per_function] == ["a", "b", "c"]
+
+
+def test_finish_report_runs_each_function_once_on_the_calling_thread():
+    calls = []
+
+    def one(f):
+        calls.append((f, threading.get_ident()))
+        return f, 1.0
+
+    rep = _finish_report("k1", [3.0, 1.0, 2.0], None, one, {})
+    assert calls == [(f, threading.get_ident()) for f in (3.0, 1.0, 2.0)]
+    assert rep.empirical_constant == 3.0
 
 
 def test_finish_report_refuses_positive_lhs_over_zero_rhs():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize._highspy._core import HighsStatus
 
 from oscembed import (DomainError, GradientField, ModulusProfile, besov_seminorm,
                       convexify, grid_space, hajlasz_seminorm_l1, k_bounds, k_functional_l1,
@@ -475,6 +476,32 @@ def test_solver_failures_propagate_with_dump(monkeypatch):
                  lambda: oscillation_gradient_constant(sp, f, 1.0)):
         with pytest.raises(SolverError, match="duality gap") as info:
             call()
+        path = _dump_path(info.value)
+        assert path.is_file()
+        path.unlink()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pair_lps_refuse_non_finite_f(bad):
+    sp, f = path_space(4), [0.0, bad, 1.0, 2.0]
+    for lp_call in (lambda: k_functional_l1(sp, f, 1.0),
+                    lambda: k_functional_l1_nonhomogeneous(sp, f, 1.0),
+                    lambda: hajlasz_seminorm_l1(sp, f)):
+        with pytest.raises(DomainError, match="must be finite"):
+            lp_call()
+
+
+def test_failed_add_rows_stops_with_dump(monkeypatch):
+    class RefusingRows(smoothness._Highs):
+        def addRows(self, *args):
+            return HighsStatus.kError
+
+    monkeypatch.setattr(smoothness, "_Highs", RefusingRows)
+    f = [0.0, 1.0, 3.0, 2.0]
+    for lp_call in (lambda: k_functional_l1(path_space(4), f, 1.0),
+                    lambda: hajlasz_seminorm_l1(path_space(4), f)):
+        with pytest.raises(SolverError, match="HiGHS addRows failed") as info:
+            lp_call()
         path = _dump_path(info.value)
         assert path.is_file()
         path.unlink()
