@@ -58,13 +58,28 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
+def _json_option(text: str, option: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{option} is not valid JSON: {exc}") from exc
+
+
+def _t_grid(args) -> np.ndarray:
+    """The geometric grid of --t-count parameters t from --t-min to --t-max."""
+    if not (0.0 < args.t_min < math.inf and 0.0 < args.t_max < math.inf):
+        raise DomainError("--t-min and --t-max must be positive and finite")
+    return np.geomspace(args.t_min, args.t_max, args.t_count)
+
+
 def _load_inputs(args):
     """The space, the norm spec, and the corpus with its labels."""
     space = load_space(args.space)
-    spec = rispace.spec_from_json(json.loads(args.spec)) if args.spec else rispace.lp(1.0)
+    spec = rispace.spec_from_json(_json_option(args.spec, "--spec")) if args.spec \
+        else rispace.lp(1.0)
     corpus_spec = args.corpus
     if corpus_spec and corpus_spec.strip().startswith("{"):
-        corpus_spec = json.loads(corpus_spec)
+        corpus_spec = _json_option(corpus_spec, "--corpus")
     corpus, labels = build_corpus(space, corpus_spec, args.seed)
     return space, spec, corpus, labels
 
@@ -121,7 +136,7 @@ def cmd_besov(args) -> int:
 
 def cmd_kfun(args) -> int:
     space, spec, corpus, labels = _load_inputs(args)
-    ts = np.geomspace(args.t_min, args.t_max, args.t_count)
+    ts = _t_grid(args)
     rows = []
     for lab, f in zip(labels, corpus):
         for kb in smoothness.k_bounds_path(space, f, ts, spec, args.alpha):
@@ -150,7 +165,7 @@ def cmd_verify(args) -> int:
         report = embed.embedding_report(space, corpus, use_spec, alpha, args.s, args.q,
                                         q_dim, labels, args.grid_ratio, args.theorem)
     elif theorem == "teointerpol":
-        ts = np.geomspace(args.t_min, args.t_max, args.t_count)
+        ts = _t_grid(args)
         rows, c1, c2 = [], 0.0, 0.0
         for lab, f in zip(labels, corpus):
             for kb in smoothness.k_bounds_path(space, f, ts, rispace.lp(1.0), 1.0):

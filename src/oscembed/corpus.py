@@ -6,12 +6,10 @@ configurations reproduce bit-identical corpora.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import DomainError
-from .space import Space
+from .space import Space, read_json
 
 
 def random_uniform(space: Space, count: int, seed: int, low: float = -1.0,
@@ -67,8 +65,7 @@ def build_corpus(space: Space, spec, seed: int) -> tuple[list[np.ndarray], list[
     path to a JSON list of length-n arrays of finite numbers.
     """
     if isinstance(spec, str):
-        with open(spec) as fh:
-            data = json.load(fh)
+        data = read_json(spec, "corpus file", DomainError)
         vecs = [np.asarray(v, dtype=float) for v in data]
         for i, v in enumerate(vecs):
             if v.shape != (space.n,) or not np.all(np.isfinite(v)):

@@ -18,6 +18,14 @@ and prefix[i] = int_0^{edges[i]}.  Its r.i. norms are sums (or maxima) over
 the panels (edges[i], edges[i+1]) of a coefficient times a power-log weight
 integral (or supremum), which weights.PowerLog.panel_sum / panel_max evaluate.
 
+rearrangement_rows rearranges every row of a matrix in one batch: one stable
+argsort, one add.reduceat for the tie groups of all rows, and the breakpoints,
+edges and prefix integrals as cumulative sums along rows padded past their
+last step.  StepDecreasing's checks run on all rows at once and raise the
+DomainError of the first refused row, the one that row raises alone.  Each
+row's step function is bitwise the one it gets alone; a single function is
+a batch of one.
+
 Powers commute with rearrangement ((|f|^a)* = (f*)^a), so the a-oscillation
 is computed from the powered step function directly.
 """
@@ -46,14 +54,23 @@ class StepDecreasing:
     def __post_init__(self):
         bp = np.ascontiguousarray(np.asarray(self.breakpoints, dtype=float))
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if bp.size == 0 or bp.size != vals.size:
-            raise DomainError("breakpoints and values must be nonempty and aligned")
-        if bp[0] <= 0.0 or np.any(np.diff(bp) <= 0.0):
-            raise DomainError("breakpoints must be strictly increasing and positive")
-        if np.any(vals < 0.0) or np.any(np.diff(vals) >= 0.0):
-            raise DomainError("values must be strictly decreasing and nonnegative")
-        edges = np.concatenate([[0.0], bp])
-        prefix = np.concatenate([[0.0], np.cumsum(vals * np.diff(edges))])
+        if bp.size != vals.size:
+            raise DomainError(_EMPTY)
+        edges, prefix = _step_rows(bp[None], vals[None], np.array([bp.size]))
+        self._set(bp, vals, edges[0], prefix[0])
+
+    @classmethod
+    def _rows(cls, breakpoints, values, counts) -> list["StepDecreasing"]:
+        """The step function of each padded row, checked and tabulated by one _step_rows."""
+        edges, prefix = _step_rows(breakpoints, values, counts)
+        steps = []
+        for k, bp, vals, e, pre in zip(counts.tolist(), breakpoints, values, edges, prefix):
+            step = object.__new__(cls)
+            step._set(bp[:k], vals[:k], e[:k + 1], pre[:k + 1])
+            steps.append(step)
+        return steps
+
+    def _set(self, bp, vals, edges, prefix) -> None:
         for name, arr in (("breakpoints", bp), ("values", vals), ("edges", edges),
                           ("prefix", prefix)):
             arr.setflags(write=False)
@@ -123,18 +140,70 @@ class StepDecreasing:
         return out
 
 
-def rearrangement_from_weights(f, weights) -> StepDecreasing:
-    """Decreasing rearrangement of |f| under atomic weights (ties merged)."""
+_EMPTY = "breakpoints and values must be nonempty and aligned"
+_BAD_BREAKPOINTS = "breakpoints must be strictly increasing and positive"
+_BAD_VALUES = "values must be strictly decreasing and nonnegative"
+
+
+def _step_rows(breakpoints, values, counts):
+    """StepDecreasing's checks on every padded row at once, and the rows' edges and prefix.
+
+    Row i holds its steps in its first counts[i] columns; what follows is
+    padding, which neither the checks nor the first counts[i] + 1 edges and
+    prefix integrals see (prefix is a cumulative sum along the row).  A
+    refused row raises the DomainError that StepDecreasing raises for that row
+    alone, for the first refused row.
+    """
+    cols = np.arange(breakpoints.shape[1])
+    inside = cols < counts[:, None]
+    pairs = cols[:-1] < counts[:, None] - 1  # both ends of a difference inside
+    empty = counts == 0
+    bad_bp = ((breakpoints[:, :1] <= 0.0).any(axis=1)
+              | ((np.diff(breakpoints, axis=1) <= 0.0) & pairs).any(axis=1))
+    bad_vals = (((values < 0.0) & inside).any(axis=1)
+                | ((np.diff(values, axis=1) >= 0.0) & pairs).any(axis=1))
+    refused = empty | bad_bp | bad_vals
+    if refused.any():
+        i = int(np.argmax(refused))
+        raise DomainError(next(message for rows, message in
+                               ((empty, _EMPTY), (bad_bp, _BAD_BREAKPOINTS),
+                                (bad_vals, _BAD_VALUES)) if rows[i]))
+    zero = np.zeros((counts.size, 1))
+    edges = np.concatenate([zero, breakpoints], axis=1)
+    prefix = np.concatenate([zero, np.cumsum(values * np.diff(edges, axis=1), axis=1)], axis=1)
+    return edges, prefix
+
+
+def rearrangement_rows(f, weights) -> list[StepDecreasing]:
+    """Decreasing rearrangement of |f[i]| for every row f[i] of f, under one set of atomic weights.
+
+    All rows at once: one stable argsort of the matrix, one add.reduceat over
+    all rows' runs of equal values (ties merge into single steps), and the
+    breakpoints as cumulative sums along rows padded with zero weights.  Each
+    row's step function is bitwise the one the row gets alone, and a refused
+    row raises the DomainError it raises alone.
+    """
     f = np.abs(np.asarray(f, dtype=float))
     w = np.asarray(weights, dtype=float)
-    order = np.argsort(-f, kind="stable")
-    fv = f[order]
+    order = np.argsort(-f, axis=1, kind="stable")
+    fv = np.take_along_axis(f, order, axis=1)
     fw = w[order]
-    # merge equal values into single steps
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(fv)) + 1])
-    merged_vals = fv[starts]
-    merged_w = np.add.reduceat(fw, starts)
-    return StepDecreasing(np.cumsum(merged_w), merged_vals)
+    new = np.ones(f.shape, dtype=bool)  # where a run of equal values starts
+    new[:, 1:] = np.diff(fv, axis=1) != 0.0
+    counts = new.sum(axis=1)
+    rows, cols = np.nonzero(new)
+    slot = (np.cumsum(new, axis=1) - 1)[rows, cols]  # the step each run becomes in its row
+    masses = np.zeros((f.shape[0], counts.max(initial=0)))
+    values = np.zeros(masses.shape)
+    if rows.size:
+        masses[rows, slot] = np.add.reduceat(fw.ravel(), np.flatnonzero(new))
+        values[rows, slot] = fv[new]
+    return StepDecreasing._rows(np.cumsum(masses, axis=1), values, counts)
+
+
+def rearrangement_from_weights(f, weights) -> StepDecreasing:
+    """Decreasing rearrangement of |f| under atomic weights (ties merged): a batch of one."""
+    return rearrangement_rows(np.asarray(f, dtype=float)[None], weights)[0]
 
 
 def rearrangement(space: Space, f) -> StepDecreasing:

@@ -222,18 +222,18 @@ def _norm_lorentz(p: float, q: float, fstar: StepDecreasing) -> float:
     return float((terms.sum() * p / q) ** (1.0 / q))
 
 
-def _norm_lorentz_zygmund(p: float, r: float, beta: float, fstar: StepDecreasing) -> float:
-    base = PowerLog(1.0 / p, beta)
-    lo, hi = fstar.edges[:-1], fstar.edges[1:]
-    if math.isinf(r):
-        return base.panel_max(lo, hi, fstar.values)
-    return (base**r).panel_sum(lo, hi, fstar.values**r) ** (1.0 / r)
+def _panel_norms(spec: RISpaceSpec, fstars: list) -> list[float]:
+    """The finite-exponent Lorentz-Zygmund or Lambda_w norms of fstars, from one kernel call.
 
-
-def _norm_lambda_w(q: float, w: PowerLog, fstar: StepDecreasing) -> float:
-    # int (f*)^q w(t) dt = int (f*)^q t w(t) dt/t
-    t_w = w * PowerLog(1.0)
-    return t_w.panel_sum(fstar.edges[:-1], fstar.edges[1:], fstar.values**q) ** (1.0 / q)
+    Lorentz-Zygmund: (int (t^(1/p) (1 + ln+ 1/t)^beta f*)^r dt/t)^(1/r).
+    Lambda_w: int (f*)^q w(t) dt = int (f*)^q t w(t) dt/t, to the 1/q.
+    """
+    if spec.family == "lorentz_zygmund":
+        weight, power = PowerLog(1.0 / spec.p, spec.beta) ** spec.q, spec.q
+    else:
+        weight, power = spec.weight * PowerLog(1.0), spec.q
+    sums = weight.panel_sums([(fs.edges[:-1], fs.edges[1:], fs.values**power) for fs in fstars])
+    return [total ** (1.0 / power) for total in sums]
 
 
 def _norm_marcinkiewicz(phi, fstar: StepDecreasing) -> float:
@@ -286,30 +286,50 @@ def _norm_orlicz(fn: OrliczFunction, fstar: StepDecreasing) -> float:
     return brentq(lambda lam: budget(lam) - 1.0, lo, hi, rtol=1e-12, maxiter=300)
 
 
-def quasi_norm(spec: RISpaceSpec, fstar: StepDecreasing) -> float:
-    """Evaluate the spec's quasi-norm on a rearranged step function."""
-    if float(fstar.values.max()) == 0.0:
-        return 0.0
-    r = spec.convexify_power
-    base = fstar if r == 1.0 else fstar.power(r)
+def _norm(spec: RISpaceSpec, fstar: StepDecreasing) -> float:
+    """The base family's norm of one step function, for the families _panel_norms leaves."""
     fam = spec.family
     if fam == "lp":
-        val = _norm_lp(spec.p, base)
-    elif fam == "lorentz":
-        val = _norm_lorentz(spec.p, spec.q, base)
-    elif fam == "lorentz_zygmund":
-        val = _norm_lorentz_zygmund(spec.p, spec.q, spec.beta, base)
-    elif fam == "lambda_w":
-        val = _norm_lambda_w(spec.q, spec.weight, base)
-    elif fam == "marcinkiewicz":
-        val = _norm_marcinkiewicz(spec.weight, base)
-    elif fam == "marcinkiewicz_tilde":
-        val = _norm_marcinkiewicz_tilde(spec.weight, base)
-    elif fam == "orlicz":
-        val = _norm_orlicz(spec.orlicz_fn, base)
+        return _norm_lp(spec.p, fstar)
+    if fam == "lorentz":
+        return _norm_lorentz(spec.p, spec.q, fstar)
+    if fam == "lorentz_zygmund":  # r = inf
+        base = PowerLog(1.0 / spec.p, spec.beta)
+        return base.panel_max(fstar.edges[:-1], fstar.edges[1:], fstar.values)
+    if fam == "marcinkiewicz":
+        return _norm_marcinkiewicz(spec.weight, fstar)
+    if fam == "marcinkiewicz_tilde":
+        return _norm_marcinkiewicz_tilde(spec.weight, fstar)
+    if fam == "orlicz":
+        return _norm_orlicz(spec.orlicz_fn, fstar)
+    raise DomainError(f"unknown family {fam!r}")
+
+
+def quasi_norms(spec: RISpaceSpec, fstars) -> list[float]:
+    """The spec's quasi-norm of each rearranged step function of fstars.
+
+    The finite-exponent Lorentz-Zygmund and Lambda_w norms of all of them come
+    from one call of the panel kernel, whose panels do not see each other, so
+    each value is bitwise the one quasi_norm gives alone.  The other families
+    are evaluated one step function at a time.
+    """
+    r = spec.convexify_power
+    bases = {k: fs if r == 1.0 else fs.power(r)
+             for k, fs in enumerate(fstars) if float(fs.values.max()) != 0.0}
+    if spec.family == "lambda_w" or (spec.family == "lorentz_zygmund"
+                                     and math.isfinite(spec.q)):
+        vals = _panel_norms(spec, list(bases.values()))
     else:
-        raise DomainError(f"unknown family {fam!r}")
-    return val ** (1.0 / r) if r != 1.0 else val
+        vals = [_norm(spec, fs) for fs in bases.values()]
+    out = [0.0] * len(fstars)
+    for k, val in zip(bases, vals):
+        out[k] = val ** (1.0 / r) if r != 1.0 else val
+    return out
+
+
+def quasi_norm(spec: RISpaceSpec, fstar: StepDecreasing) -> float:
+    """Evaluate the spec's quasi-norm on a rearranged step function: a batch of one."""
+    return quasi_norms(spec, [fstar])[0]
 
 
 # -- fundamental functions -----------------------------------------------------------

@@ -5,8 +5,12 @@ The local roughness of f at scale r is the ball average
     grad_[r,a] f(x) = ( mean_{y in B(x,r)} |f(x) - f(y)|^a )^(1/a),
 
 and the modulus at scale r is the chosen quasi-norm of its rearrangement.
-Every modulus, in a profile or in a K-bound, comes from one routine
-that forms |f(x) - f(y)|^a once and makes one ball-average pass per radius.
+Every modulus, in a profile or in a K-bound, comes from one routine that
+takes all radii of one function as a batch: it forms |f(x) - f(y)|^a once,
+makes one ball-average pass per radius, rearranges the (radii x points)
+matrix of averages in one pass, and evaluates all their quasi-norms together,
+the Lorentz-Zygmund and Lambda_w ones in one call of the panel kernel.  The
+batch gives every radius the bits it gets alone.
 On a finite space the modulus is piecewise constant in r (balls only change
 at pairwise distances), is identically 0 for r <= the smallest positive
 distance (balls are singletons), and is constant once r exceeds the diameter
@@ -49,8 +53,8 @@ except ImportError as exc:
                       "provides the HiGHS models its LPs run on") from exc
 
 from .errors import DomainError, SolverError
-from .rearrange import rearrangement
-from .rispace import RISpaceSpec, convexify, quasi_norm
+from .rearrange import rearrangement_rows
+from .rispace import RISpaceSpec, convexify, quasi_norms
 from .space import Space
 
 DEFAULT_GRID_RATIO = 2.0 ** 0.25
@@ -79,13 +83,18 @@ def _check_ball_args(r: float, alpha: float) -> None:
 
 
 def _moduli(space: Space, f, radii, spec: RISpaceSpec, alpha: float) -> list:
-    """The modulus at each radius: one ball average pass and one quasi-norm per radius."""
+    """The modulus at each radius, all radii in one batch.
+
+    One ball-average pass per radius gives the rows of an (R x n) matrix;
+    rearrangement_rows rearranges every row at once and quasi_norms takes all
+    their norms, in one panel-kernel call for the panel-kernel families.  Each
+    modulus is bitwise the one its radius gets alone.
+    """
     _check_ball_args(min(radii), alpha)
-    conv = convexify(spec, alpha)
     f = np.asarray(f, dtype=float)
     diffs = np.abs(f[:, None] - f[None, :]) ** alpha
-    return [quasi_norm(conv, rearrangement(space, _ball_average(space, diffs, float(r), alpha)))
-            for r in radii]
+    averages = np.stack([_ball_average(space, diffs, float(r), alpha) for r in radii])
+    return quasi_norms(convexify(spec, alpha), rearrangement_rows(averages, space.weight))
 
 
 # -- modulus profiles and the scale integral -------------------------------------------
@@ -557,9 +566,7 @@ def k_functional_path(space: Space, f, ts, inhomogeneous: bool = False) -> list[
     starts from the last basis, so an ascending t-grid costs far fewer simplex
     iterations than separate solves.
     """
-    ts = [float(t) for t in ts]
-    if not all(t > 0.0 for t in ts):
-        raise DomainError("K-functional parameter t must be positive")
+    ts = _checked_ts(ts)
     f = np.asarray(f, dtype=float)
     if not ts:
         return []
@@ -573,6 +580,14 @@ def k_functional_path(space: Space, f, ts, inhomogeneous: bool = False) -> list[
         note = f"k-functional-inhomogeneous t={t}" if inhomogeneous else f"k-functional t={t}"
         values.append(model.optimum(note)[1])
     return values
+
+
+def _checked_ts(ts) -> list[float]:
+    """ts as floats, each positive and finite: at t = inf the K-LP's costs are not numbers."""
+    ts = [float(t) for t in ts]
+    if not all(0.0 < t < math.inf for t in ts):
+        raise DomainError("K-functional parameter t must be positive and finite")
+    return ts
 
 
 def k_functional_l1(space: Space, f, t: float) -> float:
@@ -601,13 +616,19 @@ def k_bounds_path(space: Space, f, ts, spec: RISpaceSpec, alpha: float) -> list[
 
     The dyadic sum over scales 2^j t is truncated once the scale covers the
     space (2^J t >= 2 * diameter); beyond that the modulus is constant and the
-    remaining geometric tail is folded in exactly.  One pass per radius: the
-    lower bound is the j = 0 term, or the tail when J = 0 (every ball at t is
-    then the whole space).  For the weighted-L1 spec at alpha = 1 the exact
+    remaining geometric tail is folded in exactly.  The lower bound is the
+    j = 0 term, or the tail when J = 0 (every ball at t is then the whole
+    space).  The distinct radii of all t go to one _moduli call, so each makes
+    one ball-average pass.  For the weighted-L1 spec at alpha = 1 the exact
     split infimum is attached for calibration, from one k_functional_path call.
     """
-    ts = [float(t) for t in ts]
-    bounds = [_modulus_bounds(space, f, t, spec, alpha) for t in ts]
+    ts = _checked_ts(ts)
+    if not ts:
+        return []
+    plans = [_dyadic_radii(space, t) for t in ts]
+    distinct = list(dict.fromkeys(r for radii in plans for r in radii))
+    moduli = dict(zip(distinct, _moduli(space, f, distinct, spec, alpha)))
+    bounds = [_modulus_bounds([moduli[r] for r in radii], alpha) for radii in plans]
     exact = [None] * len(ts)
     if spec.family == "lp" and spec.p == 1.0 and spec.convexify_power == 1.0 and alpha == 1.0:
         exact = k_functional_path(space, f, ts)
@@ -620,16 +641,19 @@ def k_bounds(space: Space, f, t: float, spec: RISpaceSpec, alpha: float) -> KBou
     return k_bounds_path(space, f, [t], spec, alpha)[0]
 
 
-def _modulus_bounds(space: Space, f, t: float, spec: RISpaceSpec, alpha: float):
-    """The (lower, upper) modulus bounds of k_bounds_path at t."""
-    _check_ball_args(t, alpha)
+def _dyadic_radii(space: Space, t: float) -> list[float]:
+    """The radii 2^j t, j < J, of k_bounds_path's dyadic sum at t, then its tail radius."""
     top = 2.0 * space.diameter
     j_cut = max(0, math.ceil(math.log2(top / t))) if t < top else 0
-    radii = [(2.0**j) * t for j in range(j_cut)] + [max(top, t) + 1.0]
-    *scales, tail_e = _moduli(space, f, radii, spec, alpha)
+    return [(2.0**j) * t for j in range(j_cut)] + [max(top, t) + 1.0]
+
+
+def _modulus_bounds(moduli: list, alpha: float):
+    """The (lower, upper) modulus bounds of k_bounds_path from the moduli at _dyadic_radii."""
+    *scales, tail_e = moduli
     lower = scales[0] if scales else tail_e
     total = 0.0
     for j, e in enumerate(scales):
         total += 2.0 ** (-j * alpha) * e**alpha
-    total += 2.0 ** (-j_cut * alpha) * tail_e**alpha / (1.0 - 2.0 ** (-alpha))
+    total += 2.0 ** (-len(scales) * alpha) * tail_e**alpha / (1.0 - 2.0 ** (-alpha))
     return lower, total ** (1.0 / alpha)

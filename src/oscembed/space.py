@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -54,11 +55,13 @@ class Space:
     def total_mass(self) -> float:
         return float(self.weight.sum())
 
-    @property
+    # Space is immutable, so the O(n^2) scans below are made once per space.
+
+    @cached_property
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n > 1 else 0.0
 
-    @property
+    @cached_property
     def r_min(self) -> float:
         """Smallest positive pairwise distance (inf for a single point)."""
         if self.n < 2:
@@ -174,6 +177,17 @@ def space_from_graph(n_points: int, edges, weights) -> Space:
     return space_from_matrix(np.minimum(dist, dist.T), weights)
 
 
+def read_json(path: str, what: str, error: type[Exception]):
+    """The JSON document in the file at path; error names the input when it cannot be read."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path!r}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{what} {path!r} is not valid JSON: {exc}") from exc
+
+
 def load_space(spec) -> Space:
     """Build a Space from a description dict or a JSON file path.
 
@@ -182,8 +196,7 @@ def load_space(spec) -> Space:
     {"metric": "graph", "edges": [[i, j(, len)], ...], "weights": [...]}.
     """
     if isinstance(spec, (str,)):
-        with open(spec) as fh:
-            spec = json.load(fh)
+        spec = read_json(spec, "space file", SpaceValidationError)
     if "dist" in spec:
         return space_from_matrix(spec["dist"], spec["weights"])
     metric = spec.get("metric", "euclidean")

@@ -36,11 +36,17 @@ takes the first of these paths that applies:
      on finite panels and in w = ln(1+u) on improper ones, where power-law
      tails decay exponentially.
 
-Which path a panel takes depends only on (a, b, g) and the panel's ends.
+Which path a panel takes, and the value it gets, depend only on (a, b, g,
+const) and the panel's ends, not on the other panels of the call: every path
+works elementwise or one panel at a time, and the Gauss-Legendre rule sums
+each panel's nodes on their own.  So a batch of panels gives each panel the
+bits it gets alone.
 
 The panel kernel, PowerLog.panel_sum and PowerLog.panel_max, evaluates the
 norms of a decreasing step function: sums of coef_i * int p dt/t, or maxima
-of coef_i * sup p, over its panels (lo_i, hi_i).
+of coef_i * sup p, over its panels (lo_i, hi_i).  PowerLog.panel_sums does
+the sums of many step functions from one call of the kernel; panel_sum is
+its batch of one.
 
 Orlicz generator functions (for Orlicz-space norms) live here too since they
 share the preset-validation style.
@@ -285,10 +291,24 @@ class PowerLog:
 
     # -- panel kernel ------------------------------------------------------------
 
+    def panel_sums(self, panels) -> list[float]:
+        """panel_sum of each (lo, hi, coef) of panels, from one kernel call for all their panels.
+
+        Each sum is one dot product of its coefficients with its own panels'
+        integrals, which do not depend on the other panels of the call: so it
+        equals panel_sum on its (lo, hi, coef) alone, bitwise.
+        """
+        live = [_live_panels(lo, hi, coef) for lo, hi, coef in panels]
+        if not live:
+            return []
+        vals = self._integrals_dt_over_t(np.concatenate([lo for _, lo, _ in live]),
+                                         np.concatenate([hi for _, _, hi in live]))
+        ends = np.cumsum([c.size for c, _, _ in live])[:-1]
+        return [float(c @ v) for (c, _, _), v in zip(live, np.split(vals, ends))]
+
     def panel_sum(self, lo, hi, coef) -> float:
         """sum_i coef_i * int_{lo_i}^{hi_i} p(t) dt/t over panels with coef_i > 0, hi_i > lo_i."""
-        c, p_lo, p_hi = _live_panels(lo, hi, coef)
-        return float(c @ self._integrals_dt_over_t(p_lo, p_hi))
+        return self.panel_sums([(lo, hi, coef)])[0]
 
     def panel_max(self, lo, hi, coef) -> float:
         """max(0, max_i coef_i * sup of p over [lo_i, hi_i]) over the panel_sum panels."""
@@ -345,7 +365,9 @@ def _gamma_panels(a: float, s: float, u_lo, u_hi, vals) -> np.ndarray:
         nodes, weights = _gauss_legendre_16()
         half = width[narrow, None] / 2.0
         u = u_lo[narrow, None] + half * (1.0 + nodes)
-        vals[narrow] = (np.exp(-a * u) * (1.0 + u) ** (s - 1.0) * half) @ weights
+        # a row sum, not a matrix product: BLAS may order a product's sums by the
+        # number of rows, and a panel's value must not depend on the other panels
+        vals[narrow] = (np.exp(-a * u) * (1.0 + u) ** (s - 1.0) * half * weights).sum(axis=1)
     return closed | narrow
 
 

@@ -6,8 +6,9 @@ generic quadrature, power-log integrals from mpmath quadrature at 30 digits,
 ball-scan constants from global radius tables, LP optima from exhaustive
 vertex enumeration or from one HiGHS solve over every pair, LP instances row
 by row, derivatives from central differences, the power-log norms of step
-functions one panel at a time in a hand-written loop, and moduli one radius at
-a time, from nabla or one ball average per radius.
+functions one panel at a time in a hand-written loop, rearrangements one
+function at a time, and moduli one radius at a time, from nabla or one ball
+average per radius.
 
 The last sections hold the helpers that the command line never runs, moved
 here unchanged from the package: critical radii, running averages and
@@ -395,6 +396,23 @@ def loop_weighted_step_norm(fstar, w, q):
         if hi > lo and v > 0.0:
             total += v**q * wq.integral_dt_over_t(lo, hi)
     return total ** (1.0 / q)
+
+
+# The rearrangement of one function, as written before rearrange.rearrangement_rows.
+
+
+def rearrangement_from_weights(f, weights) -> StepDecreasing:
+    """Decreasing rearrangement of |f| under atomic weights (ties merged)."""
+    f = np.abs(np.asarray(f, dtype=float))
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(-f, kind="stable")
+    fv = f[order]
+    fw = w[order]
+    # merge equal values into single steps
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(fv)) + 1])
+    merged_vals = fv[starts]
+    merged_w = np.add.reduceat(fw, starts)
+    return StepDecreasing(np.cumsum(merged_w), merged_vals)
 
 
 # The modulus, the modulus profile and the K-bounds one radius at a time, as

@@ -197,3 +197,38 @@ def test_cli_norm_table_rederivable(space_file, tmp_path):
     for row, f in zip(rows, corpus):
         assert float(row["quasi_norm"]) == pytest.approx(
             quasi_norm(lp(2.0), rearrangement(sp, f)), rel=1e-12)
+
+
+@pytest.mark.parametrize("case, named", [
+    ("spec", "--spec"), ("space", "missing.json"), ("corpus", "missing.json"),
+    ("space-json", "broken.json"), ("corpus-json", "broken.json"),
+])
+def test_cli_unreadable_inputs_exit_2_naming_the_input(space_file, tmp_path, capsys,
+                                                       case, named):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    missing = str(tmp_path / "missing.json")
+    space, extra = space_file, []
+    if case == "spec":
+        extra = ["--spec", '{"family": "lp", "p": 1']
+    elif case == "space":
+        space = missing
+    elif case == "corpus":
+        extra = ["--corpus", missing]
+    elif case == "space-json":
+        space = str(broken)
+    else:
+        extra = ["--corpus", str(broken)]
+    assert main(["norms", "--space", space, "--out", str(tmp_path / "out"), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("bounds", [["--t-max", "inf"], ["--t-min", "0"], ["--t-min", "nan"]])
+def test_cli_kfun_refuses_a_t_grid_that_is_not_positive_and_finite(space_file, tmp_path,
+                                                                    capsys, bounds):
+    rc = main(["kfun", "--space", space_file, "--out", str(tmp_path / "out"), *bounds])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

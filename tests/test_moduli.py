@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscembed import (grid_space, k_bounds, lorentz, lorentz_zygmund, lp,
-                      modulus_profile, path_space, smoothness, space_from_graph)
+from oscembed import (PowerLog, grid_space, k_bounds, lorentz, lorentz_zygmund, lp,
+                      modulus_profile, path_space, smoothness, space_from_graph,
+                      space_from_points, tent_function)
 
 from _oracles import loop_k_bounds, loop_modulus, loop_modulus_profile, modulus
 
@@ -72,3 +73,19 @@ def test_k_bounds_makes_one_pass_per_distinct_radius(monkeypatch, t):
     j_cut = int(np.ceil(np.log2(top / t))) if t < top else 0
     assert radii == [2.0**j * t for j in range(j_cut)] + [max(top, t) + 1.0]
 
+
+def test_lorentz_zygmund_profile_makes_one_kernel_call(monkeypatch):
+    # the collapse sweep's grid: 12 x 12 points 0.4 apart, weights in [0.5, 1.5]
+    coords = 0.4 * np.array([(i, j) for i in range(12) for j in range(12)], dtype=float)
+    sp = space_from_points(coords, np.random.default_rng(1).uniform(0.5, 1.5, 144))
+    calls = []
+    kernel = PowerLog._integrals_dt_over_t
+
+    def counted(self, lo, hi):
+        calls.append(lo.size)
+        return kernel(self, lo, hi)
+
+    monkeypatch.setattr(PowerLog, "_integrals_dt_over_t", counted)
+    prof = modulus_profile(sp, tent_function(sp, 0), lorentz_zygmund(1.5, 2.0, 0.5), 1.0)
+    assert len(calls) == 1
+    assert calls[0] > prof.values.size

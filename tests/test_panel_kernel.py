@@ -93,3 +93,54 @@ def test_step_integral_rejects_negative_t():
         EDGE_STEP.integral(-1e-300)
     with pytest.raises(DomainError):
         EDGE_STEP.integral(np.array([0.5, -1.0]))
+
+
+# -- batch invariance ---------------------------------------------------------------------
+
+
+@st.composite
+def kernel_batches(draw):
+    """A weight on one path of weights.py and 1-30 panels, many narrow enough for path 3.
+
+    closed form: a = 0 with g = 0 or b = -1.  Gamma and Gauss-Legendre: a > 0,
+    g = 0, b > -1; a narrow panel far below t = 1 cancels and takes the rule.
+    quad: g != 0, a < 0, or b <= -1.
+    """
+    path = draw(st.sampled_from(["closed", "gamma", "quad"]))
+    if path == "closed":
+        if draw(st.booleans()):
+            w = PowerLog(0.0, draw(st.floats(-3.0, 3.0)))
+        else:
+            w = PowerLog(0.0, -1.0, draw(st.floats(-3.0, 3.0)))
+    elif path == "gamma":
+        w = PowerLog(draw(st.floats(0.05, 3.0)), draw(st.floats(-0.95, 3.0)))
+    else:
+        w = draw(st.one_of(
+            st.builds(PowerLog, st.floats(0.05, 2.0), st.floats(-3.0, 3.0),
+                      st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)),
+            st.builds(PowerLog, st.floats(-1.0, -0.05), st.floats(-3.0, 3.0)),
+            st.builds(PowerLog, st.floats(0.05, 2.0), st.floats(-3.0, -1.0))))
+    improper = w.integrable_at_zero_dt_over_t()
+    lo, hi = [], []
+    for _ in range(draw(st.integers(1, 30))):
+        start = 10.0 ** draw(st.floats(-12.0, 1.0))
+        if improper and draw(st.integers(0, 4)) == 0:
+            start = 0.0
+        rel = 10.0 ** draw(st.floats(-8.0, -1.0) | st.floats(-1.0, 2.0))
+        lo.append(start)
+        hi.append(start * (1.0 + rel) if start > 0.0 else rel)
+    return w, np.array(lo), np.array(hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_batches())
+@example((PowerLog(4.0 / 3.0, 1.0),  # Gauss-Legendre panels of the collapse sweep's LZ norm
+          np.array([1e-6, 2e-6, 3e-4, 0.01, 0.02]),
+          np.array([1.0001e-6, 2.0003e-6, 3.001e-4, 0.0101, 0.03])))
+@example((PowerLog(0.0, -1.0, 0.5), np.array([1e-9, 0.5]), np.array([2e-9, 3.0])))
+@example((PowerLog(-0.5, 0.5, 1.0), np.array([1e-9, 0.5]), np.array([2e-9, 3.0])))
+def test_kernel_gives_each_panel_its_value_alone_bitwise(batch):
+    w, lo, hi = batch
+    together = w._integrals_dt_over_t(lo, hi)
+    alone = [w._integrals_dt_over_t(lo[i:i + 1], hi[i:i + 1])[0] for i in range(lo.size)]
+    assert together.tobytes() == np.array(alone).tobytes()

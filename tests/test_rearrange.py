@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscembed import (DomainError, StepDecreasing, path_space, rearrangement,
                       space_from_matrix, sum_plus_linf_norm)
-from oscembed.rearrange import rearrangement_from_weights
+from oscembed.rearrange import rearrangement_from_weights, rearrangement_rows
 
 from _oracles import (OscillationProfile, distribution_mass, maximal_average, oscillation,
                       product_step_integral, quad_average, rearrangement_inf_formula, step_eval)
+from _oracles import rearrangement_from_weights as one_row_rearrangement
 
 
 def unit_space(n):
@@ -286,3 +287,52 @@ def test_rearrangement_decreasing_and_equimeasurable(fvals, wvals):
     assert fs.mass == pytest.approx(float(w.sum()), rel=1e-12)
     top = float(np.abs(f).max())
     assert float(fs.values[0]) == top
+
+
+# -- the batched rearrangement ------------------------------------------------------
+
+
+def _outcome(rearrange):
+    """The bytes of every step function's arrays, or the DomainError's message."""
+    try:
+        steps = rearrange()
+    except DomainError as exc:
+        return str(exc)
+    return [tuple(a.tobytes() for a in (fs.breakpoints, fs.values, fs.edges, fs.prefix))
+            for fs in steps]
+
+
+@st.composite
+def row_batches(draw):
+    """1-6 rows over 1-20 points: rows of few levels (long ties), free rows and zero rows."""
+    n = draw(st.integers(1, 20))
+    levels = draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=3)) + [0.0]
+    rows = draw(st.lists(st.one_of(st.lists(st.sampled_from(levels), min_size=n, max_size=n),
+                                   st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n),
+                                   st.just([0.0] * n)),
+                         min_size=1, max_size=6))
+    weights = draw(st.lists(st.one_of(st.floats(0.01, 10.0), st.just(1e20)),
+                            min_size=n, max_size=n))
+    return np.array(rows), np.array(weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_batches())
+@example((np.array([[2.0, 1.0]]), np.array([1e20, 1.0])))  # breakpoints stop increasing
+@example((np.array([[0.0, 0.0], [2.0, 1.0]]), np.array([1e20, 1.0])))
+@example((np.array([[3.0] * 12 + [1.0] * 5, [0.0] * 17]), np.linspace(0.1, 1.7, 17)))
+def test_rearrangement_rows_equal_one_row_rearrangements_bitwise(batch):
+    f, w = batch
+    assert _outcome(lambda: rearrangement_rows(f, w)) == \
+        _outcome(lambda: [one_row_rearrangement(row, w) for row in f])
+    for row in f:
+        assert _outcome(lambda: [rearrangement_from_weights(row, w)]) == \
+            _outcome(lambda: [one_row_rearrangement(row, w)])
+
+
+def test_refused_row_raises_what_it_raises_alone():
+    w = np.array([1e20, 1.0])
+    with pytest.raises(DomainError, match="breakpoints must be strictly increasing"):
+        one_row_rearrangement([2.0, 1.0], w)
+    with pytest.raises(DomainError, match="breakpoints must be strictly increasing"):
+        rearrangement_rows(np.array([[1.0, 1.0], [2.0, 1.0]]), w)

@@ -17,7 +17,8 @@ from oscembed import (DomainError, GradientField, ModulusProfile, besov_seminorm
                       space_from_matrix)
 from oscembed import SolverError, smoothness, space_from_graph, space_from_points
 from oscembed.embed import oscillation_gradient_constant
-from oscembed.smoothness import besov_from_profile, k_functional_l1_nonhomogeneous
+from oscembed.smoothness import (besov_from_profile, k_bounds_path, k_functional_l1_nonhomogeneous,
+                                 k_functional_path)
 from oscembed.space import diagnostics
 
 from _oracles import (canonical_gradient, critical_radii, full_pair_gradient_seminorm,
@@ -653,3 +654,13 @@ def test_enclosure_brackets_full_pair_oracle(instance, family):
     slack = 1e-10 * max(1.0, abs(oracle))  # the oracle's own HiGHS tolerance
     assert lower - slack <= oracle <= upper + slack
     assert upper - lower <= 1e-9 * max(1.0, abs(upper))
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
+def test_k_paths_refuse_a_t_that_is_not_positive_and_finite(t):
+    sp, f = path_space(4), np.array([0.0, 1.0, 3.0, 2.0])
+    for inhomogeneous in (False, True):
+        with pytest.raises(DomainError, match="positive and finite"):
+            k_functional_path(sp, f, [1.0, t], inhomogeneous)
+    with pytest.raises(DomainError, match="positive and finite"):
+        k_bounds_path(sp, f, [1.0, t], lp(1.0), 1.0)

@@ -236,3 +236,14 @@ def test_space_copies_the_callers_arrays():
     base[0, 1] = 5.0  # a write through another view leaves the space alone
     assert sp.dist[0, 1] == 1.0
     assert not sp.dist.flags.writeable and not sp.weight.flags.writeable
+
+
+@pytest.mark.parametrize("build", [lambda: random_geometric_space(40, 0.3, 2),
+                                   lambda: path_space(5, edge_length=0.7),
+                                   lambda: space_from_matrix([[0.0]], [2.0])])
+def test_cached_diameter_and_r_min_equal_fresh_scans(build):
+    sp = build()
+    off = sp.dist[~np.eye(sp.n, dtype=bool)]
+    fresh = (float(off.max()) if sp.n > 1 else 0.0, float(off.min()) if sp.n > 1 else np.inf)
+    for space in (sp, sp, sp.scale_weights(0.01)):
+        assert (space.diameter, space.r_min) == fresh
