@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_keys
 from .space import Space, read_json
 
 
@@ -71,8 +71,12 @@ def build_corpus(space: Space, spec, seed: int) -> tuple[list[np.ndarray], list[
             if v.shape != (space.n,) or not np.all(np.isfinite(v)):
                 raise DomainError(f"corpus vector {i} must hold {space.n} finite numbers")
         return vecs, [f"file{i}" for i in range(len(vecs))]
-    kind = spec.get("generator")
-    count = int(spec.get("count", 20))
+    kind = require_keys(spec, (), "corpus generator", DomainError).get("generator")
+    try:
+        count = int(spec.get("count", 20))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"corpus generator key 'count' must be an integer, "
+                          f"not {spec['count']!r}") from exc
     if kind == "random-uniform":
         return random_uniform(space, count, seed), [f"rand{i}" for i in range(count)]
     if kind == "indicators":

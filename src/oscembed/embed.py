@@ -44,11 +44,11 @@ from .rearrange import StepDecreasing, rearrangement, sum_plus_linf_norm
 from .rispace import (RISpaceSpec, convexify, fundamental_powerlog, lorentz_zygmund)
 from .smoothness import (DEFAULT_GRID_RATIO, GradientField, besov_seminorm,
                          hajlasz_seminorm_l1)
-from .space import Space, _sorted_rows, diagnostics, noncollapsing_constant
+from .space import Space, diagnostics, noncollapsing_constant
 from .weights import PowerLog
 
 # The number of threads a report runs on.  Only the benchmark's environment
-# record reads it; ROADMAP item 2's benchmark change deletes it.
+# record reads it; ROADMAP item 1's benchmark change deletes it.
 _POOL_WORKERS = 1
 
 
@@ -160,9 +160,9 @@ def measure_growth_constant(space: Space, q_dim: float) -> float:
     The mass is fixed on each (e_k, e_{k+1}], e_k the sorted distances from x,
     while r^Q grows: the row's distances <= 1 and r = 1 attain the minimum.
     """
-    sd, prefix = _sorted_rows(space)
+    balls = space.balls
     best = math.inf
-    for row, pre in zip(sd, prefix):
+    for row, pre in zip(balls.sorted_dist, balls.prefix):
         radii = np.append(row[(row > 0.0) & (row <= 1.0)], 1.0)
         best = min(best, float((pre[np.searchsorted(row, radii)] / radii**q_dim).min()))
     return best

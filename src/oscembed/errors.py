@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the key check of its JSON inputs."""
 
 
 class SpaceValidationError(ValueError):
@@ -23,3 +23,13 @@ class PreconditionError(RuntimeError):
 
 class SolverError(RuntimeError):
     """Raised when an LP solve fails; carries a path to the dumped instance."""
+
+
+def require_keys(obj, keys, what: str, error: type[Exception]) -> dict:
+    """obj, once it is checked to be a JSON object holding every key of keys."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object, not {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise error(f"{what} has no {key!r} key")
+    return obj

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, EvaluationError, SymbolicAnalysisError
+from .errors import DomainError, EvaluationError, SymbolicAnalysisError, require_keys
 from .rearrange import StepDecreasing
 from .weights import OrliczFunction, PowerLog, bounded_max_search
 
@@ -101,8 +101,14 @@ def _num_in(x) -> float:
     return math.inf if x in ("inf", None) else float(x)
 
 
+_FAMILY_KEYS = {"lp": ("p",), "lorentz": ("p", "q"), "lorentz_zygmund": ("p", "r", "beta"),
+                "lambda_w": ("q", "w"), "marcinkiewicz": ("phi",),
+                "marcinkiewicz_tilde": ("phi",), "orlicz": ("Phi",)}
+
+
 def spec_from_json(obj: dict) -> RISpaceSpec:
-    fam = obj["family"]
+    fam = require_keys(obj, ("family",), "norm spec", DomainError)["family"]
+    require_keys(obj, _FAMILY_KEYS.get(fam, ()), f"norm spec of family {fam!r}", DomainError)
     conv = float(obj.get("convexify", 1.0))
     if fam == "lp":
         spec = lp(_num_in(obj["p"]))

@@ -7,10 +7,11 @@ The local roughness of f at scale r is the ball average
 and the modulus at scale r is the chosen quasi-norm of its rearrangement.
 Every modulus, in a profile or in a K-bound, comes from one routine that
 takes all radii of one function as a batch: it forms |f(x) - f(y)|^a once,
-makes one ball-average pass per radius, rearranges the (radii x points)
-matrix of averages in one pass, and evaluates all their quasi-norms together,
-the Lorentz-Zygmund and Lambda_w ones in one call of the panel kernel.  The
-batch gives every radius the bits it gets alone.
+takes the ball averages at every radius from the space's one ball index (one
+cumulative sum along its sorted rows, read at each radius's ball sizes),
+rearranges the (radii x points) matrix of averages in one pass, and evaluates
+all their quasi-norms together, the Lorentz-Zygmund and Lambda_w ones in one
+call of the panel kernel.  The batch gives every radius the bits it gets alone.
 On a finite space the modulus is piecewise constant in r (balls only change
 at pairwise distances), is identically 0 for r <= the smallest positive
 distance (balls are singletons), and is constant once r exceeds the diameter
@@ -67,12 +68,9 @@ _SEED_PAIRS = 3  # per point: its steepest pairs and its nearest neighbours seed
 # -- ball averages ------------------------------------------------------------------
 
 
-def _ball_average(space: Space, values_sq: np.ndarray, r: float, alpha: float) -> np.ndarray:
-    """Per-point ball average of values_sq[x, y] to the power 1/alpha."""
-    mask = space.dist < r
-    den = mask @ space.weight
-    num = (mask * values_sq) @ space.weight
-    return (num / den) ** (1.0 / alpha)
+def _ball_averages(space: Space, values: np.ndarray, radii, alpha: float) -> np.ndarray:
+    """(R x n) ball means of values[x, y] over y in B(x, r), to the power 1/alpha."""
+    return space.balls.means(values, radii) ** (1.0 / alpha)
 
 
 def _check_ball_args(r: float, alpha: float) -> None:
@@ -85,15 +83,15 @@ def _check_ball_args(r: float, alpha: float) -> None:
 def _moduli(space: Space, f, radii, spec: RISpaceSpec, alpha: float) -> list:
     """The modulus at each radius, all radii in one batch.
 
-    One ball-average pass per radius gives the rows of an (R x n) matrix;
-    rearrangement_rows rearranges every row at once and quasi_norms takes all
-    their norms, in one panel-kernel call for the panel-kernel families.  Each
-    modulus is bitwise the one its radius gets alone.
+    The ball averages at every radius come from one cumulative sum along the
+    space's sorted rows, as the rows of an (R x n) matrix; rearrangement_rows
+    rearranges every row at once and quasi_norms takes all their norms, in one
+    panel-kernel call for the panel-kernel families.  Each modulus is bitwise
+    the one its radius gets alone.
     """
     _check_ball_args(min(radii), alpha)
     f = np.asarray(f, dtype=float)
-    diffs = np.abs(f[:, None] - f[None, :]) ** alpha
-    averages = np.stack([_ball_average(space, diffs, float(r), alpha) for r in radii])
+    averages = _ball_averages(space, np.abs(f[:, None] - f[None, :]) ** alpha, radii, alpha)
     return quasi_norms(convexify(spec, alpha), rearrangement_rows(averages, space.weight))
 
 
@@ -618,8 +616,8 @@ def k_bounds_path(space: Space, f, ts, spec: RISpaceSpec, alpha: float) -> list[
     space (2^J t >= 2 * diameter); beyond that the modulus is constant and the
     remaining geometric tail is folded in exactly.  The lower bound is the
     j = 0 term, or the tail when J = 0 (every ball at t is then the whole
-    space).  The distinct radii of all t go to one _moduli call, so each makes
-    one ball-average pass.  For the weighted-L1 spec at alpha = 1 the exact
+    space).  The distinct radii of all t go to one _moduli call, which reads each
+    one's ball averages once.  For the weighted-L1 spec at alpha = 1 the exact
     split infimum is attached for calibration, from one k_functional_path call.
     """
     ts = _checked_ts(ts)

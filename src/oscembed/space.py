@@ -3,10 +3,19 @@
 A space is a finite point set with a metric given as a dense distance matrix
 and a strictly positive weight (atomic measure) per point.  Balls use the
 strict inequality B(x, r) = {y : d(x, y) < r}; ties at distance exactly r are
-excluded.  mu(B(x, r)) is a step function of r that jumps only at distances
-from x, so suprema and infima over all radii reduce to scans of each row's own
-distances, read off one index of sorted rows with weight prefix sums; the
-doubling constant computed here is the exact supremum, not an estimate.
+excluded.
+
+Every ball quantity of the package comes from one index per space (BallIndex,
+built once and cached on the immutable Space): each row of the distance matrix
+sorted once, with the weight prefix sums in that order.  B(x, r) is then the
+first #{y : d(x, y) < r} points of row x, a count that one binary search per
+row gives for a whole list of radii.  Ball masses are prefix sums read at those
+counts, and ball means of values[x, y] are one cumulative sum of
+weight * values along the sorted rows, read at the same counts; neither
+depends on which other radii share the call.  mu(B(x, r)) is a step function
+of r that jumps only at distances from x, so suprema and infima over all radii
+reduce to scans of each row's own sorted distances; the doubling constant
+computed here is the exact supremum, not an estimate.
 
 Continuity caveats that tests rely on:
   * the measure is atomic and the total mass is finite, so diagnostics are
@@ -26,10 +35,50 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
 from scipy.spatial.distance import squareform, pdist
 
-from .errors import SpaceValidationError
+from .errors import SpaceValidationError, require_keys
 
 _TRIANGLE_TOL = 1e-12
 MAX_POINTS = 2000  # dense n x n distance storage
+
+
+class BallIndex:
+    """The rows of a distance matrix sorted once, for the masses and means of all balls.
+
+    order[x] is the stable argsort of d(x, .), sorted_dist[x] the row in that
+    order and prefix[x, k] the weight of its first k points, so that
+    mu(B(x, r)) = prefix[x, #{y : d(x, y) < r}].
+    """
+
+    def __init__(self, dist: np.ndarray, weight: np.ndarray):
+        self.weight = weight
+        self.order = np.argsort(dist, axis=1, kind="stable")
+        self.sorted_dist = np.take_along_axis(dist, self.order, axis=1)
+        self.prefix = np.zeros((weight.size, weight.size + 1))
+        np.cumsum(weight[self.order], axis=1, out=self.prefix[:, 1:])
+        for arr in (self.order, self.sorted_dist, self.prefix):
+            arr.setflags(write=False)
+
+    def counts(self, radii) -> np.ndarray:
+        """(n x R) integers #{y : d(x, y) < r}, for every point x and every r of radii."""
+        radii = np.asarray(radii, dtype=float)
+        return np.array([np.searchsorted(row, radii) for row in self.sorted_dist])
+
+    def masses(self, radii) -> np.ndarray:
+        """(R x n) masses mu(B(x, r)), one row per r of radii."""
+        return np.take_along_axis(self.prefix, self.counts(radii), axis=1).T
+
+    def means(self, values: np.ndarray, radii) -> np.ndarray:
+        """(R x n) mu-weighted means of values[x, y] over y in B(x, r), one row per r of radii.
+
+        One cumulative sum of weight * values along the sorted rows holds every
+        ball's sum, so each radius gets the bits it gets alone.
+        """
+        counts = self.counts(radii)
+        sums = np.zeros_like(self.prefix)
+        np.cumsum(np.take_along_axis(values, self.order, axis=1) * self.weight[self.order],
+                  axis=1, out=sums[:, 1:])
+        return np.ascontiguousarray((np.take_along_axis(sums, counts, axis=1)
+                                     / np.take_along_axis(self.prefix, counts, axis=1)).T)
 
 
 @dataclass(frozen=True)
@@ -55,7 +104,7 @@ class Space:
     def total_mass(self) -> float:
         return float(self.weight.sum())
 
-    # Space is immutable, so the O(n^2) scans below are made once per space.
+    # Space is immutable, so the O(n^2) scans and the ball index are made once per space.
 
     @cached_property
     def diameter(self) -> float:
@@ -77,9 +126,13 @@ class Space:
             raise SpaceValidationError(f"ball radius must be positive, got {r}")
         return np.flatnonzero(self.dist[x] < r)
 
+    @cached_property
+    def balls(self) -> BallIndex:
+        return BallIndex(self.dist, self.weight)
+
     def ball_masses(self, r: float) -> np.ndarray:
         """mu(B(x, r)) for every x at once."""
-        return (self.dist < r) @ self.weight
+        return self.balls.masses([r])[0]
 
     def scale_weights(self, factor: float) -> "Space":
         if not factor > 0.0:
@@ -162,6 +215,8 @@ def space_from_graph(n_points: int, edges, weights) -> Space:
     rows, cols, vals = [], [], []
     for e in edges:
         i, j = int(e[0]), int(e[1])
+        if not (0 <= i < n_points and 0 <= j < n_points):
+            raise SpaceValidationError(f"edge ({i}, {j}) names a point outside 0..{n_points - 1}")
         length = float(e[2]) if len(e) > 2 else 1.0
         if length <= 0.0:
             raise SpaceValidationError(f"edge ({i}, {j}) has non-positive length")
@@ -197,12 +252,15 @@ def load_space(spec) -> Space:
     """
     if isinstance(spec, (str,)):
         spec = read_json(spec, "space file", SpaceValidationError)
+    require_keys(spec, ("weights",), "space", SpaceValidationError)
     if "dist" in spec:
         return space_from_matrix(spec["dist"], spec["weights"])
     metric = spec.get("metric", "euclidean")
     if metric == "euclidean":
+        require_keys(spec, ("coords",), "euclidean space", SpaceValidationError)
         return space_from_points(spec["coords"], spec["weights"])
     if metric == "graph":
+        require_keys(spec, ("edges",), "graph space", SpaceValidationError)
         n = len(spec["weights"])
         return space_from_graph(n, spec["edges"], spec["weights"])
     raise SpaceValidationError(f"unknown metric {metric!r}")
@@ -251,23 +309,15 @@ def random_geometric_space(n: int, radius: float, seed: int,
 # -- diagnostics -----------------------------------------------------------------
 
 
-def _sorted_rows(space: Space) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of dist sorted, and weight prefix sums: mu(B(x, r)) = prefix[x, #{d(x, .) < r}]."""
-    order = np.argsort(space.dist, axis=1, kind="stable")
-    prefix = np.zeros((space.n, space.n + 1))
-    np.cumsum(space.weight[order], axis=1, out=prefix[:, 1:])
-    return np.take_along_axis(space.dist, order, axis=1), prefix
-
-
 def doubling_constant(space: Space) -> float:
     """Exact sup over x, r > 0 of mu(B(x, 2r)) / mu(B(x, r)).
 
     On r in (e_k, e_{k+1}], e_k the sorted distances from x, B(x, r) is fixed
     and the sup is W(d < 2 e_{k+1}) / W(d <= e_k), taken at r = e_{k+1}.
     """
-    sd, prefix = _sorted_rows(space)
+    balls = space.balls
     best = 1.0
-    for row, pre in zip(sd, prefix):  # row[0] = 0 is x itself
+    for row, pre in zip(balls.sorted_dist, balls.prefix):  # row[0] = 0 is x itself
         ratio = pre[np.searchsorted(row, 2.0 * row[1:])] / pre[np.searchsorted(row, row[1:])]
         best = max(best, float(ratio.max(initial=1.0)))
     return best

@@ -63,7 +63,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import exprel, gamma, gammainc, gammaincc
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, require_keys
 
 # relative tolerance only: an absolute one would cut short tiny improper integrals
 _QUAD_OPTS = {"limit": 200, "epsabs": 0.0, "epsrel": 1e-11}
@@ -325,6 +325,7 @@ class PowerLog:
 
     @staticmethod
     def from_json(obj: dict) -> "PowerLog":
+        require_keys(obj, ("a",), "power-log weight", DomainError)
         return PowerLog(float(obj["a"]), float(obj.get("b", 0.0)),
                         float(obj.get("g", 0.0)), float(obj.get("const", 1.0)))
 
@@ -351,11 +352,12 @@ def _gamma_panels(a: float, s: float, u_lo, u_hi, vals) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         factor = np.exp(a) * np.float64(a) ** -s * gamma(s)
     x_lo, x_hi = a * (1.0 + u_lo), a * (1.0 + u_hi)
-    q_lo, q_hi = gammaincc(s, x_lo), gammaincc(s, x_hi)
-    p_lo, p_hi = gammainc(s, x_lo), gammainc(s, x_hi)
+    q_lo, p_hi = gammaincc(s, x_lo), gammainc(s, x_hi)
     upper = q_lo <= p_hi
     tail = np.where(upper, q_lo, p_hi)
-    diff = np.where(upper, q_lo - q_hi, p_hi - p_lo)
+    diff = np.empty_like(tail)  # Q(s, x_hi) only where upper holds, P(s, x_lo) only elsewhere
+    diff[upper] = q_lo[upper] - gammaincc(s, x_hi[upper])
+    diff[~upper] = p_hi[~upper] - gammainc(s, x_lo[~upper])
     closed = ((x_lo >= _NORMAL_MIN) & (tail > _TAIL_UNDERFLOW) & (diff * _MAX_CANCEL >= tail)
               & np.isfinite(factor))
     vals[closed] = factor * diff[closed]
@@ -441,6 +443,7 @@ class OrliczFunction:
 
     @staticmethod
     def from_json(obj: dict) -> "OrliczFunction":
+        require_keys(obj, ("kind", "p"), "Orlicz function", DomainError)
         return OrliczFunction(obj["kind"], float(obj["p"]), float(obj.get("b", 0.0)))
 
 

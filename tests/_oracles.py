@@ -3,19 +3,21 @@
 Nothing here may call the evaluation paths it is used to check: rearrangement
 values come from the inf-formula on a grid, norms from dense-grid sups or
 generic quadrature, power-log integrals from mpmath quadrature at 30 digits,
-ball-scan constants from global radius tables, LP optima from exhaustive
-vertex enumeration or from one HiGHS solve over every pair, LP instances row
-by row, derivatives from central differences, the power-log norms of step
-functions one panel at a time in a hand-written loop, rearrangements one
-function at a time, and moduli one radius at a time, from nabla or one ball
-average per radius.
+ball-scan constants from global radius tables or from masses summed over a
+mask d(x, .) < r, never from the space's ball index, LP optima from
+exhaustive vertex enumeration or from one HiGHS solve over every pair, LP
+instances row by row, derivatives from central differences, the power-log
+norms of step functions one panel at a time in a hand-written loop,
+rearrangements one function at a time, and moduli one radius at a time, from
+nabla or one single-radius call of the package's ball average per radius.
 
 The last sections hold the helpers that the command line never runs, moved
-here unchanged from the package: critical radii, running averages and
-oscillation gaps of step functions, fundamental functions and endpoint norms,
-ball averages, canonical and upper-bound gradient fields, tent gradients and
-the target weight.  Unlike the oracles above, several of them call the
-package's own paths (modulus calls smoothness._moduli), so the tests check
+here from the package: critical radii, running averages and oscillation gaps
+of step functions, fundamental functions and endpoint norms, ball averages,
+canonical and upper-bound gradient fields, tent gradients and the target
+weight.  Unlike the oracles above, several of them call the package's own
+paths (modulus calls smoothness._moduli, and nabla and t_r_operator take the
+one-radius ball average of smoothness._ball_averages), so the tests check
 them rather than check with them; nabla stays the moduli oracles' primitive.
 """
 
@@ -36,7 +38,7 @@ from oscembed.errors import DomainError
 from oscembed.rearrange import StepDecreasing, rearrangement
 from oscembed.rispace import RISpaceSpec, _norm_marcinkiewicz, convexify, quasi_norm
 from oscembed.smoothness import (DEFAULT_GRID_RATIO, GradientField, KBounds, ModulusProfile,
-                                 _ball_average, _check_ball_args, _moduli, _slopes,
+                                 _ball_averages, _check_ball_args, _moduli, _slopes,
                                  hajlasz_seminorm_l1, k_functional_l1, radius_grid)
 from oscembed.space import Space, doubling_constant
 from oscembed.weights import PowerLog
@@ -83,13 +85,18 @@ def product_step_integral(bp1, v1, bp2, v2):
     return total
 
 
+def mask_masses(space, r):
+    """mu(B(x, r)) for every x, as the weights summed over the mask d(x, .) < r."""
+    return (space.dist < r) @ space.weight
+
+
 def dense_grid_doubling(space, n_grid=10_000):
     """Doubling-constant lower bound from a dense radius grid."""
     top = space.diameter * 1.05 + 1e-9
     best = 1.0
     for r in np.linspace(top / n_grid, top, n_grid):
-        m1 = space.ball_masses(float(r))
-        m2 = space.ball_masses(2.0 * float(r))
+        m1 = mask_masses(space, float(r))
+        m2 = mask_masses(space, 2.0 * float(r))
         best = max(best, float((m2 / m1).max()))
     return best
 
@@ -121,7 +128,7 @@ def brute_force_growth_constant(space, q_dim):
     cands = np.concatenate([cands[cands <= 1.0], [1.0]])
     best = math.inf
     for r in cands:
-        best = min(best, float((space.ball_masses(float(r)) / r**q_dim).min()))
+        best = min(best, float((mask_masses(space, float(r)) / r**q_dim).min()))
     return best
 
 
@@ -204,9 +211,12 @@ def full_pair_gradient_seminorm(space, f):
     """Gradient-seminorm optimum from one HiGHS solve with a row for every pair.
 
     Rows -g(x) - g(y) <= -|f(x) - f(y)| / d(x, y) for all pairs x < y with
-    f(x) != f(y), built at once; no rows means the optimum g = 0.
+    f(x) != f(y), built at once; no rows means the optimum g = 0.  The solve
+    runs on f / lp_unit(f) and its optimum is scaled back, which is exact.
     """
     f = np.asarray(f, dtype=float)
+    unit = lp_unit(f)
+    f = f / unit
     n = space.n
     ii, jj = np.triu_indices(n, k=1)
     rhs = np.abs(f[ii] - f[jj]) / space.dist[ii, jj]
@@ -220,15 +230,30 @@ def full_pair_gradient_seminorm(space, f):
     res = linprog(space.weight, A_ub=a_ub, b_ub=-rhs, bounds=[(0.0, None)] * n, method="highs",
                   options=TIGHT_HIGHS)
     assert res.status == 0, res.message
-    return float(res.fun)
+    return float(res.fun) * unit
 
 
 def full_pair_k_functional(space, f, t, inhomogeneous):
-    """K(f, t) from one HiGHS solve of the row-by-row LP, which holds every pair."""
-    c, a_ub, b_ub, bounds = rowwise_k_functional_lp(space, f, t, inhomogeneous)
+    """K(f, t) from one HiGHS solve of the row-by-row LP, which holds every pair.
+
+    The solve runs on f / lp_unit(f) and its optimum is scaled back, which is exact.
+    """
+    unit = lp_unit(f)
+    c, a_ub, b_ub, bounds = rowwise_k_functional_lp(space, np.asarray(f, dtype=float) / unit,
+                                                    t, inhomogeneous)
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=TIGHT_HIGHS)
     assert res.status == 0, res.message
-    return float(res.fun)
+    return float(res.fun) * unit
+
+
+def lp_unit(f):
+    """The power of 2 that lifts max |f| < 1 into [0.5, 1), else 1.
+
+    HiGHS's tolerances are absolute, so a tiny f would leave pair violations
+    below them.  The gradient seminorm and K(f, t) are positively homogeneous
+    in f, so solving for f / unit and scaling the optimum by unit is exact.
+    """
+    return math.ldexp(1.0, min(0, math.frexp(float(np.abs(f).max(initial=0.0)))[1]))
 
 
 def lp_vertex_minimum(c, a_ub, b_ub, n_nonneg):
@@ -432,9 +457,9 @@ def loop_modulus_profile(space, f, spec, alpha, ratio=DEFAULT_GRID_RATIO):
     diffs = np.abs(f[:, None] - f[None, :]) ** alpha
     vals = []
     for r in radii:
-        grad = _ball_average(space, diffs, float(r), alpha)
+        grad = _ball_averages(space, diffs, [float(r)], alpha)[0]
         vals.append(quasi_norm(conv, rearrangement(space, grad)))
-    full = _ball_average(space, diffs, 2.0 * space.diameter + 1.0, alpha)
+    full = _ball_averages(space, diffs, [2.0 * space.diameter + 1.0], alpha)[0]
     tail = quasi_norm(conv, rearrangement(space, full))
     return ModulusProfile(radii, np.asarray(vals), tail)
 
@@ -595,7 +620,7 @@ def nabla(space: Space, f, r: float, alpha: float) -> np.ndarray:
     """Ball average of |f(x) - f(y)|^alpha over y in B(x, r), to the 1/alpha."""
     _check_ball_args(r, alpha)
     f = np.asarray(f, dtype=float)
-    return _ball_average(space, np.abs(f[:, None] - f[None, :]) ** alpha, r, alpha)
+    return _ball_averages(space, np.abs(f[:, None] - f[None, :]) ** alpha, [r], alpha)[0]
 
 
 def t_r_operator(space: Space, f, r: float, alpha: float) -> np.ndarray:
@@ -603,7 +628,7 @@ def t_r_operator(space: Space, f, r: float, alpha: float) -> np.ndarray:
     _check_ball_args(r, alpha)
     f = np.abs(np.asarray(f, dtype=float)) ** alpha
     vals = np.broadcast_to(f[None, :], (space.n, space.n))
-    return _ball_average(space, vals, r, alpha)
+    return _ball_averages(space, vals, [r], alpha)[0]
 
 
 def modulus(space: Space, f, r: float, spec: RISpaceSpec, alpha: float) -> float:

@@ -91,6 +91,14 @@ def test_cli_uncertified_lp_exits_4_with_dump(space_file, tmp_path, capsys, monk
     (["norms", "--corpus", '{"generator": "nope"}'], {}),
     (["norms"], {"corpus": [[0.0, 1.0, 2.0]]}),
     (["verify", "--theorem", "teomo1"], {"corpus": [[0.0, math.nan] + [1.0] * 6]}),
+    (["norms", "--spec", '{"family": "lp"}'], {}),
+    (["norms", "--spec", '{"p": 1}'], {}),
+    (["norms", "--spec", "[1]"], {}),
+    (["norms", "--spec", '{"family": "lambda_w", "q": 1, "w": 3}'], {}),
+    (["space-info"], {"space": {"dist": [[0, 1], [1, 0]]}}),
+    (["space-info"], {"space": [[0, 1], [1, 0]]}),
+    (["space-info"], {"space": {"metric": "graph", "edges": [[0, 5]], "weights": [1, 1]}}),
+    (["norms", "--corpus", '{"generator": "random-uniform", "count": "x"}'], {}),
 ])
 def test_cli_config_errors_exit_2_without_traceback(space_file, tmp_path, capsys,
                                                     command, files):

@@ -60,13 +60,13 @@ def test_moduli_equal_per_radius_loops_bitwise(instance, alpha, spec_name):
 def test_k_bounds_makes_one_pass_per_distinct_radius(monkeypatch, t):
     sp = path_space(6)  # diameter 5, so t = 11 and 40 cover the space at j = 0
     radii = []
-    inner = smoothness._ball_average
+    inner = smoothness._ball_averages
 
-    def counted(space, values, r, alpha):
-        radii.append(r)
-        return inner(space, values, r, alpha)
+    def counted(space, values, rs, alpha):
+        radii.extend(rs)
+        return inner(space, values, rs, alpha)
 
-    monkeypatch.setattr(smoothness, "_ball_average", counted)
+    monkeypatch.setattr(smoothness, "_ball_averages", counted)
     k_bounds(sp, np.arange(6.0) ** 2, t, lp(2.0), 0.5)
     assert len(radii) == len(set(radii))
     top = 2.0 * sp.diameter

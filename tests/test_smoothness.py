@@ -644,6 +644,8 @@ def test_k_path_makes_fewer_highs_runs_than_one_point_calls(monkeypatch):
        st.sampled_from(["gradient", "k", "k-inhomogeneous"]))
 @example((path_space(4), np.array([0.0, 0.0, 1.0, 1e-9]), 1.0), "gradient")
 @example((path_space(4), np.array([0.0, 0.0, 1e-9, 1.0]), 1.0), "k-inhomogeneous")
+@example((space_from_matrix([[0.0, 0.25], [0.25, 0.0]], [3.0, 3.0]), np.array([0.0, 1e-11]), 1.0),
+         "gradient")
 def test_enclosure_brackets_full_pair_oracle(instance, family):
     sp, f, t = instance
     lower, upper, _ = smoothness._PairLP(sp, f, family, t).optimum(family)

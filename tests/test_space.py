@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from oscembed import (SpaceValidationError, diagnostics, doubling_constant,
                       grid_space, load_space, noncollapsing_constant, path_space,
                       space_from_matrix)
-from oscembed import (measure_growth_constant, random_geometric_space, space_from_graph,
-                      space_from_points)
-from oscembed.space import Space
+from oscembed import (lp, measure_growth_constant, modulus_profile, random_geometric_space,
+                      space_from_graph, space_from_points, tent_function)
+from oscembed.space import BallIndex, Space
 
 from _oracles import (brute_force_growth_constant, critical_radii, dense_grid_doubling,
                       iterated_doubling_margin, table_doubling_constant, upper_dimension)
@@ -179,6 +179,58 @@ def test_ball_scans_match_table_and_brute_force_oracles(sp):
     q_dim = float(np.log2(c))
     assert measure_growth_constant(sp, q_dim) == pytest.approx(
         brute_force_growth_constant(sp, q_dim), rel=1e-12, abs=0.0)
+
+
+@st.composite
+def spaces_radii_values(draw):
+    """A small space, radii from its own distances (exact ties) and beyond, unsorted and
+    repeated, and nonnegative values[x, y]."""
+    sp = draw(small_spaces())
+    dists = np.unique(sp.dist[sp.dist > 0.0]).tolist()
+    top = 2.0 * sp.diameter + 1.0
+    radius = st.floats(1e-3, top)
+    if dists:
+        radius = st.one_of(st.sampled_from(dists), st.sampled_from(dists).map(lambda d: 2.0 * d),
+                           radius)
+    radii = draw(st.lists(radius, min_size=1, max_size=8))
+    radii += draw(st.lists(st.sampled_from(radii), max_size=3))  # repeats
+    values = draw(st.lists(st.floats(0.0, 10.0), min_size=sp.n**2, max_size=sp.n**2))
+    return sp, radii, np.array(values).reshape(sp.n, sp.n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces_radii_values())
+@example((path_space(4), [1.0, 2.0, 1.0, 0.5], np.arange(16.0).reshape(4, 4)))
+def test_ball_index_masses_and_means_equal_per_point_loops(instance):
+    sp, radii, values = instance
+    masses, means = sp.balls.masses(radii), sp.balls.means(values, radii)
+    assert masses.shape == means.shape == (len(radii), sp.n)
+    for k, r in enumerate(radii):
+        for x in range(sp.n):
+            ball = sp.ball(x, r)  # d(x, y) < r: ties at d = r stay outside
+            w = sp.weight[ball]
+            assert masses[k, x] == pytest.approx(w.sum(), rel=1e-12, abs=0.0)
+            assert means[k, x] == pytest.approx(np.sum(values[x, ball] * w) / w.sum(),
+                                                rel=1e-12, abs=0.0)
+        assert sp.ball_masses(r).tobytes() == masses[k].tobytes()
+        assert sp.balls.masses([r]).tobytes() == masses[k].tobytes()
+        assert sp.balls.means(values, [r]).tobytes() == means[k].tobytes()
+
+
+def test_space_sorts_its_rows_once(monkeypatch):
+    builds = []
+    init = BallIndex.__init__
+
+    def counted(self, dist, weight):
+        builds.append(dist.shape[0])
+        init(self, dist, weight)
+
+    monkeypatch.setattr(BallIndex, "__init__", counted)
+    sp = random_geometric_space(40, 0.3, 3)
+    diag = diagnostics(sp)
+    measure_growth_constant(sp, diag.q_dim)
+    modulus_profile(sp, tent_function(sp, 0), lp(2.0), 0.5)
+    assert builds == [40]
 
 
 def test_ball_scans_memory_at_n240():
