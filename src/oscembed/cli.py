@@ -69,6 +69,8 @@ def _t_grid(args) -> np.ndarray:
     """The geometric grid of --t-count parameters t from --t-min to --t-max."""
     if not (0.0 < args.t_min < math.inf and 0.0 < args.t_max < math.inf):
         raise DomainError("--t-min and --t-max must be positive and finite")
+    if args.t_count < 1:
+        raise DomainError(f"--t-count must be at least 1, not {args.t_count}")
     return np.geomspace(args.t_min, args.t_max, args.t_count)
 
 
@@ -235,7 +237,10 @@ def cmd_regimes(args) -> int:
 def cmd_collapse_sweep(args) -> int:
     space, spec, corpus, _labels = _load_inputs(args)
     diag = diagnostics(space)
-    eps_list = [float(e) for e in args.eps.split(",")]
+    try:
+        eps_list = [float(e) for e in args.eps.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"--eps must be a comma-separated list of numbers: {exc}") from exc
     rows_raw = embed.collapse_sweep(space, corpus, spec, args.alpha, args.s, args.q,
                                     eps_list, diag.q_dim, args.grid_ratio)
     rows = [{k: repr(v) for k, v in row.items()} for row in rows_raw]

@@ -66,10 +66,17 @@ def build_corpus(space: Space, spec, seed: int) -> tuple[list[np.ndarray], list[
     """
     if isinstance(spec, str):
         data = read_json(spec, "corpus file", DomainError)
-        vecs = [np.asarray(v, dtype=float) for v in data]
-        for i, v in enumerate(vecs):
-            if v.shape != (space.n,) or not np.all(np.isfinite(v)):
+        if not isinstance(data, list):
+            raise DomainError(f"corpus file must hold a JSON list, not {type(data).__name__}")
+        vecs = []
+        for i, v in enumerate(data):
+            try:
+                vec = np.asarray(v, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                vec = None
+            if vec is None or vec.shape != (space.n,) or not np.all(np.isfinite(vec)):
                 raise DomainError(f"corpus vector {i} must hold {space.n} finite numbers")
+            vecs.append(vec)
         return vecs, [f"file{i}" for i in range(len(vecs))]
     kind = require_keys(spec, (), "corpus generator", DomainError).get("generator")
     try:
@@ -77,6 +84,8 @@ def build_corpus(space: Space, spec, seed: int) -> tuple[list[np.ndarray], list[
     except (TypeError, ValueError) as exc:
         raise DomainError(f"corpus generator key 'count' must be an integer, "
                           f"not {spec['count']!r}") from exc
+    if count < 1:
+        raise DomainError(f"corpus generator key 'count' must be at least 1, not {count}")
     if kind == "random-uniform":
         return random_uniform(space, count, seed), [f"rand{i}" for i in range(count)]
     if kind == "indicators":

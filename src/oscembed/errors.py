@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the key check of its JSON inputs."""
+"""Exception types shared across the package, and the checks of its JSON inputs."""
 
 
 class SpaceValidationError(ValueError):
@@ -33,3 +33,12 @@ def require_keys(obj, keys, what: str, error: type[Exception]) -> dict:
         if key not in obj:
             raise error(f"{what} has no {key!r} key")
     return obj
+
+
+def read_key(obj: dict, key: str, convert, what: str, error: type[Exception], default=None):
+    """convert(obj[key]), or convert(default) when obj has no key; error names the key
+    when convert refuses the value."""
+    try:
+        return convert(obj.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} key {key!r} is malformed: {exc}") from exc

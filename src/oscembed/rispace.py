@@ -29,7 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, EvaluationError, SymbolicAnalysisError, require_keys
+from .errors import (DomainError, EvaluationError, SymbolicAnalysisError, read_key,
+                     require_keys)
 from .rearrange import StepDecreasing
 from .weights import OrliczFunction, PowerLog, bounded_max_search
 
@@ -109,15 +110,19 @@ _FAMILY_KEYS = {"lp": ("p",), "lorentz": ("p", "q"), "lorentz_zygmund": ("p", "r
 def spec_from_json(obj: dict) -> RISpaceSpec:
     fam = require_keys(obj, ("family",), "norm spec", DomainError)["family"]
     require_keys(obj, _FAMILY_KEYS.get(fam, ()), f"norm spec of family {fam!r}", DomainError)
-    conv = float(obj.get("convexify", 1.0))
+
+    def num(key, convert=float, default=None):
+        return read_key(obj, key, convert, "norm spec", DomainError, default)
+
+    conv = num("convexify", default=1.0)
     if fam == "lp":
-        spec = lp(_num_in(obj["p"]))
+        spec = lp(num("p", _num_in))
     elif fam == "lorentz":
-        spec = lorentz(float(obj["p"]), _num_in(obj["q"]))
+        spec = lorentz(num("p"), num("q", _num_in))
     elif fam == "lorentz_zygmund":
-        spec = lorentz_zygmund(float(obj["p"]), _num_in(obj["r"]), float(obj["beta"]))
+        spec = lorentz_zygmund(num("p"), num("r", _num_in), num("beta"))
     elif fam == "lambda_w":
-        spec = lambda_w(float(obj["q"]), PowerLog.from_json(obj["w"]))
+        spec = lambda_w(num("q"), PowerLog.from_json(obj["w"]))
     elif fam == "marcinkiewicz":
         spec = marcinkiewicz(PowerLog.from_json(obj["phi"]))
     elif fam == "marcinkiewicz_tilde":

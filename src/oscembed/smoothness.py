@@ -24,17 +24,18 @@ Gradient seminorms come from the pairwise relaxation
     |f(x) - f(y)| <= d(x, y) (g(x) + g(y)),   g >= 0,
 
 whose feasible fields form a polytope.  The weighted-L1 infimum over that
-polytope, and the split-infimum K(f, t) against the L1 error term, are plain
-linear programs.  They carry one block of rows per pair of points, of which
-only a few are ever binding, so they are solved by row generation on one
-persistent HiGHS model per (space, f): run with an active set of pairs, check
-every pair, add the violated ones as new rows, and re-run from the last basis.
-K(f, t) along a t-grid stays on the same model; a new t only changes the costs
-of the gradient columns.  Every optimum is certified by a two-sided enclosure:
-U is the objective at the solution repaired to exact feasibility for every
-pair, L a safe dual bound over a box known to hold an optimum, and U - L must
-be at most 1e-9 relative.  Failed or uncertified solves dump the instance to a
-text file for inspection.
+polytope, and the split-infimum K(f, t) against the L1 error term, are linear
+programs, both built by _PairLP alone on one layout: a block of n columns for
+g, and for K blocks for h and the slacks of |f - h| and |h|; then costs, rows
+per point and rows per pair from its three emitters.  Few pair rows are ever
+binding, so the LPs are solved by row generation on one persistent HiGHS model
+per (space, f): run with an active set of pairs, check every pair, add the
+violated ones as new rows, and re-run from the last basis.  K(f, t) along a
+t-grid stays on the same model; a new t only changes the costs.  Every optimum
+is certified by a two-sided enclosure: U is the objective at the solution
+repaired to exact feasibility for every pair, L a safe dual bound over a box
+known to hold an optimum, and U - L must be at most 1e-9 relative.  Failed or
+uncertified solves dump the instance to a text file for inspection.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, vstack
+from scipy.sparse import csr_matrix, vstack
 
 try:  # HiGHS's own bindings, which scipy ships privately
     from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs, kHighsInf
@@ -208,18 +209,6 @@ def _slopes(space: Space, f) -> np.ndarray:
 # -- linear programs ----------------------------------------------------------------------
 
 
-def _dump_lp(c, a_ub, b_ub, note: str) -> str:
-    """Write min c.x s.t. a_ub x <= b_ub to a new temporary file, a_ub as sparse triplets."""
-    a = coo_matrix(a_ub)
-    fd, path = tempfile.mkstemp(prefix="oscembed_lp_", suffix=".txt")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(f"# {note}\nminimize {list(map(float, c))}\nb_ub {list(map(float, b_ub))}\n"
-                 f"# a_ub {a.shape}: row col value\n")
-        for i, j, v in zip(a.row.tolist(), a.col.tolist(), a.data.tolist()):
-            fh.write(f"{i} {j} {v!r}\n")
-    return path
-
-
 @dataclass
 class _Run:
     """One HiGHS run: status 0 when optimal, then the column values and the row duals."""
@@ -281,14 +270,15 @@ def _seed_pairs(space: Space, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _PairLP:
     """One HiGHS model of a pair LP for one (space, f): the gradient LP, or K(f, t).
 
-    family is "gradient", "k" or "k-inhomogeneous".  The pair rows say
-    |u(x) - u(y)| / d(x, y) <= g(x) + g(y), with u = f in the gradient LP and
-    u = h in the K-LPs.  The columns and the point rows come once from
-    _gradient_lp or _k_functional_lp with no pairs, so those functions stay the
-    only row emitters.  Pair rows come in by addRows, starting from the pairs
-    of _seed_pairs; none is ever removed, so the active set carries over from
-    one t to the next.  set_t changes the costs of the g (and a) columns, and
-    every run starts from the basis of the last.
+    family is "gradient", "k" or "k-inhomogeneous".  The columns come in blocks
+    of n, one column per point: g in the gradient LP; h, g, e, then a when
+    inhomogeneous, in the K-LPs.  g >= 0 is a gradient field, of f or of the
+    free h, and e >= |f - h| and a >= |h| are slacks.  This class alone builds
+    the LP: the column bounds, the costs (_costs), and every row, all <=, from
+    _point_rows and _pair_rows.  The point rows go in once, then the pair rows
+    of _seed_pairs; more pair rows come in by addRows and none is ever removed,
+    so the active set carries over from one t to the next.  set_t changes only
+    the costs, and every run starts from the basis of the last.
 
     The box [lo, hi] holds an optimal point, as the enclosure needs.  In the
     gradient LP, 0 <= g <= the canonical gradient max_y |f(x) - f(y)| / d(x, y),
@@ -302,7 +292,6 @@ class _PairLP:
         if not np.all(np.isfinite(f)):
             raise DomainError("the function of a pair LP must be finite")
         n = space.n
-        none = np.zeros(0, dtype=int)
         # HiGHS's tolerances are absolute.  So where max |f| < 1 the model holds
         # f / unit instead, unit the power of 2 that lifts max |f| into [0.5, 1),
         # and its optima are scaled back exactly.
@@ -312,43 +301,93 @@ class _PairLP:
         self.is_k = family != "gradient"
         self.inhomogeneous = family == "k-inhomogeneous"
         self.scale = max(1.0, float(np.abs(f).max()))
+        blocks = ("h", "g", "e", "a")[:3 + self.inhomogeneous] if self.is_k else ("g",)
+        self.cols = {name: slice(k * n, (k + 1) * n) for k, name in enumerate(blocks)}
+        self.c = self._costs(t)
+        size = self.c.size
+        self.slopes = None if self.is_k else _slopes(space, f)
         if self.is_k:
-            self.slopes = None
-            lp = _k_functional_lp(space, f, t, self.inhomogeneous, (none, none))
-            self.g_cols = slice(n, 2 * n)
             f_lo, f_hi = float(f.min()), float(f.max())
             if self.inhomogeneous:
                 f_lo, f_hi = min(0.0, f_lo), max(0.0, f_hi)
             width = f_hi - f_lo
             nearest = (space.dist + np.diag(np.full(n, np.inf))).min(axis=1)
-            self.lo = np.concatenate([np.full(n, f_lo), np.zeros(lp[0].size - n)])
-            self.hi = np.full(lp[0].size, width)
-            self.hi[:n] = f_hi
-            self.hi[self.g_cols] = width / nearest
+            self.lo = np.concatenate([np.full(n, f_lo), np.zeros(size - n)])
+            self.hi = np.full(size, width)
+            self.hi[self.cols["h"]] = f_hi
+            self.hi[self.cols["g"]] = width / nearest
         else:
-            self.slopes = _slopes(space, f)
-            lp = _gradient_lp(space, self.slopes, none, none)
-            self.g_cols = slice(0, n)
             self.lo, self.hi = np.zeros(n), self.slopes.max(axis=1)
-        self.c, a_ub, b_ub, bounds = lp
         # an empty first block, so that a failed setup call can dump the instance
-        self.a_blocks, self.b_blocks = [csr_matrix((0, self.c.size))], [np.zeros(0)]
+        self.a_blocks, self.b_blocks = [csr_matrix((0, size))], [np.zeros(0)]
         self.highs = _Highs()
         for option, value in (("output_flag", False), ("solver", "simplex"), ("presolve", "off"),
                               ("primal_feasibility_tolerance", _LP_TOL),
                               ("dual_feasibility_tolerance", _LP_TOL)):
             self.highs.setOptionValue(option, value)
-        lower = np.array([-kHighsInf if lo is None else lo for lo, _ in bounds])
-        upper = np.array([kHighsInf if hi is None else hi for _, hi in bounds])
-        self._check(self.highs.addVars(self.c.size, lower, upper), "addVars")
-        self._check(self.highs.changeColsCost(self.c.size, np.arange(self.c.size, dtype=np.int32),
-                                              self.c), "changeColsCost")
-        self._add_rows(a_ub, b_ub)
+        lower = np.zeros(size)  # the column bounds: h free, every other column >= 0
+        if self.is_k:
+            lower[self.cols["h"]] = -kHighsInf
+        self._check(self.highs.addVars(size, lower, np.full(size, kHighsInf)), "addVars")
+        self._check(self.highs.changeColsCost(size, np.arange(size, dtype=np.int32), self.c),
+                    "changeColsCost")
+        self._add_rows(*self._point_rows())
         self.ii, self.jj = np.triu_indices(n, k=1)
         self.active = np.zeros(self.ii.size, dtype=bool)
         seeded = np.zeros((n, n), dtype=bool)
         seeded[_seed_pairs(space, f)] = True
         self._add_pairs((seeded | seeded.T)[self.ii, self.jj])
+
+    def _costs(self, t: float) -> np.ndarray:
+        """w on g in the gradient LP; 0 on h, t w on g, w on e and t w on a in the K-LPs."""
+        w = self.space.weight
+        if not self.is_k:
+            return w
+        return np.concatenate([np.zeros(self.space.n), t * w, w, t * w][:len(self.cols)])
+
+    def _rows(self, cols: np.ndarray, vals: np.ndarray, b: np.ndarray):
+        """(a_ub, b_ub): row k holds vals[k] in the columns cols[k], which ascend."""
+        m, k = cols.shape
+        return csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, m * k + 1, k)),
+                          shape=(m, self.c.size)), b
+
+    def _point_rows(self):
+        """Per point x, consecutive: -e(x) - h(x) <= -f(x) and -e(x) + h(x) <= f(x), then
+        when inhomogeneous -a(x) + h(x) <= 0 and -a(x) - h(x) <= 0.  None in the gradient LP."""
+        if not self.is_k:
+            return self._rows(np.zeros((0, 2), dtype=int), np.zeros((0, 2)), np.zeros(0))
+        n, f = self.space.n, self.f
+        # row r of point x: h_sign[r] h(x) - (column slack[r] + x) <= rhs[r][x]
+        e, zero = self.cols["e"].start, np.zeros(n)
+        slack, h_sign, rhs = [e, e], [-1.0, 1.0], [-f, f]
+        if self.inhomogeneous:
+            a = self.cols["a"].start
+            slack, h_sign, rhs = slack + [a, a], h_sign + [1.0, -1.0], rhs + [zero, zero]
+        x = np.arange(n)[:, None]
+        k = len(slack)
+        cols = np.stack([x.repeat(k, axis=1), np.array(slack) + x], axis=2).reshape(-1, 2)
+        vals = np.stack([np.tile(h_sign, (n, 1)), np.full((n, k), -1.0)], axis=2).reshape(-1, 2)
+        return self._rows(cols, vals, np.stack(rhs, axis=1).ravel())
+
+    def _pair_rows(self, ii: np.ndarray, jj: np.ndarray):
+        """The rows of the pairs (ii[k], jj[k]), ii < jj, in the order of the pairs.
+
+        Gradient LP: the one row -g(x) - g(y) <= -|f(x) - f(y)| / d(x, y) per
+        pair, and none where f(x) = f(y).  K-LPs: the two rows
+        +-(h(x) - h(y)) / d(x, y) - g(x) - g(y) <= 0 per pair.
+        """
+        g = self.cols["g"].start
+        if not self.is_k:
+            rhs = self.slopes[ii, jj]
+            keep = rhs > 0.0
+            cols = g + np.stack([ii[keep], jj[keep]], axis=1)
+            return self._rows(cols, np.full(cols.shape, -1.0), -rhs[keep])
+        h = self.cols["h"].start
+        inv = 1.0 / self.space.dist[ii, jj]
+        neg = -np.ones(ii.size)
+        cols = np.stack([h + ii, h + jj, g + ii, g + jj], axis=1).repeat(2, axis=0)
+        vals = np.stack([inv, -inv, neg, neg, -inv, inv, neg, neg], axis=1).reshape(-1, 4)
+        return self._rows(cols, vals, np.zeros(2 * ii.size))
 
     def _check(self, status, call: str) -> None:
         """Dump the instance and raise SolverError when a HiGHS call returned kError."""
@@ -356,8 +395,7 @@ class _PairLP:
             path = self._dump(f"HiGHS {call} failed")
             raise SolverError(f"HiGHS {call} failed; instance dumped to {path}")
 
-    def _add_rows(self, a_ub, b_ub) -> None:
-        a, b = csr_matrix(a_ub), np.asarray(b_ub, dtype=float)
+    def _add_rows(self, a: csr_matrix, b: np.ndarray) -> None:
         self.a_blocks.append(a)
         self.b_blocks.append(b)
         if b.size:
@@ -366,20 +404,14 @@ class _PairLP:
                                            a.indices.astype(np.int32), a.data), "addRows")
 
     def _add_pairs(self, new: np.ndarray) -> None:
-        ii, jj = self.ii[new], self.jj[new]
-        if self.is_k:
-            rows, cols, data = _k_pair_triplets(self.space, ii, jj)
-            a_ub = coo_matrix((data, (rows, cols)), shape=(2 * ii.size, self.c.size))
-            self._add_rows(a_ub, np.zeros(2 * ii.size))
-        else:
-            self._add_rows(*_gradient_lp(self.space, self.slopes, ii, jj)[1:3])
+        self._add_rows(*self._pair_rows(self.ii[new], self.jj[new]))
         self.active |= new
 
     def _fields(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The slope matrix of u and the field g of a solution x."""
-        g = np.maximum(x[self.g_cols], 0.0)
+        g = np.maximum(x[self.cols["g"]], 0.0)
         if self.is_k:
-            return _slopes(self.space, x[:self.space.n]), g
+            return _slopes(self.space, x[self.cols["h"]]), g
         return self.slopes, g
 
     def _repaired(self, x: np.ndarray) -> np.ndarray:
@@ -391,41 +423,38 @@ class _PairLP:
         Bellman-Ford rounds), and the cheaper of the two is kept: at large t a
         pair violated by v costs t w v through g but only about w v d through h.
         """
-        n = self.space.n
         x = np.clip(x, self.lo, self.hi)
         if not self.is_k:
             return self._raise_g(x)
-        g = x[self.g_cols]
+        g, h_cols = x[self.cols["g"]], self.cols["h"]
         reach = self.space.dist * (g[:, None] + g[None, :])
         lowered = x.copy()
-        for _ in range(n):
-            h = lowered[:n]
+        for _ in range(self.space.n):
+            h = lowered[h_cols]
             below = (h[None, :] + reach).min(axis=1)
             if not np.any(below < h):
                 break
-            lowered[:n] = np.minimum(h, below)
+            lowered[h_cols] = np.minimum(h, below)
         return min((self._raise_g(x), self._raise_g(lowered)), key=lambda y: float(self.c @ y))
 
     def _raise_g(self, x: np.ndarray) -> np.ndarray:
         """x with e = |f - h| and a = |h| in the K-LPs, and g(x) raised by half
         the largest remaining violation of a pair at x."""
-        n = self.space.n
         x = x.copy()
         if self.is_k:
-            h = x[:n]
-            x[2 * n:3 * n] = np.abs(self.f - h)
+            h = x[self.cols["h"]]
+            x[self.cols["e"]] = np.abs(self.f - h)
             if self.inhomogeneous:
-                x[3 * n:] = np.abs(h)
+                x[self.cols["a"]] = np.abs(h)
         slopes, g = self._fields(x)
         violation = slopes - g[:, None] - g[None, :]
         np.fill_diagonal(violation, 0.0)
-        x[self.g_cols] = g + 0.5 * np.maximum(violation.max(axis=1), 0.0)
+        x[self.cols["g"]] = g + 0.5 * np.maximum(violation.max(axis=1), 0.0)
         return x
 
     def set_t(self, t: float) -> None:
         """Move the K-LP to parameter t: new costs on the columns whose cost changes."""
-        c = _k_functional_lp(self.space, self.f, t, self.inhomogeneous,
-                             (self.ii[:0], self.jj[:0]))[0]
+        c = self._costs(t)
         cols = np.flatnonzero(c != self.c).astype(np.int32)
         self.c = c
         self._check(self.highs.changeColsCost(cols.size, cols, c[cols]), "changeColsCost")
@@ -434,9 +463,18 @@ class _PairLP:
         return self.c, vstack(self.a_blocks, format="csr"), np.concatenate(self.b_blocks)
 
     def _dump(self, note: str) -> str:
+        """Write min c.x s.t. a_ub x <= b_ub to a new temporary file, a_ub as sparse triplets."""
         if self.unit != 1.0:
             note = f"{note}, f scaled by 1/{self.unit!r}"
-        return _dump_lp(*self._lp(), note)
+        c, a_ub, b_ub = self._lp()
+        a = a_ub.tocoo()
+        fd, path = tempfile.mkstemp(prefix="oscembed_lp_", suffix=".txt")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(f"# {note}\nminimize {list(map(float, c))}\nb_ub {list(map(float, b_ub))}\n"
+                     f"# a_ub {a.shape}: row col value\n")
+            for i, j, v in zip(a.row.tolist(), a.col.tolist(), a.data.tolist()):
+                fh.write(f"{i} {j} {v!r}\n")
+        return path
 
     def optimum(self, note: str) -> tuple[float, float, np.ndarray]:
         """The enclosure [L, U] of the optimum over all pairs, and a feasible point of value U.
@@ -488,21 +526,6 @@ class _PairLP:
                           f"instance dumped to {path}")
 
 
-def _gradient_lp(space: Space, slopes: np.ndarray, ii: np.ndarray, jj: np.ndarray):
-    """Gradient LP over the pairs (ii, jj): min w.g s.t. -g_i - g_j <= -slopes[i, j], g >= 0.
-
-    slopes is _slopes(space, f).  Pairs with f_i = f_j, of slope 0, give no row.
-    """
-    rhs = slopes[ii, jj]
-    keep = rhs > 0.0
-    ii, jj, rhs = ii[keep], jj[keep], rhs[keep]
-    m = ii.size
-    rows = np.repeat(np.arange(m), 2)
-    cols = np.stack([ii, jj], axis=1).ravel()
-    a_ub = coo_matrix((-np.ones(2 * m), (rows, cols)), shape=(m, space.n))
-    return space.weight, a_ub, -rhs, [(0.0, None)] * space.n
-
-
 def hajlasz_seminorm_l1(space: Space, f) -> tuple[float, GradientField]:
     """Weighted-L1 infimum over feasible gradient fields, by exact certified LP."""
     f = np.asarray(f, dtype=float)
@@ -510,49 +533,6 @@ def hajlasz_seminorm_l1(space: Space, f) -> tuple[float, GradientField]:
         return 0.0, GradientField.certify(space, f, np.zeros(space.n))
     _, value, g = _PairLP(space, f, "gradient").optimum("gradient-seminorm")
     return value, GradientField.certify(space, f, g)
-
-
-def _k_pair_triplets(space: Space, ii: np.ndarray, jj: np.ndarray):
-    """(rows, cols, data) of the pair rows of _k_functional_lp for the pairs (ii, jj)."""
-    n = space.n
-    inv = 1.0 / space.dist[ii, jj]
-    neg = -np.ones(ii.size)
-    pair_cols = np.stack([ii, jj, n + ii, n + jj], axis=1).repeat(2, axis=0)
-    pair_data = np.stack([inv, -inv, neg, neg, -inv, inv, neg, neg], axis=1)
-    return np.repeat(np.arange(2 * ii.size), 4), pair_cols.ravel(), pair_data.ravel()
-
-
-def _k_functional_lp(space: Space, f: np.ndarray, t: float, inhomogeneous: bool,
-                     pairs: tuple[np.ndarray, np.ndarray] | None = None):
-    """Joint LP of K(f, t) over (h, g, e), plus a when inhomogeneous, as (c, a_ub, b_ub, bounds).
-
-    h is free; g is the gradient field of h; e >= |f - h| and a >= |h| are
-    absolute-value slacks.  Pair k (i < j; all pairs in triu order, or the
-    pairs (ii, jj) given) gives rows 2k and 2k+1:
-    +-(h_i - h_j)/d - g_i - g_j <= 0.  Then each point x gives consecutive rows
-    -e_x -+ h_x <= -+f_x, followed when inhomogeneous by -a_x +- h_x <= 0.
-    """
-    n, w = space.n, space.weight
-    ii, jj = np.triu_indices(n, k=1) if pairs is None else pairs
-    pair_rows, pair_cols, pair_data = _k_pair_triplets(space, ii, jj)
-    # per point x: row r is -(slack block slack[r])_x + h_sign[r] * h_x <= rhs[r]_x
-    slack, h_sign, rhs = [2, 2], [-1.0, 1.0], [-f, f]
-    c = [np.zeros(n), t * w, w]
-    if inhomogeneous:
-        slack, h_sign, rhs = slack + [3, 3], h_sign + [1.0, -1.0], rhs + [np.zeros(n)] * 2
-        c.append(t * w)
-    x = np.arange(n)[:, None]
-    k = len(slack)
-    point_cols = np.stack([n * np.array(slack) + x, x.repeat(k, axis=1)], axis=2)
-    point_data = np.stack([np.full((n, k), -1.0), np.tile(h_sign, (n, 1))], axis=2)
-    n_pair_rows = 2 * ii.size
-    rows = np.concatenate([pair_rows, np.repeat(n_pair_rows + np.arange(n * k), 2)])
-    cols = np.concatenate([pair_cols, point_cols.ravel()])
-    data = np.concatenate([pair_data, point_data.ravel()])
-    a_ub = coo_matrix((data, (rows, cols)), shape=(n_pair_rows + n * k, len(c) * n))
-    b_ub = np.concatenate([np.zeros(n_pair_rows), np.stack(rhs, axis=1).ravel()])
-    bounds = [(None, None)] * n + [(0.0, None)] * ((len(c) - 1) * n)
-    return np.concatenate(c), a_ub, b_ub, bounds
 
 
 def k_functional_path(space: Space, f, ts, inhomogeneous: bool = False) -> list[float]:

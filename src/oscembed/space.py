@@ -35,7 +35,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
 from scipy.spatial.distance import squareform, pdist
 
-from .errors import SpaceValidationError, require_keys
+from .errors import SpaceValidationError, read_key, require_keys
 
 _TRIANGLE_TOL = 1e-12
 MAX_POINTS = 2000  # dense n x n distance storage
@@ -135,9 +135,12 @@ class Space:
         return self.balls.masses([r])[0]
 
     def scale_weights(self, factor: float) -> "Space":
-        if not factor > 0.0:
-            raise SpaceValidationError("weight scale factor must be positive")
-        return Space(self.dist, self.weight * factor)
+        with np.errstate(over="ignore"):
+            weight = self.weight * factor
+        if not np.all((weight > 0.0) & (weight < np.inf)):
+            raise SpaceValidationError(f"weight scale factor {factor!r} must leave every weight "
+                                       "positive and finite")
+        return Space(self.dist, weight)
 
 
 @dataclass(frozen=True)
@@ -214,10 +217,13 @@ def space_from_graph(n_points: int, edges, weights) -> Space:
     """Shortest-path metric of an undirected graph; edges are (i, j[, length])."""
     rows, cols, vals = [], [], []
     for e in edges:
-        i, j = int(e[0]), int(e[1])
+        try:
+            i, j = int(e[0]), int(e[1])
+            length = float(e[2]) if len(e) > 2 else 1.0
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise SpaceValidationError(f"edge {e!r} is not [i, j] or [i, j, length]") from exc
         if not (0 <= i < n_points and 0 <= j < n_points):
             raise SpaceValidationError(f"edge ({i}, {j}) names a point outside 0..{n_points - 1}")
-        length = float(e[2]) if len(e) > 2 else 1.0
         if length <= 0.0:
             raise SpaceValidationError(f"edge ({i}, {j}) has non-positive length")
         rows.append(i)
@@ -253,16 +259,26 @@ def load_space(spec) -> Space:
     if isinstance(spec, (str,)):
         spec = read_json(spec, "space file", SpaceValidationError)
     require_keys(spec, ("weights",), "space", SpaceValidationError)
+
+    def array(key, ndim):
+        arr = read_key(spec, key, lambda v: np.asarray(v, dtype=float), "space",
+                       SpaceValidationError)
+        if arr.ndim != ndim:
+            raise SpaceValidationError(f"space key {key!r} must be an array of {ndim} "
+                                       f"dimension(s), not {arr.ndim}")
+        return arr
+
+    weights = array("weights", 1)
     if "dist" in spec:
-        return space_from_matrix(spec["dist"], spec["weights"])
+        return space_from_matrix(array("dist", 2), weights)
     metric = spec.get("metric", "euclidean")
     if metric == "euclidean":
         require_keys(spec, ("coords",), "euclidean space", SpaceValidationError)
-        return space_from_points(spec["coords"], spec["weights"])
+        return space_from_points(array("coords", 2), weights)
     if metric == "graph":
         require_keys(spec, ("edges",), "graph space", SpaceValidationError)
-        n = len(spec["weights"])
-        return space_from_graph(n, spec["edges"], spec["weights"])
+        edges = read_key(spec, "edges", list, "graph space", SpaceValidationError)
+        return space_from_graph(weights.size, edges, weights)
     raise SpaceValidationError(f"unknown metric {metric!r}")
 
 

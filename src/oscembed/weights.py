@@ -63,7 +63,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import exprel, gamma, gammainc, gammaincc
 
-from .errors import DomainError, EvaluationError, require_keys
+from .errors import DomainError, EvaluationError, read_key, require_keys
 
 # relative tolerance only: an absolute one would cut short tiny improper integrals
 _QUAD_OPTS = {"limit": 200, "epsabs": 0.0, "epsrel": 1e-11}
@@ -326,8 +326,9 @@ class PowerLog:
     @staticmethod
     def from_json(obj: dict) -> "PowerLog":
         require_keys(obj, ("a",), "power-log weight", DomainError)
-        return PowerLog(float(obj["a"]), float(obj.get("b", 0.0)),
-                        float(obj.get("g", 0.0)), float(obj.get("const", 1.0)))
+        keys = (("a", None), ("b", 0.0), ("g", 0.0), ("const", 1.0))
+        return PowerLog(*(read_key(obj, key, float, "power-log weight", DomainError, default)
+                          for key, default in keys))
 
 
 def _live_panels(lo, hi, coef):
@@ -444,7 +445,9 @@ class OrliczFunction:
     @staticmethod
     def from_json(obj: dict) -> "OrliczFunction":
         require_keys(obj, ("kind", "p"), "Orlicz function", DomainError)
-        return OrliczFunction(obj["kind"], float(obj["p"]), float(obj.get("b", 0.0)))
+        what = "Orlicz function"
+        return OrliczFunction(obj["kind"], read_key(obj, "p", float, what, DomainError),
+                              read_key(obj, "b", float, what, DomainError, 0.0))
 
 
 def bounded_max_search(fn, lo: float, hi: float) -> float:

@@ -207,28 +207,38 @@ def rowwise_k_functional_lp(space, f, t, inhomogeneous):
 TIGHT_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
+def rowwise_gradient_lp(space, f):
+    """Gradient LP instance (c, a_ub, b_ub, bounds), built one row at a time.
+
+    Variables g >= 0.  Per pair i < j with f_i != f_j one row
+    -g_i - g_j <= -|f_i - f_j| / d; a pair with f_i = f_j gives no row.
+    """
+    f = np.asarray(f, dtype=float)
+    n = space.n
+    rows, cols, data, rhs = [], [], [], []
+    for i, j in zip(*np.triu_indices(n, k=1)):
+        slope = abs(float(f[i]) - float(f[j])) / float(space.dist[i, j])
+        if slope > 0.0:
+            rows += [len(rhs)] * 2
+            cols += [int(i), int(j)]
+            data += [-1.0, -1.0]
+            rhs.append(-slope)
+    a_ub = coo_matrix((data, (rows, cols)), shape=(len(rhs), n))
+    return space.weight, a_ub, np.asarray(rhs, dtype=float), [(0.0, None)] * n
+
+
 def full_pair_gradient_seminorm(space, f):
     """Gradient-seminorm optimum from one HiGHS solve with a row for every pair.
 
-    Rows -g(x) - g(y) <= -|f(x) - f(y)| / d(x, y) for all pairs x < y with
-    f(x) != f(y), built at once; no rows means the optimum g = 0.  The solve
-    runs on f / lp_unit(f) and its optimum is scaled back, which is exact.
+    The rows of rowwise_gradient_lp, all at once; no rows means the optimum
+    g = 0.  The solve runs on f / lp_unit(f) and its optimum is scaled back,
+    which is exact.
     """
-    f = np.asarray(f, dtype=float)
     unit = lp_unit(f)
-    f = f / unit
-    n = space.n
-    ii, jj = np.triu_indices(n, k=1)
-    rhs = np.abs(f[ii] - f[jj]) / space.dist[ii, jj]
-    keep = rhs > 0.0
-    ii, jj, rhs = ii[keep], jj[keep], rhs[keep]
-    if not rhs.size:
+    c, a_ub, b_ub, bounds = rowwise_gradient_lp(space, np.asarray(f, dtype=float) / unit)
+    if not b_ub.size:
         return 0.0
-    m = ii.size
-    a_ub = coo_matrix((-np.ones(2 * m), (np.repeat(np.arange(m), 2),
-                                         np.stack([ii, jj], axis=1).ravel())), shape=(m, n))
-    res = linprog(space.weight, A_ub=a_ub, b_ub=-rhs, bounds=[(0.0, None)] * n, method="highs",
-                  options=TIGHT_HIGHS)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=TIGHT_HIGHS)
     assert res.status == 0, res.message
     return float(res.fun) * unit
 

@@ -99,6 +99,22 @@ def test_cli_uncertified_lp_exits_4_with_dump(space_file, tmp_path, capsys, monk
     (["space-info"], {"space": [[0, 1], [1, 0]]}),
     (["space-info"], {"space": {"metric": "graph", "edges": [[0, 5]], "weights": [1, 1]}}),
     (["norms", "--corpus", '{"generator": "random-uniform", "count": "x"}'], {}),
+    (["norms", "--spec", '{"family": "lp", "p": "x"}'], {}),
+    (["norms", "--spec", '{"family": "lp", "p": [1]}'], {}),
+    (["norms", "--spec", '{"family": "lp", "p": 1, "convexify": "x"}'], {}),
+    (["norms", "--spec", '{"family": "lambda_w", "q": 1, "w": {"a": "x"}}'], {}),
+    (["norms", "--spec", '{"family": "orlicz", "Phi": {"kind": "power", "p": [2]}}'], {}),
+    (["space-info"], {"space": {"dist": [[0, 1], [1]], "weights": [1, 1]}}),
+    (["space-info"], {"space": {"dist": [[0, 1], [1, 0]], "weights": 5}}),
+    (["space-info"], {"space": {"metric": "graph", "edges": [[0, "x"]], "weights": [1, 1]}}),
+    (["norms"], {"corpus": [[0.0, [1.0]] + [1.0] * 6]}),
+    (["norms", "--corpus", '{"generator": "random-uniform", "count": 0}'], {}),
+    (["verify", "--theorem", "teomo1", "--corpus", '{"generator": "indicators", "count": -2}'],
+     {}),
+    (["kfun", "--t-count", "0"], {}),
+    (["kfun", "--t-count", "-3"], {}),
+    (["collapse-sweep", "--eps", "1,x"], {}),
+    (["collapse-sweep", "--eps", "1,inf"], {}),
 ])
 def test_cli_config_errors_exit_2_without_traceback(space_file, tmp_path, capsys,
                                                     command, files):

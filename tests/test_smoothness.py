@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize._highspy._core import HighsStatus
+from scipy.sparse import vstack
 
 from oscembed import (DomainError, GradientField, ModulusProfile, besov_seminorm,
                       convexify, grid_space, hajlasz_seminorm_l1, k_bounds, k_functional_l1,
@@ -23,7 +24,8 @@ from oscembed.space import diagnostics
 
 from _oracles import (canonical_gradient, critical_radii, full_pair_gradient_seminorm,
                       full_pair_k_functional, hajlasz_seminorm_upper, hajlasz_vertex_oracle,
-                      modulus, nabla, rowwise_k_functional_lp, t_r_operator)
+                      modulus, nabla, rowwise_gradient_lp, rowwise_k_functional_lp,
+                      t_r_operator)
 
 TWO = space_from_matrix([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
 
@@ -426,18 +428,42 @@ def k_instances(draw):
     return sp, np.array(f), draw(st.floats(0.01, 100.0))
 
 
+def _rowwise_lp(sp, f, t, family):
+    if family == "gradient":
+        return rowwise_gradient_lp(sp, f)
+    return rowwise_k_functional_lp(sp, f, t, family == "k-inhomogeneous")
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=150, deadline=None)
-@given(k_instances(), st.booleans())
-def test_k_lp_builder_matches_rowwise_oracle(instance, inhomogeneous):
+@given(k_instances(), st.sampled_from(["gradient", "k", "k-inhomogeneous"]),
+       st.floats(0.01, 100.0))
+def test_k_lp_builder_matches_rowwise_oracle(instance, family, t2):
+    """The model's own emitters give the row-by-row oracle's LP bit for bit, at t and at t2."""
     sp, f, t = instance
-    c, a_ub, b_ub, bounds = smoothness._k_functional_lp(sp, f, t, inhomogeneous)
-    c_o, a_o, b_o, bounds_o = rowwise_k_functional_lp(sp, f, t, inhomogeneous)
-    a_ub, a_o = a_ub.tocsr(), a_o.tocsr()
+    model = smoothness._PairLP(sp, f, family, t)
+    ii, jj = np.triu_indices(sp.n, k=1)
+    blocks = [model._pair_rows(ii, jj), model._point_rows()]
+    a_ub = vstack([a for a, _ in blocks], format="csr")
+    b_ub = np.concatenate([b for _, b in blocks])
+    c_o, a_o, b_o, bounds_o = _rowwise_lp(sp, f / model.unit, t, family)
+    a_o = a_o.tocsr()
     assert a_ub.shape == a_o.shape
-    for got, want in ((a_ub.data, a_o.data), (a_ub.indices, a_o.indices),
-                      (a_ub.indptr, a_o.indptr), (b_ub, b_o), (c, c_o)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert bounds == bounds_o
+    assert np.array_equal(a_ub.indptr, a_o.indptr) and np.array_equal(a_ub.indices, a_o.indices)
+    for got, want in ((a_ub.data, a_o.data), (b_ub, b_o), (model.c, c_o)):
+        _assert_bitwise(got, want)
+    model.set_t(t2)
+    _assert_bitwise(model.c, _rowwise_lp(sp, f / model.unit, t2, family)[0])
+    read = model.highs.getLp()
+    _assert_bitwise(np.array(read.col_cost_), model.c)
+    _assert_bitwise(np.array(read.col_lower_),
+                    np.array([-math.inf if lo is None else lo for lo, _ in bounds_o]))
+    _assert_bitwise(np.array(read.col_upper_),
+                    np.array([math.inf if hi is None else hi for _, hi in bounds_o]))
 
 
 def test_uncertified_optimum_is_dumped(monkeypatch):

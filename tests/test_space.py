@@ -1,5 +1,6 @@
 """Space loading, balls, and geometric diagnostics."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -268,6 +269,13 @@ def test_weight_scaling_invariance():
     scaled = sp.scale_weights(0.01)
     assert doubling_constant(scaled) == pytest.approx(doubling_constant(sp))
     assert noncollapsing_constant(scaled) == pytest.approx(0.01 * noncollapsing_constant(sp))
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0, math.inf, math.nan, 1e308, 5e-324])
+def test_weight_scaling_refuses_a_factor_that_leaves_a_weight_not_positive_and_finite(factor):
+    sp = path_space(3, weights=[0.5, 1.0, 2.0])
+    with pytest.raises(SpaceValidationError, match="positive and finite"):
+        sp.scale_weights(factor)
 
 
 def test_iterated_doubling_holds_with_computed_dimension():
