@@ -4,7 +4,8 @@ Every subcommand writes one JSON and one CSV artifact into the output
 directory; floats are serialized with repr (shortest round-trip), so a fixed
 config and seed reproduce byte-identical files.  Exit codes: 0 success,
 2 usage or config error (from argparse, or a space or value outside its
-domain), 3 precondition refusal, 4 solver failure.
+domain), 3 refusal (a precondition fails, or a fundamental function the check
+needs has no closed form), 4 solver failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 
 from . import embed, rispace, smoothness
 from .corpus import build_corpus
-from .errors import DomainError, PreconditionError, SolverError, SpaceValidationError
+from .errors import (DomainError, PreconditionError, SolverError, SpaceValidationError,
+                     SymbolicAnalysisError)
 from .rearrange import rearrangement, sum_plus_linf_norm
 from .space import diagnostics, load_space
 
@@ -30,10 +32,6 @@ EXIT_SOLVER = 4
 
 THEOREMS = ("k1", "teolp", "teointerpol", "teomo1", "infinito", "pesos",
             "embteo", "lorentzlog")
-
-
-def _parse_num(x) -> float:
-    return math.inf if x in ("inf", "Inf", "INF") else float(x)
 
 
 def _write_artifacts(out_dir: Path, name: str, payload: dict, rows: list[dict]) -> None:
@@ -53,8 +51,6 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
     raise TypeError(f"not serializable: {type(obj)}")
 
 
@@ -255,46 +251,51 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, corpus=True):
+    extra_options = {
+        "--s": {"type": float, "default": 0.5},
+        "--q": {"type": float, "default": 1.0},
+        "--grid-ratio": {"type": float, "default": smoothness.DEFAULT_GRID_RATIO},
+        "--t-min": {"type": float, "default": 0.1},
+        "--t-max": {"type": float, "default": 10.0},
+        "--t-count": {"type": int, "default": 10},
+    }
+    smoothness_options = ("--s", "--q", "--grid-ratio")
+    t_grid_options = ("--t-min", "--t-max", "--t-count")
+
+    def common(p, *extra):
+        """The options of a subcommand that runs a corpus on a space, then those named in extra."""
         p.add_argument("--space", required=True, help="space JSON file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--spec", default=None, help="norm-family JSON string")
-        p.add_argument("--alpha", type=_parse_num, default=1.0)
-        p.add_argument("--s", type=float, default=0.5)
-        p.add_argument("--q", type=_parse_num, default=1.0)
-        p.add_argument("--grid-ratio", type=float, default=smoothness.DEFAULT_GRID_RATIO)
-        if corpus:
-            p.add_argument("--corpus", default='{"generator": "tents-at-all-centers"}',
-                           help="generator JSON or path to a JSON list of vectors")
+        p.add_argument("--alpha", type=float, default=1.0)
+        p.add_argument("--corpus", default='{"generator": "tents-at-all-centers"}',
+                       help="generator JSON or path to a JSON list of vectors")
+        for option in extra:
+            p.add_argument(option, **extra_options[option])
 
     p_info = sub.add_parser("space-info", help="doubling/dimension diagnostics")
     p_info.add_argument("--space", required=True)
     p_info.add_argument("--out", default="out")
     p_info.set_defaults(fn=cmd_space_info)
 
-    for cname, fn in (("norms", cmd_norms), ("modulus", cmd_modulus),
-                      ("besov", cmd_besov)):
+    for cname, fn, extra in (("norms", cmd_norms, ()),
+                             ("modulus", cmd_modulus, ("--grid-ratio",)),
+                             ("besov", cmd_besov, smoothness_options)):
         p_c = sub.add_parser(cname)
-        common(p_c)
+        common(p_c, *extra)
         p_c.set_defaults(fn=fn)
 
     p_k = sub.add_parser("kfun", help="two-sided K bounds table")
-    common(p_k)
-    p_k.add_argument("--t-min", type=float, default=0.1)
-    p_k.add_argument("--t-max", type=float, default=10.0)
-    p_k.add_argument("--t-count", type=int, default=10)
+    common(p_k, *t_grid_options)
     p_k.set_defaults(fn=cmd_kfun)
 
     p_v = sub.add_parser("verify", help="run one theorem check")
-    common(p_v)
+    common(p_v, *smoothness_options, *t_grid_options)
     p_v.add_argument("--theorem", required=True, choices=THEOREMS)
     p_v.add_argument("--p", type=float, default=None)
-    p_v.add_argument("--r", type=_parse_num, default=2.0)
+    p_v.add_argument("--r", type=float, default=2.0)
     p_v.add_argument("--beta", type=float, default=0.0)
-    p_v.add_argument("--t-min", type=float, default=0.1)
-    p_v.add_argument("--t-max", type=float, default=10.0)
-    p_v.add_argument("--t-count", type=int, default=10)
     p_v.set_defaults(fn=cmd_verify)
 
     p_r = sub.add_parser("regimes", help="classification table on a random grid")
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_r.set_defaults(fn=cmd_regimes)
 
     p_cs = sub.add_parser("collapse-sweep", help="embedding constant vs weight scale")
-    common(p_cs)
+    common(p_cs, *smoothness_options)
     p_cs.add_argument("--eps", default="1,0.1,0.01,0.001,0.0001")
     p_cs.set_defaults(fn=cmd_collapse_sweep)
     return parser
@@ -318,7 +319,7 @@ def main(argv=None) -> int:
     except (SpaceValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PreconditionError as exc:
+    except (PreconditionError, SymbolicAnalysisError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except SolverError as exc:

@@ -12,10 +12,10 @@ from .errors import DomainError, require_keys
 from .space import Space, read_json
 
 
-def random_uniform(space: Space, count: int, seed: int, low: float = -1.0,
-                   high: float = 1.0) -> list[np.ndarray]:
+def random_uniform(space: Space, count: int, seed: int) -> list[np.ndarray]:
+    """Values drawn uniformly from [-1, 1) at every point."""
     rng = np.random.default_rng(seed)
-    return [rng.uniform(low, high, size=space.n) for _ in range(count)]
+    return [rng.uniform(-1.0, 1.0, size=space.n) for _ in range(count)]
 
 
 def indicators(space: Space, count: int, seed: int) -> list[np.ndarray]:
@@ -41,19 +41,17 @@ def tents_at_all_centers(space: Space) -> list[np.ndarray]:
     return [tent_function(space, x) for x in range(space.n)]
 
 
-def lipschitz_noise(space: Space, count: int, seed: int, scale: float = 1.0
-                    ) -> list[np.ndarray]:
+def lipschitz_noise(space: Space, count: int, seed: int) -> list[np.ndarray]:
     """Random values regularized to Lipschitz functions by the inf-envelope.
 
-    f(x) = min_y (v(y) + d(x, y)) is 1-Lipschitz for any values v; the result
-    is scaled by `scale`.
+    f(x) = min_y (v(y) + d(x, y)) is 1-Lipschitz for any values v, here drawn
+    uniformly from [0, diameter) (from [0, 1) on a single point); f is not rescaled.
     """
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         v = rng.uniform(0.0, space.diameter if space.n > 1 else 1.0, size=space.n)
-        f = (v[None, :] + space.dist).min(axis=1)
-        out.append(scale * f)
+        out.append((v[None, :] + space.dist).min(axis=1))
     return out
 
 

@@ -42,8 +42,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .rearrange import StepDecreasing, rearrangement, sum_plus_linf_norm
 from .rispace import (RISpaceSpec, convexify, fundamental_powerlog, lorentz_zygmund)
-from .smoothness import (DEFAULT_GRID_RATIO, GradientField, besov_seminorm,
-                         hajlasz_seminorm_l1)
+from .smoothness import DEFAULT_GRID_RATIO, besov_seminorm, hajlasz_seminorm_l1
 from .space import Space, diagnostics, noncollapsing_constant
 from .weights import PowerLog
 
@@ -169,13 +168,12 @@ def measure_growth_constant(space: Space, q_dim: float) -> float:
 
 
 def oscillation_gradient_constant(space: Space, f, alpha: float,
-                                  q_dim: float | None = None,
-                                  gradient: GradientField | None = None,
-                                  n_grid: int = 200) -> float:
+                                  q_dim: float | None = None, n_grid: int = 200) -> float:
     """Empirical constant c in gap(|f|^a, t) <= c t^(a/Q) avg(g^a, t) on a t-grid.
 
-    g defaults to the L1-optimal gradient field; a failed or uncertified L1
-    solve raises its SolverError, which names the dump of the instance.
+    g is always the L1-optimal gradient field of hajlasz_seminorm_l1; a failed
+    or uncertified L1 solve raises its SolverError, which names the dump of the
+    instance.
     Returns 0 for constant f (the bound is vacuous).  The sup is
     over a log grid in (0, mass/2); doubling n_grid refines the grid.
     """
@@ -184,8 +182,7 @@ def oscillation_gradient_constant(space: Space, f, alpha: float,
         q_dim = diagnostics(space).q_dim
     if float(np.ptp(f)) == 0.0:
         return 0.0
-    if gradient is None:
-        _, gradient = hajlasz_seminorm_l1(space, f)
+    _, gradient = hajlasz_seminorm_l1(space, f)
     fpow = rearrangement(space, f).power(alpha)
     gpow = rearrangement(space, gradient.g).power(alpha)
     mass = fpow.mass
@@ -201,7 +198,7 @@ def oscillation_gradient_constant(space: Space, f, alpha: float,
 
 def _reciprocal_weight(spec: RISpaceSpec, alpha: float, s: float, q_dim: float) -> PowerLog:
     """t^(s/Q) / phi_{spec^(alpha)}(t): reciprocal of the oscillation weight."""
-    return PowerLog(s / q_dim) * fundamental_powerlog(convexify(spec, alpha)).reciprocal()
+    return _oscillation_weight(spec, alpha, s, q_dim).reciprocal()
 
 
 def reciprocal_weight_finite(spec: RISpaceSpec, alpha: float, s: float, q: float,

@@ -34,8 +34,6 @@ from .errors import (DomainError, EvaluationError, SymbolicAnalysisError, read_k
 from .rearrange import StepDecreasing
 from .weights import OrliczFunction, PowerLog, bounded_max_search
 
-_NORMALIZABLE = {"lp", "lorentz", "lorentz_zygmund", "lambda_w", "marcinkiewicz_tilde"}
-
 
 @dataclass(frozen=True)
 class RISpaceSpec:
@@ -65,26 +63,6 @@ class RISpaceSpec:
             base += f"^({_fmt(self.convexify_power)})"
         return base
 
-    def to_json(self) -> dict:
-        out: dict = {"family": self.family}
-        if self.family in ("lp", "lorentz", "lorentz_zygmund"):
-            out["p"] = _num_out(self.p)
-        if self.family == "lorentz":
-            out["q"] = _num_out(self.q)
-        if self.family == "lorentz_zygmund":
-            out["r"] = _num_out(self.q)
-            out["beta"] = self.beta
-        if self.family == "lambda_w":
-            out["q"] = _num_out(self.q)
-            out["w"] = self.weight.to_json()
-        if self.family in ("marcinkiewicz", "marcinkiewicz_tilde"):
-            out["phi"] = self.weight.to_json()
-        if self.family == "orlicz":
-            out["Phi"] = self.orlicz_fn.to_json()
-        if self.convexify_power != 1.0:
-            out["convexify"] = self.convexify_power
-        return out
-
 
 def _fmt(x) -> str:
     if x is None:
@@ -92,10 +70,6 @@ def _fmt(x) -> str:
     if math.isinf(x):
         return "inf"
     return f"{x:g}"
-
-
-def _num_out(x):
-    return "inf" if (x is not None and math.isinf(x)) else x
 
 
 def _num_in(x) -> float:

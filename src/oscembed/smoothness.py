@@ -251,16 +251,17 @@ def _enclosure(c, a_ub, b_ub, lo, hi, x, duals) -> tuple[float, float]:
     return lower, float(c @ x)
 
 
-def _seed_pairs(space: Space, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _seed_pairs(space: Space, slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Seed pairs (x, y) of row generation, as two index arrays.
 
-    Per point x: its _SEED_PAIRS pairs of largest |f(x) - f(y)| / d(x, y) and
-    its _SEED_PAIRS nearest neighbours, fewer when n - 1 is smaller.
+    Per point x: its _SEED_PAIRS pairs of largest slopes[x, y] = |f(x) - f(y)| / d(x, y)
+    and its _SEED_PAIRS nearest neighbours, fewer when n - 1 is smaller.  slopes
+    is left as it is.
     """
     n = space.n
     k = min(_SEED_PAIRS, n - 1)
     dist = space.dist + np.diag(np.full(n, np.inf))
-    steep = _slopes(space, f)
+    steep = slopes.copy()
     np.fill_diagonal(steep, -np.inf)
     near = np.argpartition(dist, k - 1, axis=1)[:, :k]
     top = np.argpartition(-steep, k - 1, axis=1)[:, :k]
@@ -305,7 +306,8 @@ class _PairLP:
         self.cols = {name: slice(k * n, (k + 1) * n) for k, name in enumerate(blocks)}
         self.c = self._costs(t)
         size = self.c.size
-        self.slopes = None if self.is_k else _slopes(space, f)
+        slopes = _slopes(space, f)
+        self.slopes = None if self.is_k else slopes
         if self.is_k:
             f_lo, f_hi = float(f.min()), float(f.max())
             if self.inhomogeneous:
@@ -335,7 +337,7 @@ class _PairLP:
         self.ii, self.jj = np.triu_indices(n, k=1)
         self.active = np.zeros(self.ii.size, dtype=bool)
         seeded = np.zeros((n, n), dtype=bool)
-        seeded[_seed_pairs(space, f)] = True
+        seeded[_seed_pairs(space, slopes)] = True
         self._add_pairs((seeded | seeded.T)[self.ii, self.jj])
 
     def _costs(self, t: float) -> np.ndarray:

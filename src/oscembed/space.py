@@ -140,6 +140,9 @@ class Space:
         if not np.all((weight > 0.0) & (weight < np.inf)):
             raise SpaceValidationError(f"weight scale factor {factor!r} must leave every weight "
                                        "positive and finite")
+        if not _finite_total(weight):
+            raise SpaceValidationError(f"weight scale factor {factor!r} makes the total mass "
+                                       "overflow")
         return Space(self.dist, weight)
 
 
@@ -159,6 +162,18 @@ class SpaceDiagnostics:
 # -- construction / validation -------------------------------------------------
 
 
+def _finite_total(weight: np.ndarray) -> bool:
+    """Whether the weights, each finite, sum to a finite total mass."""
+    with np.errstate(over="ignore"):  # an overflowing sum is refused, not warned of
+        return bool(np.isfinite(weight.sum()))
+
+
+def _check_point_count(n: int) -> None:
+    """Refuse n > MAX_POINTS, before anything allocates the n x n distance matrix."""
+    if n > MAX_POINTS:
+        raise SpaceValidationError(f"space has {n} points, dense storage capped at {MAX_POINTS}")
+
+
 def _validate(dist: np.ndarray, weight: np.ndarray) -> None:
     """Refuse anything but a finite metric with positive weights.
 
@@ -175,13 +190,14 @@ def _validate(dist: np.ndarray, weight: np.ndarray) -> None:
     n = weight.shape[0]
     if dist.shape != (n, n):
         raise SpaceValidationError(f"distance matrix shape {dist.shape} does not match {n} weights")
-    if n > MAX_POINTS:
-        raise SpaceValidationError(f"space has {n} points, dense storage capped at {MAX_POINTS}")
+    _check_point_count(n)
     if not np.all(np.isfinite(dist)):
         raise SpaceValidationError("distance matrix has non-finite entries (disconnected graph?)")
     if np.any(weight <= 0.0) or not np.all(np.isfinite(weight)):
         bad = int(np.flatnonzero(~(weight > 0.0) | ~np.isfinite(weight))[0])
         raise SpaceValidationError(f"weight at point {bad} is not strictly positive")
+    if not _finite_total(weight):
+        raise SpaceValidationError("the weights' total mass overflows")
     if np.any(np.diag(dist) != 0.0):
         bad = int(np.flatnonzero(np.diag(dist) != 0.0)[0])
         raise SpaceValidationError(f"nonzero self-distance at point {bad}")
@@ -209,12 +225,14 @@ def space_from_matrix(dist, weights) -> Space:
 
 def space_from_points(coords, weights) -> Space:
     coords = np.asarray(coords, dtype=float)
+    _check_point_count(coords.shape[0])
     dist = squareform(pdist(coords)) if coords.shape[0] > 1 else np.zeros((coords.shape[0],) * 2)
     return space_from_matrix(dist, weights)
 
 
 def space_from_graph(n_points: int, edges, weights) -> Space:
     """Shortest-path metric of an undirected graph; edges are (i, j[, length])."""
+    _check_point_count(n_points)
     rows, cols, vals = [], [], []
     for e in edges:
         try:
@@ -298,17 +316,16 @@ def grid_space(rows: int, cols: int, weights=None) -> Space:
     return space_from_points(coords, w)
 
 
-def random_geometric_space(n: int, radius: float, seed: int,
-                           weight_low: float = 0.5, weight_high: float = 1.5) -> Space:
+def random_geometric_space(n: int, radius: float, seed: int) -> Space:
     """Random geometric graph in the unit square with shortest-path metric.
 
     Points are rng-sampled, edges join pairs closer than `radius` with the
     Euclidean length; the radius is grown until the graph connects.  Weights
-    are rng-uniform in [weight_low, weight_high].
+    are rng-uniform in [0.5, 1.5).
     """
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
-    w = rng.uniform(weight_low, weight_high, size=n)
+    w = rng.uniform(0.5, 1.5, size=n)
     euc = squareform(pdist(pts))
     r = radius
     for _ in range(64):

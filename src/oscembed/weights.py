@@ -439,9 +439,6 @@ class OrliczFunction:
             raise EvaluationError("Orlicz inverse bracket expansion failed")
         return brentq(lambda x: self(x) - y, lo, hi, xtol=1e-300, rtol=1e-13)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "p": self.p, "b": self.b}
-
     @staticmethod
     def from_json(obj: dict) -> "OrliczFunction":
         require_keys(obj, ("kind", "p"), "Orlicz function", DomainError)

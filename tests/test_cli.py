@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, determinism, and refusal exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from oscembed import smoothness
-from oscembed.cli import main
+from oscembed.cli import THEOREMS, build_parser, main
 
 
 @pytest.fixture()
@@ -115,6 +116,7 @@ def test_cli_uncertified_lp_exits_4_with_dump(space_file, tmp_path, capsys, monk
     (["kfun", "--t-count", "-3"], {}),
     (["collapse-sweep", "--eps", "1,x"], {}),
     (["collapse-sweep", "--eps", "1,inf"], {}),
+    (["space-info"], {"space": {"metric": "graph", "edges": [[0, 1]], "weights": [1e308, 1e308]}}),
 ])
 def test_cli_config_errors_exit_2_without_traceback(space_file, tmp_path, capsys,
                                                     command, files):
@@ -139,6 +141,19 @@ def test_verify_infinito_refusal_exit_code(space_file, tmp_path, capsys):
     assert rc == 3
     captured = capsys.readouterr()
     assert "m(0)" in captured.err
+
+
+@pytest.mark.parametrize("command", [["verify", "--theorem", "k1"], ["collapse-sweep"]])
+@pytest.mark.parametrize("spec", [
+    {"family": "orlicz", "Phi": {"kind": "power_log", "p": 2, "b": 1}},
+    {"family": "lambda_w", "q": 2, "w": {"a": -1.5}},
+])
+def test_cli_norm_without_closed_form_exits_3(space_file, tmp_path, capsys, command, spec):
+    rc = main(command + ["--space", space_file, "--spec", json.dumps(spec),
+                         "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1
 
 
 def test_cli_determinism_byte_identical(space_file, tmp_path):
@@ -256,3 +271,55 @@ def test_cli_kfun_refuses_a_t_grid_that_is_not_positive_and_finite(space_file, t
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# The arguments, beyond --out, --space and --corpus, with which each subcommand,
+# and each theorem of verify, runs to exit 0 on a 2-point space.
+_RUNS = {
+    "space-info": [],
+    "norms": [],
+    "modulus": [],
+    "besov": [],
+    "kfun": ["--t-count", "2"],
+    "regimes": ["--count", "5"],
+    "collapse-sweep": ["--eps", "1,0.5"],
+}
+_THEOREM_RUNS = {
+    "infinito": ["--spec", '{"family": "lp", "p": "inf"}'],
+    "lorentzlog": ["--p", "2"],
+    "teointerpol": ["--t-count", "2"],
+}
+
+
+def _options_read(argv: list[str]) -> tuple[set[str], set[str]]:
+    """The options a run of argv accepts, and those of them its subcommand reads."""
+    args = build_parser().parse_args(argv)
+    accepted = set(vars(args)) - {"command", "fn"}
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    assert args.fn(Recording(**vars(args))) == 0
+    return accepted, reads & accepted
+
+
+@pytest.mark.parametrize("command", sorted(_RUNS) + ["verify"])
+def test_cli_subcommands_read_every_option_they_accept(two_point_file, tmp_path, command):
+    inputs = ["--out", str(tmp_path / "out")]
+    if command != "regimes":
+        inputs += ["--space", two_point_file]
+    if command not in ("space-info", "regimes"):
+        inputs += ["--corpus", '{"generator": "random-uniform", "count": 2}']
+    if command == "verify":
+        accepted, read = set(), set()
+        for theorem in THEOREMS:
+            acc, rd = _options_read(["verify", "--theorem", theorem, *inputs,
+                                     *_THEOREM_RUNS.get(theorem, [])])
+            accepted |= acc
+            read |= rd
+    else:
+        accepted, read = _options_read([command, *inputs, *_RUNS[command]])
+    assert read == accepted

@@ -1,5 +1,6 @@
 """Quasi-norm families, fundamental functions, and convexity diagnostics."""
 
+import json
 import math
 
 import numpy as np
@@ -320,12 +321,24 @@ def test_weak_l1_not_one_convex():
 
 
 def test_spec_json_roundtrip():
-    specs = [lp(2.0), lorentz(1.5, math.inf), lorentz_zygmund(1.5, 2.0, 0.5),
-             lambda_w(2.0, PowerLog(0.5, 1.0)), marcinkiewicz(PowerLog(0.5)),
-             convexify(marcinkiewicz(PowerLog(0.5)), 2.0),
-             orlicz(OrliczFunction("power_log", 1.5, 1.0))]
-    for spec in specs:
-        back = spec_from_json(spec.to_json())
-        assert back.label() == spec.label()
-        fs = fstar_of([2.0, 1.0, 0.5])
-        assert quasi_norm(back, fs) == pytest.approx(quasi_norm(spec, fs), rel=1e-12)
+    # literal JSON of every family parses to the spec its constructor builds
+    cases = [
+        ('{"family": "lp", "p": 2}', lp(2.0)),
+        ('{"family": "lorentz", "p": 1.5, "q": "inf"}', lorentz(1.5, math.inf)),
+        ('{"family": "lorentz_zygmund", "p": 1.5, "r": 2, "beta": 0.5}',
+         lorentz_zygmund(1.5, 2.0, 0.5)),
+        ('{"family": "lambda_w", "q": 2, "w": {"a": 0.5, "b": 1}}',
+         lambda_w(2.0, PowerLog(0.5, 1.0))),
+        ('{"family": "marcinkiewicz", "phi": {"a": 0.5}}', marcinkiewicz(PowerLog(0.5))),
+        ('{"family": "marcinkiewicz", "phi": {"a": 0.5}, "convexify": 2}',
+         convexify(marcinkiewicz(PowerLog(0.5)), 2.0)),
+        ('{"family": "marcinkiewicz_tilde", "phi": {"a": 0.5}}',
+         marcinkiewicz_tilde(PowerLog(0.5))),
+        ('{"family": "orlicz", "Phi": {"kind": "power_log", "p": 1.5, "b": 1}}',
+         orlicz(OrliczFunction("power_log", 1.5, 1.0))),
+    ]
+    fs = fstar_of([2.0, 1.0, 0.5])
+    for text, spec in cases:
+        parsed = spec_from_json(json.loads(text))
+        assert parsed.label() == spec.label()
+        assert quasi_norm(parsed, fs) == quasi_norm(spec, fs)

@@ -278,6 +278,28 @@ def test_weight_scaling_refuses_a_factor_that_leaves_a_weight_not_positive_and_f
         sp.scale_weights(factor)
 
 
+def test_weight_scaling_refuses_a_factor_whose_total_mass_overflows():
+    sp = path_space(2)
+    assert np.isfinite(1e308 * sp.weight).all()
+    with pytest.raises(SpaceValidationError, match="total mass"):
+        sp.scale_weights(1e308)
+
+
+def test_point_count_is_refused_before_the_distance_matrix_is_built(monkeypatch):
+    import oscembed.space as space_mod
+
+    def built(*args, **kwargs):
+        raise AssertionError("the n x n distance matrix was built")
+
+    monkeypatch.setattr(space_mod, "pdist", built)
+    monkeypatch.setattr(space_mod, "shortest_path", built)
+    n = space_mod.MAX_POINTS + 1
+    with pytest.raises(SpaceValidationError, match="capped"):
+        space_from_points(np.zeros((n, 2)), np.ones(n))
+    with pytest.raises(SpaceValidationError, match="capped"):
+        space_from_graph(n, [(0, 1)], np.ones(n))
+
+
 def test_iterated_doubling_holds_with_computed_dimension():
     for sp in (path_space(5), grid_space(3, 3), two_point()):
         diag = diagnostics(sp)
