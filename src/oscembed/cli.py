@@ -147,8 +147,7 @@ def cmd_kfun(args) -> int:
 
 def cmd_verify(args) -> int:
     space, spec, corpus, labels = _load_inputs(args)
-    diag = diagnostics(space)
-    q_dim = diag.q_dim
+    q_dim = diagnostics(space).q_dim
     name = f"verify-{args.theorem}"
     theorem = args.theorem
     if theorem == "embteo":
@@ -157,9 +156,7 @@ def cmd_verify(args) -> int:
     if theorem in ("k1", "teolp"):
         alpha, use_spec = args.alpha, spec
         if theorem == "teolp":
-            p = args.p if args.p is not None else 2.0
-            use_spec = rispace.lp(max(p, 1.0)) if p >= 1.0 else rispace.lp(1.0)
-            alpha = 1.0 if p >= 1.0 else p
+            use_spec, alpha = rispace.lp(max(args.p, 1.0)), min(args.p, 1.0)
         report = embed.embedding_report(space, corpus, use_spec, alpha, args.s, args.q,
                                         q_dim, labels, args.grid_ratio, args.theorem)
     elif theorem == "teointerpol":
@@ -213,6 +210,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_regimes(args) -> int:
+    if args.count < 1:
+        raise DomainError(f"--count must be at least 1, not {args.count}")
     rng = np.random.default_rng(args.seed)
     rows = []
     for _ in range(args.count):
@@ -221,10 +220,9 @@ def cmd_regimes(args) -> int:
         beta = float(rng.uniform(-2.0, 2.0))
         s = float(rng.uniform(0.05, 0.95))
         q = float(rng.uniform(0.2, 3.0)) if rng.random() > 0.2 else math.inf
-        q_dim = args.q_dim
-        reg = embed.regime_classify(p, r, beta, s, q, q_dim)
+        reg = embed.regime_classify(p, r, beta, s, q, args.q_dim)
         rows.append({"p": repr(p), "r": repr(r), "beta": repr(beta), "s": repr(s),
-                     "q": repr(q), "Q": repr(q_dim), "case": reg.case_id,
+                     "q": repr(q), "Q": repr(args.q_dim), "case": reg.case_id,
                      "subcase": reg.subcase, "alpha": repr(reg.alpha_used)})
     _write_artifacts(Path(args.out), "regimes", {"rows": rows}, rows)
     return 0
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("verify", help="run one theorem check")
     common(p_v, *smoothness_options, *t_grid_options)
     p_v.add_argument("--theorem", required=True, choices=THEOREMS)
-    p_v.add_argument("--p", type=float, default=None)
+    p_v.add_argument("--p", type=float, default=2.0)
     p_v.add_argument("--r", type=float, default=2.0)
     p_v.add_argument("--beta", type=float, default=0.0)
     p_v.set_defaults(fn=cmd_verify)

@@ -55,6 +55,8 @@ _POOL_WORKERS = 1
 
 
 def _oscillation_weight(spec: RISpaceSpec, alpha: float, s: float, q_dim: float) -> PowerLog:
+    if not q_dim > 0.0:  # Q = log2 C_mu is 0 on a one-point space
+        raise DomainError(f"the upper dimension Q must be positive, not {q_dim!r}")
     return fundamental_powerlog(convexify(spec, alpha)) * PowerLog(-s / q_dim)
 
 
@@ -160,11 +162,9 @@ def measure_growth_constant(space: Space, q_dim: float) -> float:
     while r^Q grows: the row's distances <= 1 and r = 1 attain the minimum.
     """
     balls = space.balls
-    best = math.inf
-    for row, pre in zip(balls.sorted_dist, balls.prefix):
-        radii = np.append(row[(row > 0.0) & (row <= 1.0)], 1.0)
-        best = min(best, float((pre[np.searchsorted(row, radii)] / radii**q_dim).min()))
-    return best
+    radii = np.minimum(balls.sorted_dist, 1.0)  # a row's distances past 1 read as r = 1,
+    radii[:, 0] = 1.0  # and so does its 0, at x itself
+    return float((balls.point_masses(radii) / radii**q_dim).min())
 
 
 def oscillation_gradient_constant(space: Space, f, alpha: float,

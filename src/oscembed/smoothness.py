@@ -256,7 +256,8 @@ def _seed_pairs(space: Space, slopes: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Per point x: its _SEED_PAIRS pairs of largest slopes[x, y] = |f(x) - f(y)| / d(x, y)
     and its _SEED_PAIRS nearest neighbours, fewer when n - 1 is smaller.  slopes
-    is left as it is.
+    is left as it is.  The ball index's stable order would seed other tied pairs and
+    move certified optima at rounding (on a 12 x 12 grid), so argpartition stays.
     """
     n = space.n
     k = min(_SEED_PAIRS, n - 1)
@@ -286,7 +287,7 @@ class _PairLP:
     since lowering g to it keeps every pair.  In the K-LPs, h lies in
     [min f, max f], widened to hold 0 when inhomogeneous: clipping h there
     shrinks |h(x) - h(y)|, |f - h| and |h|.  Then e, a <= the width of that
-    interval, and g(x) <= width / (distance from x to its nearest neighbour).
+    interval, and g(x) <= width / space.balls.nearest[x] (x's nearest distance).
     """
 
     def __init__(self, space: Space, f: np.ndarray, family: str, t: float = 1.0):
@@ -313,11 +314,10 @@ class _PairLP:
             if self.inhomogeneous:
                 f_lo, f_hi = min(0.0, f_lo), max(0.0, f_hi)
             width = f_hi - f_lo
-            nearest = (space.dist + np.diag(np.full(n, np.inf))).min(axis=1)
             self.lo = np.concatenate([np.full(n, f_lo), np.zeros(size - n)])
             self.hi = np.full(size, width)
             self.hi[self.cols["h"]] = f_hi
-            self.hi[self.cols["g"]] = width / nearest
+            self.hi[self.cols["g"]] = width / space.balls.nearest
         else:
             self.lo, self.hi = np.zeros(n), self.slopes.max(axis=1)
         # an empty first block, so that a failed setup call can dump the instance

@@ -5,17 +5,19 @@ and a strictly positive weight (atomic measure) per point.  Balls use the
 strict inequality B(x, r) = {y : d(x, y) < r}; ties at distance exactly r are
 excluded.
 
-Every ball quantity of the package comes from one index per space (BallIndex,
-built once and cached on the immutable Space): each row of the distance matrix
-sorted once, with the weight prefix sums in that order.  B(x, r) is then the
-first #{y : d(x, y) < r} points of row x, a count that one binary search per
-row gives for a whole list of radii.  Ball masses are prefix sums read at those
-counts, and ball means of values[x, y] are one cumulative sum of
-weight * values along the sorted rows, read at the same counts; neither
-depends on which other radii share the call.  mu(B(x, r)) is a step function
-of r that jumps only at distances from x, so suprema and infima over all radii
-reduce to scans of each row's own sorted distances; the doubling constant
-computed here is the exact supremum, not an estimate.
+Every question of distance order is answered by one index per space (BallIndex,
+cached on the immutable Space): each row of the distance matrix sorted once,
+with the weight prefix sums in that order.  B(x, r) is the first
+#{y : d(x, y) < r} points of row x, a count that one binary search per row
+gives for a list of radii, shared or per point.  Ball masses are prefix sums
+read at those counts, and ball means of values[x, y] one cumulative sum of
+weight * values along the sorted rows read at the same counts; neither depends
+on which other radii share the call.  mu(B(x, r)) jumps only at distances from
+x, so suprema and infima over all radii are reads at each row's own sorted
+distances: the doubling constant here is the exact supremum, not an estimate.
+Readers: doubling_constant, noncollapsing_constant and Space.r_min here,
+embed.measure_growth_constant, and in smoothness every modulus's ball averages
+and the K-LP's bound on g.
 
 Continuity caveats that tests rely on:
   * the measure is atomic and the total mass is finite, so diagnostics are
@@ -46,7 +48,8 @@ class BallIndex:
 
     order[x] is the stable argsort of d(x, .), sorted_dist[x] the row in that
     order and prefix[x, k] the weight of its first k points, so that
-    mu(B(x, r)) = prefix[x, #{y : d(x, y) < r}].
+    mu(B(x, r)) = prefix[x, #{y : d(x, y) < r}].  order[x, 0] = x, so x's nearest
+    neighbour is at nearest[x] = sorted_dist[x, 1], or inf when x is alone.
     """
 
     def __init__(self, dist: np.ndarray, weight: np.ndarray):
@@ -55,17 +58,23 @@ class BallIndex:
         self.sorted_dist = np.take_along_axis(dist, self.order, axis=1)
         self.prefix = np.zeros((weight.size, weight.size + 1))
         np.cumsum(weight[self.order], axis=1, out=self.prefix[:, 1:])
-        for arr in (self.order, self.sorted_dist, self.prefix):
+        self.nearest = self.sorted_dist[:, 1] if weight.size > 1 else np.full(weight.size, np.inf)
+        for arr in (self.order, self.sorted_dist, self.prefix, self.nearest):
             arr.setflags(write=False)
 
     def counts(self, radii) -> np.ndarray:
-        """(n x R) integers #{y : d(x, y) < r}, for every point x and every r of radii."""
+        """(n x R) integers #{y : d(x, y) < r}, r over radii or, if (n x R), over radii[x]."""
         radii = np.asarray(radii, dtype=float)
-        return np.array([np.searchsorted(row, radii) for row in self.sorted_dist])
+        radii = np.broadcast_to(radii, (self.weight.size, radii.shape[-1]))
+        return np.array([np.searchsorted(row, r) for row, r in zip(self.sorted_dist, radii)])
+
+    def point_masses(self, radii) -> np.ndarray:
+        """(n x R) masses mu(B(x, r)), r over radii[x]: each point's own (n x R) radii."""
+        return np.take_along_axis(self.prefix, self.counts(radii), axis=1)
 
     def masses(self, radii) -> np.ndarray:
         """(R x n) masses mu(B(x, r)), one row per r of radii."""
-        return np.take_along_axis(self.prefix, self.counts(radii), axis=1).T
+        return self.point_masses(radii).T
 
     def means(self, values: np.ndarray, radii) -> np.ndarray:
         """(R x n) mu-weighted means of values[x, y] over y in B(x, r), one row per r of radii.
@@ -74,9 +83,10 @@ class BallIndex:
         ball's sum, so each radius gets the bits it gets alone.
         """
         counts = self.counts(radii)
+        terms = self.weight[self.order]
+        terms *= np.take_along_axis(values, self.order, axis=1)  # in place: one n x n array fewer
         sums = np.zeros_like(self.prefix)
-        np.cumsum(np.take_along_axis(values, self.order, axis=1) * self.weight[self.order],
-                  axis=1, out=sums[:, 1:])
+        np.cumsum(terms, axis=1, out=sums[:, 1:])
         return np.ascontiguousarray((np.take_along_axis(sums, counts, axis=1)
                                      / np.take_along_axis(self.prefix, counts, axis=1)).T)
 
@@ -113,10 +123,7 @@ class Space:
     @cached_property
     def r_min(self) -> float:
         """Smallest positive pairwise distance (inf for a single point)."""
-        if self.n < 2:
-            return float("inf")
-        off = self.dist[~np.eye(self.n, dtype=bool)]
-        return float(off.min())
+        return float(self.balls.nearest.min())
 
     def ball(self, x: int, r: float) -> np.ndarray:
         """Indices of B(x, r) = {y : d(x, y) < r} (always contains x for r > 0)."""
@@ -205,10 +212,9 @@ def _validate(dist: np.ndarray, weight: np.ndarray) -> None:
     if asym.max() > _TRIANGLE_TOL:
         i, j = np.unravel_index(int(asym.argmax()), asym.shape)
         raise SpaceValidationError(f"distance matrix is asymmetric at ({i}, {j})")
-    off = dist[~np.eye(n, dtype=bool)]
-    if n > 1 and np.any(off <= 0.0):
-        idx = np.argwhere((dist <= 0.0) & ~np.eye(n, dtype=bool))[0]
-        raise SpaceValidationError(f"zero/negative distance between distinct points ({idx[0]}, {idx[1]})")
+    bad = np.argwhere((dist <= 0.0) & ~np.eye(n, dtype=bool))
+    if bad.size:
+        raise SpaceValidationError(f"zero/negative distance between distinct points ({bad[0, 0]}, {bad[0, 1]})")
     excess = (dist - shortest_path(dist, method="FW")) / np.maximum(dist, 1.0)
     if excess.max() > _TRIANGLE_TOL:
         i, k = np.unravel_index(int(excess.argmax()), excess.shape)
@@ -329,8 +335,7 @@ def random_geometric_space(n: int, radius: float, seed: int) -> Space:
     euc = squareform(pdist(pts))
     r = radius
     for _ in range(64):
-        mask = (euc < r) & ~np.eye(n, dtype=bool)
-        ii, jj = np.nonzero(np.triu(mask))
+        ii, jj = np.nonzero(np.triu(euc < r, k=1))
         edges = [(int(i), int(j), float(euc[i, j])) for i, j in zip(ii, jj)]
         try:
             return space_from_graph(n, edges, w)
@@ -349,11 +354,8 @@ def doubling_constant(space: Space) -> float:
     and the sup is W(d < 2 e_{k+1}) / W(d <= e_k), taken at r = e_{k+1}.
     """
     balls = space.balls
-    best = 1.0
-    for row, pre in zip(balls.sorted_dist, balls.prefix):  # row[0] = 0 is x itself
-        ratio = pre[np.searchsorted(row, 2.0 * row[1:])] / pre[np.searchsorted(row, row[1:])]
-        best = max(best, float(ratio.max(initial=1.0)))
-    return best
+    edges = balls.sorted_dist[:, 1:]  # sorted_dist[x, 0] = 0 is x itself
+    return float((balls.point_masses(2.0 * edges) / balls.point_masses(edges)).max(initial=1.0))
 
 
 def noncollapsing_constant(space: Space) -> float:

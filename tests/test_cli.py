@@ -117,6 +117,8 @@ def test_cli_uncertified_lp_exits_4_with_dump(space_file, tmp_path, capsys, monk
     (["collapse-sweep", "--eps", "1,x"], {}),
     (["collapse-sweep", "--eps", "1,inf"], {}),
     (["space-info"], {"space": {"metric": "graph", "edges": [[0, 1]], "weights": [1e308, 1e308]}}),
+    (["regimes", "--count", "0"], {}),
+    (["regimes", "--count", "-5"], {}),
 ])
 def test_cli_config_errors_exit_2_without_traceback(space_file, tmp_path, capsys,
                                                     command, files):
@@ -124,7 +126,9 @@ def test_cli_config_errors_exit_2_without_traceback(space_file, tmp_path, capsys
     for name, content in files.items():
         paths[name] = str(tmp_path / f"{name}.json")
         Path(paths[name]).write_text(json.dumps(content))
-    argv = command + ["--space", paths["space"], "--out", str(tmp_path / "out")]
+    argv = command + ["--out", str(tmp_path / "out")]
+    if command[0] != "regimes":
+        argv += ["--space", paths["space"]]
     if "corpus" in paths:
         argv += ["--corpus", paths["corpus"]]
     assert main(argv) == 2
@@ -286,7 +290,6 @@ _RUNS = {
 }
 _THEOREM_RUNS = {
     "infinito": ["--spec", '{"family": "lp", "p": "inf"}'],
-    "lorentzlog": ["--p", "2"],
     "teointerpol": ["--t-count", "2"],
 }
 
@@ -323,3 +326,24 @@ def test_cli_subcommands_read_every_option_they_accept(two_point_file, tmp_path,
     else:
         accepted, read = _options_read([command, *inputs, *_RUNS[command]])
     assert read == accepted
+
+
+_TINY_SPACES = {
+    "one-point": {"dist": [[0.0]], "weights": [1.0]},
+    "path3": {"metric": "graph", "edges": [[0, 1], [1, 2]], "weights": [1.0, 1.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize("space", sorted(_TINY_SPACES))
+@pytest.mark.parametrize("command", sorted(_RUNS) + [f"verify-{t}" for t in THEOREMS])
+def test_cli_every_command_gives_a_result_or_a_refusal_on_tiny_spaces(tmp_path, capsys,
+                                                                       space, command):
+    """Every subcommand and theorem, at its defaults: exit 0, 2 or 3, never a traceback."""
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(_TINY_SPACES[space]))
+    argv = ["verify", "--theorem", command[len("verify-"):]] if command.startswith("verify-") \
+        else [command]
+    if command != "regimes":
+        argv += ["--space", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

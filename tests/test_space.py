@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from oscembed import (SpaceValidationError, diagnostics, doubling_constant,
                       grid_space, load_space, noncollapsing_constant, path_space,
                       space_from_matrix)
-from oscembed import (lp, measure_growth_constant, modulus_profile, random_geometric_space,
-                      space_from_graph, space_from_points, tent_function)
+from oscembed import (hajlasz_seminorm_l1, lp, measure_growth_constant, modulus_profile,
+                      random_geometric_space, space_from_graph, space_from_points,
+                      tent_function)
+from oscembed.smoothness import k_functional_path
 from oscembed.space import BallIndex, Space
 
 from _oracles import (brute_force_growth_constant, critical_radii, dense_grid_doubling,
@@ -202,9 +204,20 @@ def spaces_radii_values(draw):
 @settings(max_examples=150, deadline=None)
 @given(spaces_radii_values())
 @example((path_space(4), [1.0, 2.0, 1.0, 0.5], np.arange(16.0).reshape(4, 4)))
+@example((space_from_matrix([[0.0]], [2.0]), [0.5, 1.0], np.array([[3.0]])))
 def test_ball_index_masses_and_means_equal_per_point_loops(instance):
     sp, radii, values = instance
     masses, means = sp.balls.masses(radii), sp.balls.means(values, radii)
+    # each point's own positive distances, exact ties included, and their doubles
+    own = sp.dist[~np.eye(sp.n, dtype=bool)].reshape(sp.n, sp.n - 1)
+    own = np.concatenate([own, 2.0 * own], axis=1)
+    point_masses = sp.balls.point_masses(own)
+    assert point_masses.shape == own.shape
+    for x in range(sp.n):
+        for r, mass in zip(own[x], point_masses[x]):
+            assert mass == pytest.approx(sp.weight[sp.ball(x, r)].sum(), rel=1e-12, abs=0.0)
+        others = np.delete(sp.dist[x], x)
+        assert sp.balls.nearest[x] == (others.min() if others.size else math.inf)
     assert masses.shape == means.shape == (len(radii), sp.n)
     for k, r in enumerate(radii):
         for x in range(sp.n):
@@ -231,6 +244,8 @@ def test_space_sorts_its_rows_once(monkeypatch):
     diag = diagnostics(sp)
     measure_growth_constant(sp, diag.q_dim)
     modulus_profile(sp, tent_function(sp, 0), lp(2.0), 0.5)
+    hajlasz_seminorm_l1(sp, tent_function(sp, 1))
+    k_functional_path(sp, tent_function(sp, 1), [0.5, 2.0])
     assert builds == [40]
 
 
