@@ -3,9 +3,9 @@
 Every subcommand writes one JSON and one CSV artifact into the output
 directory; floats are serialized with repr (shortest round-trip), so a fixed
 config and seed reproduce byte-identical files.  Exit codes: 0 success,
-2 usage or config error (from argparse, or a space or value outside its
-domain), 3 refusal (a precondition fails, or a fundamental function the check
-needs has no closed form), 4 solver failure.
+2 usage or config error (argparse, a space or value outside its domain, an
+overflow or zero division), 3 refusal (a precondition fails, or a fundamental
+function the check needs has no closed form), 4 solver failure.
 """
 
 from __future__ import annotations
@@ -230,13 +230,12 @@ def cmd_regimes(args) -> int:
 
 def cmd_collapse_sweep(args) -> int:
     space, spec, corpus, _labels = _load_inputs(args)
-    diag = diagnostics(space)
     try:
         eps_list = [float(e) for e in args.eps.split(",")]
     except ValueError as exc:
         raise DomainError(f"--eps must be a comma-separated list of numbers: {exc}") from exc
     rows_raw = embed.collapse_sweep(space, corpus, spec, args.alpha, args.s, args.q,
-                                    eps_list, diag.q_dim, args.grid_ratio)
+                                    eps_list, diagnostics(space).q_dim, args.grid_ratio)
     rows = [{k: repr(v) for k, v in row.items()} for row in rows_raw]
     _write_artifacts(Path(args.out), "collapse-sweep", {"rows": rows_raw}, rows)
     for row in rows_raw:
@@ -316,6 +315,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (SpaceValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as exc:  # an option's value overflows or divides by zero
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (PreconditionError, SymbolicAnalysisError) as exc:
         print(f"refused: {exc}", file=sys.stderr)

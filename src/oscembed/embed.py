@@ -23,8 +23,10 @@ blow-up when the unit-ball mass infimum degenerates.
 Weight machinery for the rearranged-norm targets:
 
   * reciprocal_weight_integral: the finiteness gauge m(t) built from the
-    reciprocal weight t^(s/Q)/phi(t); its value at 0 decides between the
-    sup-norm target (finite) and weighted-rearrangement targets (infinite);
+    reciprocal weight t^(s/Q)/phi(t), on arrays of t; its value at 0 decides
+    between the sup-norm target (finite) and weighted-rearrangement targets
+    (infinite); target_norm_check evaluates it once per report on its sup-form
+    grid, and once per function at the points that function adds;
   * the target weight w of the a < q < infinity case, with w(t)^q/t equal to
     the derivative of (1 + m(t))^(1-q/a): target_norm_check integrates
     against it through that exact primitive, so w itself is never evaluated;
@@ -43,7 +45,7 @@ from .errors import DomainError, PreconditionError
 from .rearrange import StepDecreasing, rearrangement, sum_plus_linf_norm
 from .rispace import (RISpaceSpec, convexify, fundamental_powerlog, lorentz_zygmund)
 from .smoothness import DEFAULT_GRID_RATIO, besov_seminorm, hajlasz_seminorm_l1
-from .space import Space, diagnostics, noncollapsing_constant
+from .space import Space, noncollapsing_constant
 from .weights import PowerLog
 
 # The number of threads a report runs on.  Only the benchmark's environment
@@ -61,17 +63,19 @@ def _oscillation_weight(spec: RISpaceSpec, alpha: float, s: float, q_dim: float)
 
 
 def oscillation_functional(space: Space, f, spec: RISpaceSpec, alpha: float,
-                           s: float, q: float, q_dim: float | None = None) -> float:
+                           s: float, q: float, q_dim: float) -> float:
     """Weighted dt/t norm of the oscillation gap over (0, min(1, mass)).
 
     Exact per-panel evaluation: on each breakpoint-free panel the gap is
     D/t, so the integrand is a power-log function of t.
     """
+    return _oscillation_norm(rearrangement(space, f), spec, alpha, s, q, q_dim)
+
+
+def _oscillation_norm(fstar: StepDecreasing, spec, alpha, s, q, q_dim) -> float:
+    """oscillation_functional of the f with rearrangement fstar."""
     if not (0.0 < s < 1.0 and q > 0.0 and 0.0 < alpha <= 1.0):
         raise DomainError("need 0 < s < 1, q > 0, 0 < alpha <= 1")
-    if q_dim is None:
-        q_dim = diagnostics(space).q_dim
-    fstar = rearrangement(space, f)
     w_pl = _oscillation_weight(spec, alpha, s, q_dim)
     lo, hi, _v, gap = np.array(fstar.power(alpha).panels(min(1.0, fstar.mass))).T
     gap = np.maximum(gap, 0.0)  # a rounded-negative gap is a skipped panel, as a zero one
@@ -133,16 +137,14 @@ def _hb_norm(space: Space, f, fstar: StepDecreasing, spec, alpha, s, q, ratio) -
 
 
 def embedding_report(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: float,
-                     q: float, q_dim: float | None = None, labels=None,
+                     q: float, q_dim: float, labels=None,
                      ratio: float = DEFAULT_GRID_RATIO,
                      theorem_id: str = "k1") -> EmbeddingReport:
     """Oscillation functional vs smoothness seminorm + split norm, per function."""
-    if q_dim is None:
-        q_dim = diagnostics(space).q_dim
-
     def one(f):
-        return (oscillation_functional(space, f, spec, alpha, s, q, q_dim),
-                _hb_norm(space, f, rearrangement(space, f), spec, alpha, s, q, ratio))
+        fstar = rearrangement(space, f)
+        return (_oscillation_norm(fstar, spec, alpha, s, q, q_dim),
+                _hb_norm(space, f, fstar, spec, alpha, s, q, ratio))
 
     params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": _json_num(q), "Q": q_dim}
     return _finish_report(theorem_id, corpus, labels, one, params)
@@ -167,8 +169,8 @@ def measure_growth_constant(space: Space, q_dim: float) -> float:
     return float((balls.point_masses(radii) / radii**q_dim).min())
 
 
-def oscillation_gradient_constant(space: Space, f, alpha: float,
-                                  q_dim: float | None = None, n_grid: int = 200) -> float:
+def oscillation_gradient_constant(space: Space, f, alpha: float, q_dim: float,
+                                  n_grid: int = 200) -> float:
     """Empirical constant c in gap(|f|^a, t) <= c t^(a/Q) avg(g^a, t) on a t-grid.
 
     g is always the L1-optimal gradient field of hajlasz_seminorm_l1; a failed
@@ -178,8 +180,6 @@ def oscillation_gradient_constant(space: Space, f, alpha: float,
     over a log grid in (0, mass/2); doubling n_grid refines the grid.
     """
     f = np.asarray(f, dtype=float)
-    if q_dim is None:
-        q_dim = diagnostics(space).q_dim
     if float(np.ptp(f)) == 0.0:
         return 0.0
     _, gradient = hajlasz_seminorm_l1(space, f)
@@ -201,39 +201,45 @@ def _reciprocal_weight(spec: RISpaceSpec, alpha: float, s: float, q_dim: float) 
     return _oscillation_weight(spec, alpha, s, q_dim).reciprocal()
 
 
-def reciprocal_weight_finite(spec: RISpaceSpec, alpha: float, s: float, q: float,
-                             q_dim: float) -> bool:
-    """Symbolic finiteness decision for the gauge at t = 0."""
+def _gauge(spec, alpha, s, q, q_dim) -> tuple[PowerLog, bool]:
+    """(v, is_sup): m(t) is v's sup on [t, 1) if is_sup (q <= a), else int_t^1 v(z) dz/z."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
     v = _reciprocal_weight(spec, alpha, s, q_dim)
     if q <= alpha:
-        return v.bounded_at_zero()
+        return v, True
     kappa = alpha if math.isinf(q) else alpha * q / (q - alpha)
-    return (v**kappa).integrable_at_zero_dt_over_t()
+    return v**kappa, False
+
+
+def reciprocal_weight_finite(spec: RISpaceSpec, alpha: float, s: float, q: float,
+                             q_dim: float) -> bool:
+    """Symbolic finiteness decision for the gauge at t = 0."""
+    v, is_sup = _gauge(spec, alpha, s, q, q_dim)
+    return v.bounded_at_zero() if is_sup else v.integrable_at_zero_dt_over_t()
 
 
 def reciprocal_weight_integral(spec: RISpaceSpec, alpha: float, s: float, q: float,
-                               q_dim: float, t: float) -> float:
-    """The finiteness gauge m(t) for the sup-norm embedding.
+                               q_dim: float, t):
+    """The finiteness gauge m(t) for the sup-norm embedding, at a float or an array t.
 
     For a < q < inf it is int_t^1 (z^(s/Q)/phi(z))^(aq/(q-a)) dz/z; for
     q = inf the same with exponent a; for q <= a the sup of the reciprocal
     weight over [t, 1).  Finiteness at t = 0 is decided symbolically (the
     value is then computed by quadrature); infinite gauges return math.inf.
+    An array t takes one integral call, each element with the bits of its scalar call.
     """
-    if not (0.0 <= t < 1.0):
+    t_arr = np.asarray(t, dtype=float)
+    if not ((0.0 <= t_arr) & (t_arr < 1.0)).all():
         raise DomainError(f"gauge parameter t must lie in [0, 1), got {t}")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("alpha must lie in (0, 1]")
-    v = _reciprocal_weight(spec, alpha, s, q_dim)
-    if q <= alpha:
-        return v.sup_on(t, 1.0)
-    kappa = alpha if math.isinf(q) else alpha * q / (q - alpha)
-    integrand = v**kappa
-    if t == 0.0 and not integrand.integrable_at_zero_dt_over_t():
-        return math.inf
-    return integrand.integral_dt_over_t(t, 1.0)
+    v, is_sup = _gauge(spec, alpha, s, q, q_dim)
+    if is_sup:
+        m = np.array([v.sup_on(x, 1.0) for x in t_arr.ravel().tolist()]).reshape(t_arr.shape)
+    else:
+        m = np.full(t_arr.shape, math.inf)
+        finite = (t_arr > 0.0) | v.integrable_at_zero_dt_over_t()
+        m[finite] = v.integral_dt_over_t(t_arr[finite], 1.0)
+    return m if m.shape else float(m)
 
 
 # -- weighted rearranged-norm evaluation ---------------------------------------------------
@@ -253,13 +259,11 @@ def _stieltjes_target_norm(fstar: StepDecreasing, spec, alpha, s, q, q_dim) -> f
     The weight's defining derivative makes (1 + m(t))^(1 - q/a) an exact
     primitive, so the integral is a finite Stieltjes sum over step panels.
     """
-    def primitive(t: float) -> float:
-        if t <= 0.0:
-            return 0.0  # m(0) = inf and the exponent is negative
-        m_t = 0.0 if t >= 1.0 else reciprocal_weight_integral(spec, alpha, s, q, q_dim, t)
-        return (1.0 + m_t) ** (1.0 - q / alpha)
-
-    psi = np.array([primitive(float(t)) for t in np.minimum(fstar.edges, 1.0)])
+    t = np.minimum(fstar.breakpoints, 1.0)
+    m = np.zeros(t.shape)
+    m[t < 1.0] = reciprocal_weight_integral(spec, alpha, s, q, q_dim, t[t < 1.0])
+    # psi is 0 at edges[0] = 0, where m = inf and the exponent 1 - q/a is negative
+    psi = [0.0] + [(1.0 + m_t) ** (1.0 - q / alpha) for m_t in m.tolist()]
     return float(np.sum(fstar.values**q * np.diff(psi))) ** (1.0 / q)
 
 
@@ -267,11 +271,9 @@ def _stieltjes_target_norm(fstar: StepDecreasing, spec, alpha, s, q, q_dim) -> f
 
 
 def sup_norm_embedding_check(space: Space, corpus, spec: RISpaceSpec, alpha: float,
-                             s: float, q: float, q_dim: float | None = None,
+                             s: float, q: float, q_dim: float,
                              labels=None, ratio: float = DEFAULT_GRID_RATIO) -> EmbeddingReport:
     """max|f| vs oscillation functional + split norm; valid only when m(0) < inf."""
-    if q_dim is None:
-        q_dim = diagnostics(space).q_dim
     if not reciprocal_weight_finite(spec, alpha, s, q, q_dim):
         raise PreconditionError(
             f"sup-norm embedding refused: m(0) is infinite for {spec.label()} "
@@ -280,8 +282,8 @@ def sup_norm_embedding_check(space: Space, corpus, spec: RISpaceSpec, alpha: flo
 
     def one(f):
         lhs = float(np.abs(np.asarray(f, dtype=float)).max())
-        rhs = (oscillation_functional(space, f, spec, alpha, s, q, q_dim)
-               + sum_plus_linf_norm(rearrangement(space, f), alpha))
+        fstar = rearrangement(space, f)
+        rhs = _oscillation_norm(fstar, spec, alpha, s, q, q_dim) + sum_plus_linf_norm(fstar, alpha)
         return lhs, rhs
 
     params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": _json_num(q),
@@ -296,8 +298,7 @@ def _u_condition_check(u: PowerLog, v_norm: PowerLog, q: float) -> None:
         raise PreconditionError("u-weight fails its integral condition at t -> 0 "
                                 "(primitive diverges); violating t: any t near 0")
     ts = np.geomspace(1e-10, 1.0, 64)
-    ratios = np.array([uq.integral_dt_over_t(0.0, float(t)) / float(v_norm(t)) ** q
-                       for t in ts])
+    ratios = uq.integral_dt_over_t(0.0, ts) / v_norm(ts) ** q
     cap = 50.0 * float(ratios[ts >= 1e-2].max())
     bad = np.flatnonzero(ratios > cap)
     if bad.size:
@@ -307,43 +308,41 @@ def _u_condition_check(u: PowerLog, v_norm: PowerLog, q: float) -> None:
 
 
 def target_norm_check(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: float,
-                      q: float, q_dim: float | None = None, u_weight: PowerLog | None = None,
+                      q: float, q_dim: float, u_weight: PowerLog | None = None,
                       labels=None, ratio: float = DEFAULT_GRID_RATIO) -> EmbeddingReport:
     """Weighted rearranged-norm target vs smoothness seminorm + split norm.
 
     Dispatches on q: the derivative weight for alpha < q < inf, the
     (1 + m)^(-1/a) sup form for q = inf, and a u-weight (supplied or the
     norm weight itself, verified) for q <= alpha.  Requires m(0) = inf.
+    m is evaluated on arrays: in the sup form once per report on a fixed grid and
+    once per function at its breakpoints off it, in the derivative form once per function.
     """
-    if q_dim is None:
-        q_dim = diagnostics(space).q_dim
     if reciprocal_weight_finite(spec, alpha, s, q, q_dim):
         raise PreconditionError(
             "target-norm check refused: m(0) is finite; "
             "use the sup-norm embedding check instead")
     mode = "derivative" if (alpha < q and not math.isinf(q)) else (
         "sup" if math.isinf(q) else "u-weight")
-    u = u_weight
     if mode == "u-weight":
         v_norm = _reciprocal_weight(spec, alpha, s, q_dim).reciprocal()
-        if u is None:
-            u = v_norm
+        u = v_norm if u_weight is None else u_weight
         _u_condition_check(u, v_norm, q)
+    elif mode == "sup":
+        grid = np.geomspace(1e-10, 1.0, 200)  # its last point is 1, where m = 0
+        m_grid = np.append(reciprocal_weight_integral(spec, alpha, s, q, q_dim, grid[:-1]), 0.0)
 
     def one(f):
         fstar = rearrangement(space, f)
         if mode == "derivative":
             lhs = _stieltjes_target_norm(fstar, spec, alpha, s, q, q_dim)
         elif mode == "sup":
-            ts = np.unique(np.concatenate([
-                np.geomspace(1e-10, 1.0, 200),
-                fstar.breakpoints[fstar.breakpoints <= 1.0]]))
+            off_grid = np.setdiff1d(fstar.breakpoints[fstar.breakpoints < 1.0], grid)
+            ts = np.concatenate([grid, off_grid])
+            m = np.append(m_grid, reciprocal_weight_integral(spec, alpha, s, q, q_dim, off_grid))
             avgs = fstar.power(alpha).integral(ts) / ts
-            best = 0.0
-            for t, avg in zip(ts.tolist(), avgs.tolist()):
-                m_t = reciprocal_weight_integral(spec, alpha, s, q, q_dim, t) if t < 1.0 else 0.0
-                best = max(best, (avg / (1.0 + m_t)) ** (1.0 / alpha))
-            lhs = best
+            lhs = max((avg / (1.0 + m_t)) ** (1.0 / alpha)
+                      for avg, m_t in zip(avgs.tolist(), m.tolist()))
         else:
             lhs = weighted_step_norm(fstar, u, q)
         return lhs, _hb_norm(space, f, fstar, spec, alpha, s, q, ratio)
@@ -413,8 +412,8 @@ def regime_classify(p: float, r: float, beta: float, s: float, q: float,
     when the finiteness gauge allows, otherwise the exact weighted
     rearrangement target with its log / log-log exponents.
     """
-    if not (p > 0.0 and r > 0.0 and q > 0.0 and 0.0 < s < 1.0 and q_dim > 0.0):
-        raise DomainError("need p, r, q, Q > 0 and 0 < s < 1")
+    if not (p > 0.0 and r > 0.0 and q > 0.0 and 0.0 < s < 1.0 and 0.0 < q_dim < math.inf):
+        raise DomainError("need p, r, q > 0, 0 < Q < inf and 0 < s < 1")
     mr = min(1.0, r)
     mpr = min(1.0, p, r)
     branch_a = (mr < p) or (mr == p and beta >= 0.0)
@@ -469,7 +468,7 @@ def lz_base_spec(p: float, r: float, beta: float, alpha: float) -> RISpaceSpec:
 
 
 def log_lorentz_embedding_check(space: Space, corpus, p: float, r: float, beta: float,
-                                s: float, q: float, q_dim: float | None = None,
+                                s: float, q: float, q_dim: float,
                                 labels=None, ratio: float = DEFAULT_GRID_RATIO
                                 ) -> tuple[Regime, EmbeddingReport]:
     """Classify the (p, r, beta, s, q) target and run the matching check.
@@ -477,8 +476,6 @@ def log_lorentz_embedding_check(space: Space, corpus, p: float, r: float, beta: 
     Sup-norm regimes run the max|f| comparison; weighted regimes compare the
     classified rearranged-norm target against seminorm + split norm.
     """
-    if q_dim is None:
-        q_dim = diagnostics(space).q_dim
     regime = regime_classify(p, r, beta, s, q, q_dim)
     alpha = regime.alpha_used
     base = lz_base_spec(p, r, beta, alpha)
@@ -501,7 +498,7 @@ def log_lorentz_embedding_check(space: Space, corpus, p: float, r: float, beta: 
 
 
 def collapse_sweep(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: float,
-                   q: float, eps_list, q_dim: float | None = None,
+                   q: float, eps_list, q_dim: float,
                    ratio: float = DEFAULT_GRID_RATIO) -> list[dict]:
     """Empirical oscillation-bound constants on the shrinking-weight family.
 
@@ -509,8 +506,6 @@ def collapse_sweep(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: flo
     and scales the unit-ball mass infimum linearly, so the sweep isolates the
     effect of measure collapse on the embedding constant.
     """
-    if q_dim is None:
-        q_dim = diagnostics(space).q_dim
     rows = []
     for eps in eps_list:
         scaled = space.scale_weights(float(eps))

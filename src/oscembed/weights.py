@@ -225,17 +225,19 @@ class PowerLog:
             total[high] += p_lo**self.a * span * exprel(self.a * span)
         return self.const * total
 
-    def integral_dt_over_t(self, lo: float, hi: float) -> float:
+    def integral_dt_over_t(self, lo, hi):
         """int_lo^hi p(t) dt/t, by the paths of the module docstring.
 
+        lo and hi may be arrays: one kernel call gives each element its scalar call's bits.
         lo may be 0 (improper); raises EvaluationError if symbolically divergent.
         """
-        if hi < lo or lo < 0.0:
+        lo_a, hi_a = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        if (hi_a < lo_a).any() or (lo_a < 0.0).any():
             raise DomainError(f"bad integration range ({lo}, {hi})")
-        if hi == lo:
-            return 0.0
-        return float(self._integrals_dt_over_t(np.array([lo], dtype=float),
-                                               np.array([hi], dtype=float))[0])
+        out = np.zeros(lo_a.shape)
+        live = hi_a > lo_a
+        out[live] = self._integrals_dt_over_t(lo_a[live], hi_a[live])
+        return out if out.shape else float(out)
 
     def integral_dt(self, lo: float, hi: float) -> float:
         """int_lo^hi p(t) dt  (= integral of t*p(t) dt/t)."""

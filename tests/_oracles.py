@@ -33,7 +33,7 @@ from scipy.sparse import coo_matrix
 
 from oscembed.corpus import tent_function
 from oscembed.embed import (_oscillation_weight, _reciprocal_weight, reciprocal_weight_finite,
-                            reciprocal_weight_integral)
+                            reciprocal_weight_integral, weighted_step_norm)
 from oscembed.errors import DomainError
 from oscembed.rearrange import StepDecreasing, rearrangement
 from oscembed.rispace import RISpaceSpec, _norm_marcinkiewicz, convexify, quasi_norm
@@ -720,3 +720,35 @@ def target_weight(spec: RISpaceSpec, alpha: float, s: float, q: float,
     return ((q / alpha - 1.0) ** (1.0 / q)
             * (1.0 + m_t) ** (-1.0 / alpha)
             * float(v(t)) ** (alpha / (q - alpha)))
+
+
+def target_norm_lhs(space: Space, f, spec: RISpaceSpec, alpha: float, s: float, q: float,
+                    q_dim: float) -> float:
+    """target_norm_check's lhs of f, with the gauge m from one scalar call per t.
+
+    The derivative form sums the primitive (1 + m(t))^(1 - q/a) over the
+    edges of f*, the sup form takes the sup of (avg(t)/(1 + m(t)))^(1/a) over
+    a fixed grid and the breakpoints of f*, and the u-weight form (q <= a)
+    never evaluates m: it is weighted_step_norm with the norm weight.
+    """
+    fstar = rearrangement(space, f)
+    if q <= alpha:
+        return weighted_step_norm(fstar, _reciprocal_weight(spec, alpha, s, q_dim).reciprocal(), q)
+
+    def m(t: float) -> float:
+        return reciprocal_weight_integral(spec, alpha, s, q, q_dim, t) if t < 1.0 else 0.0
+
+    if math.isinf(q):
+        ts = np.unique(np.concatenate([np.geomspace(1e-10, 1.0, 200),
+                                       fstar.breakpoints[fstar.breakpoints <= 1.0]]))
+        avgs = fstar.power(alpha).integral(ts) / ts
+        best = 0.0
+        for t, avg in zip(ts.tolist(), avgs.tolist()):
+            best = max(best, (avg / (1.0 + m(t))) ** (1.0 / alpha))
+        return best
+
+    def primitive(t: float) -> float:
+        return 0.0 if t <= 0.0 else (1.0 + m(t)) ** (1.0 - q / alpha)  # m(0) = inf
+
+    psi = np.array([primitive(float(t)) for t in np.minimum(fstar.edges, 1.0)])
+    return float(np.sum(fstar.values**q * np.diff(psi))) ** (1.0 / q)

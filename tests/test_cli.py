@@ -119,6 +119,16 @@ def test_cli_uncertified_lp_exits_4_with_dump(space_file, tmp_path, capsys, monk
     (["space-info"], {"space": {"metric": "graph", "edges": [[0, 1]], "weights": [1e308, 1e308]}}),
     (["regimes", "--count", "0"], {}),
     (["regimes", "--count", "-5"], {}),
+    (["besov", "--q", "1e308"], {}),
+    (["collapse-sweep", "--q", "1e308"], {}),
+    *((["verify", "--theorem", theorem, "--q", "1e308"], {})
+      for theorem in ("k1", "teolp", "pesos", "embteo", "lorentzlog")),
+    *((["verify", "--theorem", theorem, "--q", "1e-308"], {})
+      for theorem in ("pesos", "embteo", "lorentzlog")),
+    (["kfun", "--alpha", "1e-308"], {}),
+    (["kfun", "--t-min", "1e-308"], {}),
+    (["kfun", "--t-max", "1e-308"], {}),
+    (["regimes", "--q-dim", "inf"], {}),
 ])
 def test_cli_config_errors_exit_2_without_traceback(space_file, tmp_path, capsys,
                                                     command, files):

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oscembed import (DomainError, PowerLog, PreconditionError, convexify, collapse_sweep,
                       choose_alpha, embedding_report, grid_space, lorentz,
@@ -16,7 +18,7 @@ from oscembed import (DomainError, PowerLog, PreconditionError, convexify, colla
 from oscembed.embed import _finish_report, lz_base_spec, log_lorentz_embedding_check
 from oscembed.space import diagnostics
 
-from _oracles import numeric_derivative, target_weight, tent_gradient
+from _oracles import numeric_derivative, target_norm_lhs, target_weight, tent_gradient
 
 
 def fine_grid_space(rows=8, cols=8, h=0.4):
@@ -194,6 +196,21 @@ def test_gauge_sup_case():
     # q <= alpha uses the sup of the reciprocal weight
     val = reciprocal_weight_integral(spec, 1.0, 0.5, 0.5, 1.0, 0.0)
     assert math.isfinite(val)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(0.5, 4.0), beta=st.floats(-1.0, 1.0), alpha=st.floats(0.3, 1.0),
+       s=st.floats(0.05, 0.95), q=st.sampled_from([0.2, 0.5, 1.0, 1.5, 2.0, 4.0, math.inf]),
+       q_dim=st.floats(0.5, 3.0), ts=st.lists(st.floats(1e-12, 0.999), max_size=8))
+@example(p=2.0, beta=0.0, alpha=1.0, s=0.5, q=2.0, q_dim=1.0, ts=[0.1, 0.01])  # m(0) = inf
+@example(p=2.0, beta=0.5, alpha=1.0, s=0.5, q=0.5, q_dim=1.0, ts=[0.3])  # q <= alpha: a sup
+@example(p=2.0, beta=0.5, alpha=1.0, s=0.9, q=math.inf, q_dim=1.5, ts=[1e-6, 0.5])
+def test_gauge_on_an_array_equals_its_scalar_calls(p, beta, alpha, s, q, q_dim, ts):
+    spec = lz_base_spec(p, 2.0, beta, alpha)
+    t = np.array([0.0, *ts])
+    got = reciprocal_weight_integral(spec, alpha, s, q, q_dim, t)
+    want = [reciprocal_weight_integral(spec, alpha, s, q, q_dim, t_i) for t_i in t.tolist()]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 # -- target weight: closed form vs numeric differentiation -------------------------------------
@@ -382,6 +399,18 @@ def test_target_check_u_weight_case():
     assert rep.empirical_constant < math.inf
 
 
+@pytest.mark.parametrize("q", [2.0, math.inf, 0.5])
+@pytest.mark.parametrize("spec, alpha", [(lp(1.0), 1.0), (lorentz_zygmund(2.0, 2.0, 0.5), 0.7)])
+def test_target_check_equals_the_per_t_gauge_loops(spec, alpha, q):
+    sp = fine_grid_space(4, 4, 0.4)
+    q_dim = diagnostics(sp).q_dim
+    corpus = tent_differences(sp, 4) + [tent_function(sp, 5), np.linspace(-1.0, 2.0, sp.n)]
+    rep = target_norm_check(sp, corpus, spec, alpha, 0.4, q, q_dim)
+    assert rep.params["mode"] == {2.0: "derivative", math.inf: "sup", 0.5: "u-weight"}[q]
+    want = [target_norm_lhs(sp, f, spec, alpha, 0.4, q, q_dim) for f in corpus]
+    assert np.array([row[1] for row in rep.per_function]).tobytes() == np.array(want).tobytes()
+
+
 def test_target_check_bad_u_weight_names_t():
     sp = fine_grid_space(4, 4, 0.4)
     corpus = tent_differences(sp, 2)
@@ -447,10 +476,11 @@ def test_reports_refuse_labels_not_matching_the_corpus():
     sp = path_space(4)
     corpus = [np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0, 1.0]),
               np.array([0.0, 0.0, 0.0, 2.0])]
+    q_dim = diagnostics(sp).q_dim
     for labels in (["a"], ["a", "b", "c", "d"], []):
         with pytest.raises(DomainError, match="labels for a corpus of 3"):
-            embedding_report(sp, corpus, lp(1.0), 1.0, 0.5, 1.0, labels=labels)
-    rep = embedding_report(sp, corpus, lp(1.0), 1.0, 0.5, 1.0, labels=["a", "b", "c"])
+            embedding_report(sp, corpus, lp(1.0), 1.0, 0.5, 1.0, q_dim, labels=labels)
+    rep = embedding_report(sp, corpus, lp(1.0), 1.0, 0.5, 1.0, q_dim, labels=["a", "b", "c"])
     assert [row[0] for row in rep.per_function] == ["a", "b", "c"]
 
 

@@ -7,10 +7,23 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oscembed import (PowerLog, StepDecreasing, lorentz_zygmund, modulus_profile,
-                      quasi_norm, rearrangement, space_from_points, tent_function, weights)
+from oscembed import (PowerLog, StepDecreasing, diagnostics, grid_space, lorentz_zygmund, lp,
+                      modulus_profile, quasi_norm, rearrangement, space_from_points,
+                      target_norm_check, tent_function, weights)
 
 from _oracles import mp_power_log_integral, nabla
+
+
+def _exponents(draw):
+    return (draw(st.floats(-3.0, 50.0)), draw(st.floats(-5.0, 5.0)),
+            draw(st.sampled_from([0.0, 1.0, -1.0])))
+
+
+def _panel(draw, a, b, g):
+    e = draw(st.floats(-300.0 if a == 0.0 else max(-300.0, -280.0 / abs(a)), 0.5))
+    hi = 10.0**e * 10.0 ** draw(st.floats(0.3, 3.0))
+    improper = draw(st.booleans()) and PowerLog(a, b, g).integrable_at_zero_dt_over_t()
+    return 0.0 if improper else 10.0**e, hi
 
 
 @st.composite
@@ -21,12 +34,17 @@ def integrals(draw):
     its digits to the rounding of u = ln(1/t) before any integration.  The
     range of lo keeps t^a within [1e-280, 1e280].
     """
-    a, b = draw(st.floats(-3.0, 50.0)), draw(st.floats(-5.0, 5.0))
-    g = draw(st.sampled_from([0.0, 1.0, -1.0]))
-    e = draw(st.floats(-300.0 if a == 0.0 else max(-300.0, -280.0 / abs(a)), 0.5))
-    hi = 10.0**e * 10.0 ** draw(st.floats(0.3, 3.0))
-    improper = draw(st.booleans()) and PowerLog(a, b, g).integrable_at_zero_dt_over_t()
-    return a, b, g, 0.0 if improper else 10.0**e, hi
+    a, b, g = _exponents(draw)
+    return (a, b, g, *_panel(draw, a, b, g))
+
+
+@st.composite
+def integral_batches(draw):
+    """(a, b, g, panels): up to 8 panels of integrals(), some of them empty (lo = hi)."""
+    a, b, g = _exponents(draw)
+    panels = [_panel(draw, a, b, g) for _ in range(draw(st.integers(1, 8)))]
+    return a, b, g, [(hi, hi) if draw(st.booleans()) and k else (lo, hi)
+                     for k, (lo, hi) in enumerate(panels)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -44,6 +62,18 @@ def test_integral_dt_over_t_matches_mpmath(case):
     want = mp_power_log_integral(a, b, g, lo, hi)
     assume(1e-300 < want < 1e300)
     assert PowerLog(a, b, g).integral_dt_over_t(lo, hi) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integral_batches())
+@example((-0.5, 1.0, 1.0, [(1e-3, 0.5), (0.5, 0.5), (0.2, 3.0)]))
+@example((1.0, -3.0, 0.0, [(0.0, 1e-6), (0.0, 0.0), (1e-9, 1e-6)]))
+def test_integral_dt_over_t_on_arrays_equals_its_scalar_calls(case):
+    a, b, g, panels = case
+    lo, hi = np.array(panels).T
+    got = PowerLog(a, b, g).integral_dt_over_t(lo, hi)
+    want = [PowerLog(a, b, g).integral_dt_over_t(lo_i, hi_i) for lo_i, hi_i in panels]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_lorentz_zygmund_norm_of_a_tiny_panel_is_exact():
@@ -85,3 +115,15 @@ def test_collapse_modulus_profile_makes_no_quad_call(monkeypatch):
     calls = _count_quad_calls(monkeypatch)
     modulus_profile(sp, f, lorentz_zygmund(1.5, 2.0, 0.5), 1.0)
     assert calls == []
+
+
+def test_sup_target_check_integrates_the_gauge_once_per_report(monkeypatch):
+    # unit weights put every breakpoint at 1 or above: the report's 199 grid
+    # points below 1 are the only gauge integrals, shared by all 144 tents
+    sp = grid_space(12, 12)
+    corpus = [tent_function(sp, x) for x in range(sp.n)]
+    q_dim = diagnostics(sp).q_dim
+    calls = _count_quad_calls(monkeypatch)
+    rep = target_norm_check(sp, corpus, lp(1.0), 1.0, 0.4, math.inf, q_dim)
+    assert rep.params["mode"] == "sup"
+    assert 0 < len(calls) <= 199

@@ -500,7 +500,7 @@ def test_solver_failures_propagate_with_dump(monkeypatch):
     monkeypatch.setattr(smoothness, "_run", halved_duals)
     sp, f = path_space(4), [0.0, 1.0, 3.0, 2.0]
     for call in (lambda: hajlasz_seminorm_upper(sp, f, lp(1.0), 1.0),
-                 lambda: oscillation_gradient_constant(sp, f, 1.0)):
+                 lambda: oscillation_gradient_constant(sp, f, 1.0, diagnostics(sp).q_dim)):
         with pytest.raises(SolverError, match="duality gap") as info:
             call()
         path = _dump_path(info.value)
