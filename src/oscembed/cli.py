@@ -1,8 +1,9 @@
 """Config-driven command line for spaces, norms, moduli, and theorem checks.
 
-Every subcommand writes one JSON and one CSV artifact into the output
-directory; floats are serialized with repr (shortest round-trip), so a fixed
-config and seed reproduce byte-identical files.  Exit codes: 0 success,
+Every subcommand builds its payload, rows and stdout summary, then writes one
+JSON and one CSV artifact into the output directory.  Only _num turns a number
+into a cell: the shortest round-trip literal of a Python int or float, so a
+fixed config and seed reproduce byte-identical files.  Exit codes: 0 success,
 2 usage or config error (argparse, a space or value outside its domain, an
 overflow or zero division), 3 refusal (a precondition fails, or a fundamental
 function the check needs has no closed form), 4 solver failure.
@@ -34,24 +35,23 @@ THEOREMS = ("k1", "teolp", "teointerpol", "teomo1", "infinito", "pesos",
             "embteo", "lorentzlog")
 
 
+def _num(x) -> str:
+    """The cell of a number: repr of a Python int or float; a numpy scalar is refused."""
+    if type(x) not in (int, float):
+        raise TypeError(f"not a Python int or float: {type(x).__name__}")
+    return repr(x)
+
+
 def _write_artifacts(out_dir: Path, name: str, payload: dict, rows: list[dict]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"{name}.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out_dir / f"{name}.csv", "w", newline="") as fh:
         if rows:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
 
 
 def _json_option(text: str, option: str):
@@ -89,7 +89,7 @@ def cmd_space_info(args) -> int:
     payload["n"] = space.n
     payload["total_mass"] = space.total_mass
     _write_artifacts(Path(args.out), "space-info", payload,
-                     [{k: repr(v) for k, v in payload.items()}])
+                     [{k: _num(v) for k, v in payload.items()}])
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -100,8 +100,8 @@ def cmd_norms(args) -> int:
     for lab, f in zip(labels, corpus):
         fstar = rearrangement(space, f)
         rows.append({"label": lab, "spec": spec.label(),
-                     "quasi_norm": repr(rispace.quasi_norm(spec, fstar)),
-                     "sum_plus_linf": repr(sum_plus_linf_norm(fstar, args.alpha))})
+                     "quasi_norm": _num(rispace.quasi_norm(spec, fstar)),
+                     "sum_plus_linf": _num(sum_plus_linf_norm(fstar, args.alpha))})
     _write_artifacts(Path(args.out), "norms", {"rows": rows}, rows)
     return 0
 
@@ -113,9 +113,9 @@ def cmd_modulus(args) -> int:
     for lab, f in zip(labels, corpus):
         prof = smoothness.modulus_profile(space, f, spec, args.alpha, args.grid_ratio)
         profiles[lab] = prof.to_json()
-        for r, e in zip(prof.radii, prof.values):
-            rows.append({"label": lab, "radius": repr(float(r)), "modulus": repr(float(e))})
-        rows.append({"label": lab, "radius": "tail", "modulus": repr(prof.tail_value)})
+        for r, e in zip(prof.radii.tolist(), prof.values.tolist()):
+            rows.append({"label": lab, "radius": _num(r), "modulus": _num(e)})
+        rows.append({"label": lab, "radius": "tail", "modulus": _num(prof.tail_value)})
     _write_artifacts(Path(args.out), "modulus", {"profiles": profiles}, rows)
     return 0
 
@@ -126,29 +126,44 @@ def cmd_besov(args) -> int:
     for lab, f in zip(labels, corpus):
         val = smoothness.besov_seminorm(space, f, args.s, args.q, spec, args.alpha,
                                         args.grid_ratio)
-        rows.append({"label": lab, "s": repr(args.s), "q": repr(args.q),
-                     "seminorm": repr(val)})
+        rows.append({"label": lab, "s": _num(args.s), "q": _num(args.q),
+                     "seminorm": _num(val)})
     _write_artifacts(Path(args.out), "besov", {"rows": rows}, rows)
     return 0
 
 
+def _k_table(space, corpus, labels, ts, spec, alpha) -> tuple[list, list[dict]]:
+    """The K bounds of each function at each t, function-major, and their rows."""
+    bounds, rows = [], []
+    for lab, f in zip(labels, corpus):
+        for kb in smoothness.k_bounds_path(space, f, ts, spec, alpha):
+            bounds.append(kb)
+            rows.append({"label": lab, "t": _num(kb.t), "lower": _num(kb.lower),
+                         "upper": _num(kb.upper),
+                         "exact": "" if kb.exact is None else _num(kb.exact)})
+    return bounds, rows
+
+
 def cmd_kfun(args) -> int:
     space, spec, corpus, labels = _load_inputs(args)
-    ts = _t_grid(args)
-    rows = []
-    for lab, f in zip(labels, corpus):
-        for kb in smoothness.k_bounds_path(space, f, ts, spec, args.alpha):
-            rows.append({"label": lab, "t": repr(kb.t), "lower": repr(kb.lower),
-                         "upper": repr(kb.upper),
-                         "exact": "" if kb.exact is None else repr(kb.exact)})
+    _bounds, rows = _k_table(space, corpus, labels, _t_grid(args), spec, args.alpha)
     _write_artifacts(Path(args.out), "kfun", {"rows": rows}, rows)
     return 0
+
+
+def _report_table(report: embed.EmbeddingReport) -> tuple[dict, list[dict], str]:
+    """The payload, rows and summary of an embedding report; informative rows have lhs > 0."""
+    rows = [{"label": lab, "lhs": _num(lhs), "rhs": _num(rhs), "ratio": _num(ratio)}
+            for lab, lhs, rhs, ratio in report.per_function]
+    informative = sum(lhs > 0.0 for _lab, lhs, _rhs, _ratio in report.per_function)
+    summary = (f"empirical_constant={report.empirical_constant:g} "
+               f"informative={informative}/{len(rows)}")
+    return report.to_json(), rows, summary
 
 
 def cmd_verify(args) -> int:
     space, spec, corpus, labels = _load_inputs(args)
     q_dim = diagnostics(space).q_dim
-    name = f"verify-{args.theorem}"
     theorem = args.theorem
     if theorem == "embteo":
         finite = embed.reciprocal_weight_finite(spec, args.alpha, args.s, args.q, q_dim)
@@ -157,55 +172,42 @@ def cmd_verify(args) -> int:
         alpha, use_spec = args.alpha, spec
         if theorem == "teolp":
             use_spec, alpha = rispace.lp(max(args.p, 1.0)), min(args.p, 1.0)
-        report = embed.embedding_report(space, corpus, use_spec, alpha, args.s, args.q,
-                                        q_dim, labels, args.grid_ratio, args.theorem)
+        payload, rows, summary = _report_table(embed.embedding_report(
+            space, corpus, use_spec, alpha, args.s, args.q, q_dim, labels, args.grid_ratio,
+            args.theorem))
     elif theorem == "teointerpol":
-        ts = _t_grid(args)
-        rows, c1, c2 = [], 0.0, 0.0
-        for lab, f in zip(labels, corpus):
-            for kb in smoothness.k_bounds_path(space, f, ts, rispace.lp(1.0), 1.0):
-                if kb.exact and kb.exact > 0.0:
-                    c1 = max(c1, kb.lower / kb.exact)
-                    c2 = max(c2, kb.exact / kb.upper)
-                rows.append({"label": lab, "t": repr(kb.t), "lower": repr(kb.lower),
-                             "exact": repr(kb.exact), "upper": repr(kb.upper)})
-        payload = {"C1": c1, "C2": c2 * c1, "rows": rows}
-        _write_artifacts(Path(args.out), name, payload, rows)
-        print(f"teointerpol: C1={c1:g} C2={c1 * c2:g}")
-        return 0
+        bounds, rows = _k_table(space, corpus, labels, _t_grid(args), rispace.lp(1.0), 1.0)
+        calibrated = [kb for kb in bounds if kb.exact and kb.exact > 0.0]
+        c1 = max([0.0] + [kb.lower / kb.exact for kb in calibrated])
+        c2 = c1 * max([0.0] + [kb.exact / kb.upper for kb in calibrated])
+        payload = {"C1": c1, "C2": c2, "rows": rows}
+        summary = f"C1={c1:g} C2={c2:g}"
     elif theorem == "teomo1":
         growth = embed.measure_growth_constant(space, q_dim)
-        rows = []
-        worst = 0.0
-        for lab, f in zip(labels, corpus):
-            c = embed.oscillation_gradient_constant(space, f, args.alpha, q_dim)
-            worst = max(worst, c)
-            rows.append({"label": lab, "constant": repr(c)})
+        constants = [embed.oscillation_gradient_constant(space, f, args.alpha, q_dim)
+                     for f in corpus]
+        worst = max([0.0] + constants)
+        rows = [{"label": lab, "constant": _num(c)} for lab, c in zip(labels, constants)]
         payload = {"growth_constant": growth, "max_constant": worst, "rows": rows}
-        _write_artifacts(Path(args.out), name, payload, rows)
-        print(f"teomo1: growth={growth:g} max_constant={worst:g}")
-        return 0
+        summary = f"growth={growth:g} max_constant={worst:g}"
     elif theorem == "infinito":
-        report = embed.sup_norm_embedding_check(space, corpus, spec, args.alpha,
-                                                args.s, args.q, q_dim, labels,
-                                                args.grid_ratio)
+        payload, rows, summary = _report_table(embed.sup_norm_embedding_check(
+            space, corpus, spec, args.alpha, args.s, args.q, q_dim, labels, args.grid_ratio))
     elif theorem == "pesos":
-        report = embed.target_norm_check(space, corpus, spec, args.alpha, args.s,
-                                         args.q, q_dim, labels=labels,
-                                         ratio=args.grid_ratio)
+        payload, rows, summary = _report_table(embed.target_norm_check(
+            space, corpus, spec, args.alpha, args.s, args.q, q_dim, labels=labels,
+            ratio=args.grid_ratio))
     elif theorem == "lorentzlog":
         regime, report = embed.log_lorentz_embedding_check(
             space, corpus, args.p, args.r, args.beta, args.s, args.q, q_dim,
             labels, args.grid_ratio)
-        payload = report.to_json()
+        payload, rows, summary = _report_table(report)
         payload["regime"] = regime.to_json()
-        _write_artifacts(Path(args.out), name, payload, list(report.csv_rows()))
-        print(f"lorentzlog: case={regime.case_id} constant={report.empirical_constant:g}")
-        return 0
+        summary = f"case={regime.case_id} {summary}"
     else:
         raise AssertionError(theorem)
-    _write_artifacts(Path(args.out), name, report.to_json(), list(report.csv_rows()))
-    print(f"{args.theorem}: empirical_constant={report.empirical_constant:g}")
+    _write_artifacts(Path(args.out), f"verify-{args.theorem}", payload, rows)
+    print(f"{args.theorem}: {summary}")
     return 0
 
 
@@ -221,9 +223,9 @@ def cmd_regimes(args) -> int:
         s = float(rng.uniform(0.05, 0.95))
         q = float(rng.uniform(0.2, 3.0)) if rng.random() > 0.2 else math.inf
         reg = embed.regime_classify(p, r, beta, s, q, args.q_dim)
-        rows.append({"p": repr(p), "r": repr(r), "beta": repr(beta), "s": repr(s),
-                     "q": repr(q), "Q": repr(args.q_dim), "case": reg.case_id,
-                     "subcase": reg.subcase, "alpha": repr(reg.alpha_used)})
+        rows.append({"p": _num(p), "r": _num(r), "beta": _num(beta), "s": _num(s),
+                     "q": _num(q), "Q": _num(args.q_dim), "case": reg.case_id,
+                     "subcase": reg.subcase, "alpha": _num(reg.alpha_used)})
     _write_artifacts(Path(args.out), "regimes", {"rows": rows}, rows)
     return 0
 
@@ -236,7 +238,7 @@ def cmd_collapse_sweep(args) -> int:
         raise DomainError(f"--eps must be a comma-separated list of numbers: {exc}") from exc
     rows_raw = embed.collapse_sweep(space, corpus, spec, args.alpha, args.s, args.q,
                                     eps_list, diagnostics(space).q_dim, args.grid_ratio)
-    rows = [{k: repr(v) for k, v in row.items()} for row in rows_raw]
+    rows = [{k: _num(v) for k, v in row.items()} for row in rows_raw]
     _write_artifacts(Path(args.out), "collapse-sweep", {"rows": rows_raw}, rows)
     for row in rows_raw:
         print(f"eps={row['eps']:g} b={row['b']:g} constant={row['empirical_constant']:g}")

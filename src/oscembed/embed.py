@@ -106,10 +106,6 @@ class EmbeddingReport:
             ],
         }
 
-    def csv_rows(self):
-        for lab, lhs, rhs, ratio in self.per_function:
-            yield {"label": lab, "lhs": repr(lhs), "rhs": repr(rhs), "ratio": repr(ratio)}
-
 
 def _finish_report(theorem_id: str, corpus, labels, one, params) -> EmbeddingReport:
     """Report of the rows one(f) = (lhs, rhs) over the corpus; labels default to f0, f1, ..."""

@@ -239,7 +239,7 @@ def _norm_marcinkiewicz(phi, fstar: StepDecreasing) -> float:
                     best = max(best, fn(t_star))
         else:
             best = max(best, bounded_max_search(fn, max(lo, hi * 1e-12), hi))
-    return best
+    return float(best)
 
 
 def _norm_marcinkiewicz_tilde(phi, fstar: StepDecreasing) -> float:

@@ -156,12 +156,12 @@ def besov_from_profile(profile: ModulusProfile, s: float, q: float) -> float:
     r, v = profile.radii, profile.values
     if math.isinf(q):
         best = float(np.max(v * r ** (-s))) if v.size else 0.0
-        return max(best, profile.tail_value * r[-1] ** (-s))
+        return float(max(best, profile.tail_value * r[-1] ** (-s)))
     sq = s * q
     with np.errstate(over="raise"):  # an overflow raises FloatingPointError, as ** does below
         inner = float(np.sum(v[:-1] ** q * (r[:-1] ** (-sq) - r[1:] ** (-sq)))) / sq
     tail = profile.tail_value ** q * r[-1] ** (-sq) / sq
-    return (inner + tail) ** (1.0 / q)
+    return float((inner + tail) ** (1.0 / q))
 
 
 def besov_seminorm(space: Space, f, s: float, q: float, spec: RISpaceSpec, alpha: float,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oscembed import smoothness
-from oscembed.cli import THEOREMS, build_parser, main
+from oscembed.cli import THEOREMS, _num, build_parser, main
 
 
 @pytest.fixture()
@@ -50,6 +50,33 @@ def test_verify_k1_constants_corpus(space_file, tmp_path):
     assert rc == 0
     payload = json.loads((out / "verify-k1.json").read_text())
     assert payload["empirical_constant"] == 0.0
+
+
+def test_verify_k1_summary_counts_no_informative_row_at_its_defaults(space_file, tmp_path,
+                                                                     capsys):
+    """Tents at every centre of the unit path have f* constant below the unit-ball mass."""
+    assert main(["verify", "--theorem", "k1", "--space", space_file,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == "k1: empirical_constant=0 informative=0/8\n"
+
+
+@pytest.mark.parametrize("theorem", ["k1", "teolp", "infinito", "pesos", "embteo", "lorentzlog"])
+def test_verify_summary_counts_the_rows_with_positive_lhs(space_file, tmp_path, capsys, theorem):
+    out = tmp_path / "out"
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([[0.0] * 8, [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+                                  [float(i) for i in range(8)], [1.0] + [0.0] * 7]))
+    assert main(["verify", "--theorem", theorem, "--space", space_file,
+                 "--corpus", str(corpus), "--out", str(out),
+                 *_THEOREM_RUNS.get(theorem, [])]) == 0
+    summary = capsys.readouterr().out
+    per_function = json.loads((out / f"verify-{theorem}.json").read_text())["per_function"]
+    informative = 0
+    for row in per_function:
+        if row["lhs"] > 0.0:
+            informative += 1
+    assert f" informative={informative}/4\n" in summary
+    assert summary.split()[-2].startswith("empirical_constant=")
 
 
 def test_cli_verify_teomo1_rows_are_float_literals(space_file, tmp_path):
@@ -219,20 +246,6 @@ def test_cli_collapse_sweep(space_file, tmp_path, capsys):
     assert [row["eps"] for row in payload["rows"]] == [1.0, 0.1]
 
 
-def test_cli_collapse_sweep_rows_are_float_literals(tmp_path):
-    space = tmp_path / "grid.json"
-    space.write_text(json.dumps({"coords": [[i, j] for i in range(4) for j in range(4)],
-                                 "metric": "euclidean", "weights": [1.0] * 16}))
-    out = tmp_path / "out"
-    assert main(["collapse-sweep", "--space", str(space), "--eps", "1,0.1,0.01",
-                 "--out", str(out)]) == 0
-    with open(out / "collapse-sweep.csv") as fh:
-        csv_rows = list(csv.DictReader(fh))
-    literals = [text for row in csv_rows for text in row.values()]
-    assert len(literals) == 9
-    assert all(repr(float(text)) == text for text in literals)
-
-
 def test_cli_norm_table_rederivable(space_file, tmp_path):
     out = tmp_path / "out"
     assert main(["norms", "--space", space_file, "--corpus",
@@ -357,3 +370,48 @@ def test_cli_every_command_gives_a_result_or_a_refusal_on_tiny_spaces(tmp_path, 
         argv += ["--space", str(path)]
     assert main(argv + ["--out", str(tmp_path / "out")]) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# Cells that name a row rather than hold a number: labels, norm specs and regime
+# cases, the modulus row past the radius grid, and kfun's exact K where it has none.
+_NAME_COLUMNS = ("label", "spec", "case", "subcase")
+_NAME_CELLS = (("radius", "tail"), ("exact", ""))
+
+
+def _is_literal(text: str) -> bool:
+    """Whether text is the shortest literal of the int (a count) or float it reads as."""
+    try:
+        number = int(text) if text.lstrip("-").isdigit() else float(text)
+    except ValueError:
+        return False
+    return repr(number) == text
+
+
+@pytest.mark.parametrize("command", sorted(_RUNS) + [f"verify-{t}" for t in THEOREMS])
+def test_cli_artifact_cells_are_float_literals(tmp_path, command):
+    """Every numeric CSV cell and JSON row string is the shortest literal of a float."""
+    space = tmp_path / "grid.json"
+    space.write_text(json.dumps({"coords": [[i, j] for i in range(4) for j in range(4)],
+                                 "metric": "euclidean", "weights": [1.0] * 16}))
+    out = tmp_path / "out"
+    theorem = command[len("verify-"):] if command.startswith("verify-") else None
+    argv = ["verify", "--theorem", theorem, *_THEOREM_RUNS.get(theorem, [])] if theorem \
+        else [command, *_RUNS[command]]
+    if command != "regimes":
+        argv += ["--space", str(space)]
+    assert main(argv + ["--out", str(out)]) == 0
+    with open(out / f"{command}.csv") as fh:
+        cells = [item for row in csv.DictReader(fh) for item in row.items()]
+    payload = json.loads((out / f"{command}.json").read_text())
+    cells += [item for row in payload.get("rows", []) for item in row.items()
+              if isinstance(item[1], str)]
+    numbers = [text for column, text in cells
+               if column not in _NAME_COLUMNS and (column, text) not in _NAME_CELLS]
+    assert numbers
+    assert [text for text in numbers if not _is_literal(text)] == []
+
+
+def test_num_refuses_what_is_not_a_python_int_or_float():
+    assert _num(1.5) == "1.5" and _num(3) == "3"
+    with pytest.raises(TypeError):
+        _num(np.float64(1.0))

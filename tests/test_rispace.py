@@ -224,6 +224,14 @@ def test_homogeneity(spec):
         assert a == pytest.approx(b, rel=1e-8)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS + [lorentz_zygmund(1.5, math.inf, 0.5),
+                                   convexify(marcinkiewicz(PowerLog(0.5)), 2.0)],
+                         ids=lambda s: s.label())
+def test_quasi_norm_is_a_python_float(spec):
+    f = np.random.default_rng(33).uniform(0.0, 3.0, 8)
+    assert type(quasi_norm(spec, rearrangement_from_weights(f, np.ones(8)))) is float
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
 def test_lattice_monotonicity(spec):
     rng = np.random.default_rng(32)

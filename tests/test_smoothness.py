@@ -149,6 +149,16 @@ def test_besov_synthetic_profile_closed_form():
     assert besov_from_profile(prof, 0.5, math.inf) == pytest.approx(c * r0 ** -0.5)
 
 
+def test_besov_seminorm_is_a_python_float():
+    sp = path_space(6)
+    f = np.array([0.0, 1.0, 1.0, 0.5, 0.2, 0.0])
+    for q in (2.0, math.inf):
+        assert type(besov_seminorm(sp, f, 0.5, q, lp(1.0), 1.0)) is float
+    # A profile that jumps past its last radius takes its sup from the tail term.
+    jump = ModulusProfile(np.array([0.5, 1.0]), np.array([0.0, 0.0]), 1.0)
+    assert type(besov_from_profile(jump, 0.5, math.inf)) is float
+
+
 def test_besov_weight_doubling_homogeneity_l1():
     sp = path_space(6)
     f = np.array([0.0, 1.0, 1.0, 0.5, 0.2, 0.0])
