@@ -34,7 +34,11 @@ takes the first of these paths that applies:
   4. Everything else, notably g != 0, a < 0 and s <= 0: one
      scipy.integrate.quad call per panel with a relative tolerance only, in u
      on finite panels and in w = ln(1+u) on improper ones, where power-law
-     tails decay exponentially.
+     tails decay exponentially.  Where the integrand changes at a rate r with
+     r * width > 64 from an end of a finite panel, the panel gets breakpoints
+     at 2^k / r from that end; an improper tail that decays at a rate r > 64
+     is integrated in z = r (w - w0).  Either way a sharp peak at an end (a or
+     |b| large) spans a unit of the variable.
 
 Which path a panel takes, and the value it gets, depend only on (a, b, g,
 const) and the panel's ends, not on the other panels of the call: every path
@@ -67,6 +71,8 @@ from .errors import DomainError, EvaluationError, read_key, require_keys
 
 # relative tolerance only: an absolute one would cut short tiny improper integrals
 _QUAD_OPTS = {"limit": 200, "epsabs": 0.0, "epsrel": 1e-11}
+# a quad panel whose integrand changes by e^64 within it from an end is split there (path 4)
+_SHARP = 64.0
 # incomplete-gamma panels (path 2 above)
 _TAIL_UNDERFLOW = 1e-290
 _NORMAL_MIN = np.finfo(float).tiny  # a subnormal x = a(1+u) has lost its digits
@@ -193,15 +199,52 @@ class PowerLog:
             expo = a - math.exp(min(w + log_a, 700.0)) + s * w + g * math.log1p(w)
             return math.exp(min(expo, 700.0))
 
+        def in_w_sharp(w):
+            # in_w, with a - a e^w as -a expm1(w) where that keeps the digits of a large a
+            if w >= 1.0:
+                return in_w(w)
+            return math.exp(min(-a * math.expm1(w) + s * w + g * math.log1p(w), 700.0))
+
+        def rate_u(u):
+            # -d/du log in_u
+            return a - b / (1.0 + u) - g / ((1.0 + u) * (1.0 + math.log1p(u)))
+
+        def rate_w(w):
+            # -d/dw log in_w
+            return math.exp(min(w + log_a, 700.0)) - s - g / (1.0 + w)
+
+        def tail(w0):
+            # int_{w0}^inf in_w; a sharp decay at w0, at rate r, is integrated in
+            # z = r (w - w0), where it spans a unit of the variable
+            r = rate_w(w0)
+            if r > _SHARP:
+                return quad(lambda z: in_w_sharp(w0 + z / r), 0.0, math.inf, **_QUAD_OPTS)[0] / r
+            return quad(in_w, w0, math.inf, **_QUAD_OPTS)[0]
+
+        def sharp_ends(lo, hi):
+            # breakpoints at distances 2^k / r < (hi - lo) / 2 from an end where in_u changes
+            # at rate r, r (hi - lo) > _SHARP: the first one holds the end's peak.  At most
+            # 60 a side keep quad's subinterval count within its limit of 200.
+            pts = set()
+            for end, r, side in ((lo, rate_u(lo), 1.0), (hi, -rate_u(hi), -1.0)):
+                if r * (hi - lo) > _SHARP:
+                    n = int(min(math.log2(r * (hi - lo)), 60.0))
+                    pts.update(end + side * 2.0**k / r for k in range(n))
+            return sorted(pts) or None
+
         for i in np.flatnonzero(~done).tolist():
             if math.isinf(u_hi[i]):
-                # the cut-off e^(-a e^w) sets in at w = ln(1/a): one finite piece up to there
                 w_lo = math.log1p(u_lo[i])
+                if rate_w(w_lo) > _SHARP:
+                    vals[i] = tail(w_lo)
+                    continue
+                # the cut-off e^(-a e^w) sets in at w = ln(1/a): one finite piece up to there
                 w_cut = max(w_lo, -log_a + 1.0) if a > 0.0 else w_lo
                 head = quad(in_w, w_lo, w_cut, **_QUAD_OPTS)[0] if w_cut > w_lo else 0.0
-                vals[i] = head + quad(in_w, w_cut, math.inf, **_QUAD_OPTS)[0]
+                vals[i] = head + tail(w_cut)
             else:
-                vals[i] = quad(in_u, float(u_lo[i]), float(u_hi[i]), **_QUAD_OPTS)[0]
+                lo, hi = float(u_lo[i]), float(u_hi[i])
+                vals[i] = quad(in_u, lo, hi, points=sharp_ends(lo, hi), **_QUAD_OPTS)[0]
         out[live] = vals
         return out
 

@@ -205,6 +205,8 @@ def test_gauge_sup_case():
 @example(p=2.0, beta=0.0, alpha=1.0, s=0.5, q=2.0, q_dim=1.0, ts=[0.1, 0.01])  # m(0) = inf
 @example(p=2.0, beta=0.5, alpha=1.0, s=0.5, q=0.5, q_dim=1.0, ts=[0.3])  # q <= alpha: a sup
 @example(p=2.0, beta=0.5, alpha=1.0, s=0.9, q=math.inf, q_dim=1.5, ts=[1e-6, 0.5])
+@example(p=2.0, beta=1.0, alpha=0.99999, s=0.75, q=1.0, q_dim=1.0, ts=[])  # a sharp tail in w
+@example(p=1.0, beta=1.0, alpha=0.99999, s=0.5, q=1.0, q_dim=1.0, ts=[0.25])  # a sharp panel in u
 def test_gauge_on_an_array_equals_its_scalar_calls(p, beta, alpha, s, q, q_dim, ts):
     spec = lz_base_spec(p, 2.0, beta, alpha)
     t = np.array([0.0, *ts])

@@ -57,6 +57,11 @@ def integral_batches(draw):
 @example((0.0, -0.999999, 0.0, 1e-22, 3e-21))
 @example((0.0022376107698098943, -0.5854587356045071, 0.0, 9.45431332654384e-274,
           3.2563118053683656e-273))
+@example((24999.750000113774, -99999.0000004551, 0.0, 0.0, 1.0))
+@example((0.5972774691746657, -92647.30954303808, 1.0, 0.0, 1.0))
+@example((963886.6237587115, -160488.0, 1.0, 0.0, 1.0))
+@example((736849.972336865, 1.4606907670077875, 1.0, 0.0, 1.0))
+@example((-49999.50000022755, -99999.0000004551, 0.0, 0.25, 1.0))
 def test_integral_dt_over_t_matches_mpmath(case):
     a, b, g, lo, hi = case
     want = mp_power_log_integral(a, b, g, lo, hi)
