@@ -10,7 +10,7 @@ from .rispace import (RISpaceSpec, lp, lorentz, lorentz_zygmund, lambda_w,
                       marcinkiewicz, marcinkiewicz_tilde, orlicz, convexify,
                       quasi_norm, fundamental_powerlog, spec_from_json)
 from .smoothness import (GradientField, ModulusProfile, KBounds, modulus_profile,
-                         besov_seminorm, hajlasz_seminorm_l1, k_functional_l1, k_bounds)
+                         besov_seminorm, hajlasz_seminorm_l1, k_functional_path, k_bounds_path)
 from .corpus import tent_function
 from .embed import (EmbeddingReport, Regime, oscillation_functional, embedding_report,
                     oscillation_gradient_constant, measure_growth_constant,

@@ -3,7 +3,8 @@
 Every subcommand builds its payload, rows and stdout summary, then writes one
 JSON and one CSV artifact into the output directory.  Only _num turns a number
 into a cell: the shortest round-trip literal of a Python int or float, so a
-fixed config and seed reproduce byte-identical files.  Exit codes: 0 success,
+fixed config and seed reproduce byte-identical files, and in JSON a non-finite
+float is that literal as a string ("inf").  Exit codes: 0 success,
 2 usage or config error (argparse, a space or value outside its domain, an
 overflow or zero division), 3 refusal (a precondition fails, or a fundamental
 function the check needs has no closed form), 4 solver failure.
@@ -42,10 +43,21 @@ def _num(x) -> str:
     return repr(x)
 
 
+def _json_value(obj):
+    """obj with each non-finite float in its dicts and lists as its _num string: JSON has no inf."""
+    if isinstance(obj, dict):
+        return {k: _json_value(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_value(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return _num(obj)
+    return obj
+
+
 def _write_artifacts(out_dir: Path, name: str, payload: dict, rows: list[dict]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"{name}.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_json_value(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     with open(out_dir / f"{name}.csv", "w", newline="") as fh:
         if rows:
@@ -90,7 +102,7 @@ def cmd_space_info(args) -> int:
     payload["total_mass"] = space.total_mass
     _write_artifacts(Path(args.out), "space-info", payload,
                      [{k: _num(v) for k, v in payload.items()}])
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(_json_value(payload), sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -6,7 +6,9 @@ The central object is the oscillation functional
 
 where gap is the running-average-minus-value oscillation of the rearranged
 |f|^a, phi the fundamental function of the a-convexified norm family, and Q
-the space's upper dimension.  On step functions the gap equals D/t per panel,
+the space's upper dimension.  It depends on f only through f*, so
+oscillation_functional takes the rearrangement, which each report computes
+once per function.  On step functions the gap equals D/t per panel,
 so the functional, like the weighted rearranged targets, is one call of the
 power-log panel kernel (weights.PowerLog.panel_sum, or panel_max for
 q = inf) over the panels of the rearranged step function.
@@ -62,18 +64,13 @@ def _oscillation_weight(spec: RISpaceSpec, alpha: float, s: float, q_dim: float)
     return fundamental_powerlog(convexify(spec, alpha)) * PowerLog(-s / q_dim)
 
 
-def oscillation_functional(space: Space, f, spec: RISpaceSpec, alpha: float,
+def oscillation_functional(fstar: StepDecreasing, spec: RISpaceSpec, alpha: float,
                            s: float, q: float, q_dim: float) -> float:
-    """Weighted dt/t norm of the oscillation gap over (0, min(1, mass)).
+    """Weighted dt/t norm of the oscillation gap over (0, min(1, mass)) of f, from fstar = f*.
 
     Exact per-panel evaluation: on each breakpoint-free panel the gap is
     D/t, so the integrand is a power-log function of t.
     """
-    return _oscillation_norm(rearrangement(space, f), spec, alpha, s, q, q_dim)
-
-
-def _oscillation_norm(fstar: StepDecreasing, spec, alpha, s, q, q_dim) -> float:
-    """oscillation_functional of the f with rearrangement fstar."""
     if not (0.0 < s < 1.0 and q > 0.0 and 0.0 < alpha <= 1.0):
         raise DomainError("need 0 < s < 1, q > 0, 0 < alpha <= 1")
     w_pl = _oscillation_weight(spec, alpha, s, q_dim)
@@ -139,15 +136,11 @@ def embedding_report(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: f
     """Oscillation functional vs smoothness seminorm + split norm, per function."""
     def one(f):
         fstar = rearrangement(space, f)
-        return (_oscillation_norm(fstar, spec, alpha, s, q, q_dim),
+        return (oscillation_functional(fstar, spec, alpha, s, q, q_dim),
                 _hb_norm(space, f, fstar, spec, alpha, s, q, ratio))
 
-    params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": _json_num(q), "Q": q_dim}
+    params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": q, "Q": q_dim}
     return _finish_report(theorem_id, corpus, labels, one, params)
-
-
-def _json_num(x):
-    return "inf" if (isinstance(x, float) and math.isinf(x)) else x
 
 
 # -- pointwise oscillation-vs-gradient bound ---------------------------------------------
@@ -279,11 +272,10 @@ def sup_norm_embedding_check(space: Space, corpus, spec: RISpaceSpec, alpha: flo
     def one(f):
         lhs = float(np.abs(np.asarray(f, dtype=float)).max())
         fstar = rearrangement(space, f)
-        rhs = _oscillation_norm(fstar, spec, alpha, s, q, q_dim) + sum_plus_linf_norm(fstar, alpha)
-        return lhs, rhs
+        return lhs, (oscillation_functional(fstar, spec, alpha, s, q, q_dim)
+                     + sum_plus_linf_norm(fstar, alpha))
 
-    params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": _json_num(q),
-              "Q": q_dim, "m0": m0}
+    params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": q, "Q": q_dim, "m0": m0}
     return _finish_report("infinito", corpus, labels, one, params)
 
 
@@ -343,8 +335,7 @@ def target_norm_check(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: 
             lhs = weighted_step_norm(fstar, u, q)
         return lhs, _hb_norm(space, f, fstar, spec, alpha, s, q, ratio)
 
-    params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": _json_num(q),
-              "Q": q_dim, "mode": mode}
+    params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": q, "Q": q_dim, "mode": mode}
     return _finish_report("pesos", corpus, labels, one, params)
 
 
@@ -484,8 +475,8 @@ def log_lorentz_embedding_check(space: Space, corpus, p: float, r: float, beta: 
             return (weighted_step_norm(fstar, regime.target_weight, q),
                     _hb_norm(space, f, fstar, base, alpha, s, q, ratio))
 
-        params = {"p": p, "r": _json_num(r), "beta": beta, "s": s, "q": _json_num(q),
-                  "Q": q_dim, "regime": regime.to_json()}
+        params = {"p": p, "r": r, "beta": beta, "s": s, "q": q, "Q": q_dim,
+                  "regime": regime.to_json()}
         report = _finish_report("lorentzlog", corpus, labels, one, params)
     return regime, report
 

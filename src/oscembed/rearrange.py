@@ -102,25 +102,17 @@ class StepDecreasing:
                        self.prefix[-1])
         return out if out.shape else float(out)
 
-    def _mapped(self, vals: np.ndarray) -> "StepDecreasing":
-        """Same breakpoints with new values from an increasing map of the old ones.
-
-        In floating point the map may send neighbouring steps to one value
-        (tiny values underflow to 0 under a power); such runs merge into one step.
-        """
-        keep = np.concatenate([vals[:-1] != vals[1:], [True]])
-        return StepDecreasing(self.breakpoints[keep], vals[keep])
-
     def power(self, alpha: float) -> "StepDecreasing":
-        """Step function of the pointwise alpha-th power (exact for rearrangements)."""
+        """Step function of the pointwise alpha-th power (exact for rearrangements).
+
+        In floating point neighbouring steps may reach one value (tiny values
+        underflow to 0); such runs merge into one step.
+        """
         if not alpha > 0.0:
             raise DomainError("power exponent must be positive")
-        return self._mapped(self.values**alpha)
-
-    def scaled(self, factor: float) -> "StepDecreasing":
-        if not factor > 0.0:
-            raise DomainError("scale factor must be positive")
-        return self._mapped(self.values * factor)
+        vals = self.values**alpha
+        keep = np.concatenate([vals[:-1] != vals[1:], [True]])
+        return StepDecreasing(self.breakpoints[keep], vals[keep])
 
     def panels(self, upper: float):
         """(lo, hi, value, gap_const) per breakpoint-free panel of (0, upper].

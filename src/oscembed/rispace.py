@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (DomainError, EvaluationError, SymbolicAnalysisError, read_key,
-                     require_keys)
+from .errors import (DomainError, EvaluationError, PreconditionError, SymbolicAnalysisError,
+                     read_key, require_keys)
 from .rearrange import StepDecreasing
 from .weights import OrliczFunction, PowerLog, bounded_max_search
 
@@ -132,6 +132,9 @@ def lorentz_zygmund(p: float, r: float, beta: float) -> RISpaceSpec:
 def lambda_w(q: float, w: PowerLog) -> RISpaceSpec:
     if not (q > 0.0 and math.isfinite(q)):
         raise DomainError("lambda_w exponent must be positive finite")
+    if not (w * PowerLog(1.0)).integrable_at_zero_dt_over_t():  # int_0 w dt = int_0 t w dt/t
+        raise PreconditionError("lambda_w weight is not integrable at 0, so the norm of "
+                                "every f != 0 is infinite")
     return RISpaceSpec("lambda_w", q=q, weight=w)
 
 
@@ -349,7 +352,7 @@ def fundamental_powerlog(spec: RISpaceSpec) -> PowerLog:
         else:
             raise SymbolicAnalysisError("lambda_w weight has no power-log fundamental form")
     elif fam == "orlicz":
-        if spec.orlicz_fn.kind == "power" and spec.orlicz_fn.b == 0.0:
+        if spec.orlicz_fn.kind == "power":
             base = PowerLog(1.0 / spec.orlicz_fn.p)
         else:
             raise SymbolicAnalysisError("Orlicz preset has no power-log fundamental form")

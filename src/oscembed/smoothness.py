@@ -571,16 +571,6 @@ def _checked_ts(ts) -> list[float]:
     return ts
 
 
-def k_functional_l1(space: Space, f, t: float) -> float:
-    """Exact split infimum: min over h of ||f - h||_L1 + t * (L1 gradient seminorm of h)."""
-    return k_functional_path(space, f, [t])[0]
-
-
-def k_functional_l1_nonhomogeneous(space: Space, f, t: float) -> float:
-    """Split infimum against the inhomogeneous gradient norm ||h||_L1 + seminorm."""
-    return k_functional_path(space, f, [t], inhomogeneous=True)[0]
-
-
 # -- two-sided K bounds -------------------------------------------------------------------
 
 
@@ -615,11 +605,6 @@ def k_bounds_path(space: Space, f, ts, spec: RISpaceSpec, alpha: float) -> list[
         exact = k_functional_path(space, f, ts)
     return [KBounds(t=t, lower=lower, upper=upper, exact=e)
             for t, (lower, upper), e in zip(ts, bounds, exact)]
-
-
-def k_bounds(space: Space, f, t: float, spec: RISpaceSpec, alpha: float) -> KBounds:
-    """k_bounds_path at the one parameter t."""
-    return k_bounds_path(space, f, [t], spec, alpha)[0]
 
 
 def _dyadic_radii(space: Space, t: float) -> list[float]:

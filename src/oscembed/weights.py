@@ -282,11 +282,6 @@ class PowerLog:
         out[live] = self._integrals_dt_over_t(lo_a[live], hi_a[live])
         return out if out.shape else float(out)
 
-    def integral_dt(self, lo: float, hi: float) -> float:
-        """int_lo^hi p(t) dt  (= integral of t*p(t) dt/t)."""
-        shifted = PowerLog(self.a + 1.0, self.b, self.g, self.const)
-        return shifted.integral_dt_over_t(lo, hi)
-
     # -- suprema ---------------------------------------------------------------
 
     def _critical_points(self, lo: float, hi: float) -> list[float]:
@@ -433,7 +428,8 @@ def _gauss_legendre_16():
 class OrliczFunction:
     """Orlicz generator: strictly increasing, vanishing at 0, doubling growth.
 
-    Presets: kind="power" gives x^p; kind="power_log" gives x^p * ln(e + x)^b.
+    Presets: kind="power" gives x^p (and takes no b); kind="power_log" gives
+    x^p * ln(e + x)^b.
     Validated on a log grid at construction: strict increase and a finite
     doubling ratio sup Phi(2x)/Phi(x).
     """
@@ -447,6 +443,8 @@ class OrliczFunction:
             raise DomainError(f"unknown Orlicz preset {self.kind!r}")
         if not self.p > 0.0:
             raise DomainError("Orlicz exponent p must be positive")
+        if self.kind == "power" and self.b != 0.0:
+            raise DomainError("the Orlicz preset power takes no log exponent b")
         xs = np.logspace(-8, 8, 200)
         vals = self(xs)
         if not np.all(np.diff(vals) > 0.0):
@@ -462,27 +460,6 @@ class OrliczFunction:
         else:
             out = x**self.p * np.log(np.e + x) ** self.b
         return out if out.shape else float(out)
-
-    def inverse(self, y: float) -> float:
-        """Phi^{-1}(y) by bracketing + brentq."""
-        if y <= 0.0:
-            raise DomainError("Orlicz inverse needs y > 0")
-        if self.kind == "power" and self.b == 0.0:
-            return y ** (1.0 / self.p)
-        lo, hi = 1e-12, 1.0
-        for _ in range(200):
-            if self(hi) >= y:
-                break
-            hi *= 2.0
-        else:
-            raise EvaluationError("Orlicz inverse bracket expansion failed")
-        for _ in range(200):
-            if self(lo) <= y:
-                break
-            lo *= 0.5
-        else:
-            raise EvaluationError("Orlicz inverse bracket expansion failed")
-        return brentq(lambda x: self(x) - y, lo, hi, xtol=1e-300, rtol=1e-13)
 
     @staticmethod
     def from_json(obj: dict) -> "OrliczFunction":

@@ -39,7 +39,7 @@ from oscembed.rearrange import StepDecreasing, rearrangement
 from oscembed.rispace import RISpaceSpec, _norm_marcinkiewicz, convexify, quasi_norm
 from oscembed.smoothness import (DEFAULT_GRID_RATIO, GradientField, KBounds, ModulusProfile,
                                  _ball_averages, _check_ball_args, _moduli, _slopes,
-                                 hajlasz_seminorm_l1, k_functional_l1, radius_grid)
+                                 hajlasz_seminorm_l1, k_functional_path, radius_grid)
 from oscembed.space import Space, doubling_constant
 from oscembed.weights import PowerLog
 
@@ -385,10 +385,11 @@ def loop_lorentz_zygmund_norm(p, r, beta, fstar):
 def loop_lambda_w_norm(q, w, fstar):
     """(int (f*)^q w dt)^(1/q) of a step function."""
     edges = np.concatenate([[0.0], fstar.breakpoints])
+    tw = PowerLog(w.a + 1.0, w.b, w.g, w.const)  # int w dt = int t w(t) dt/t
     total = 0.0
     for i, v in enumerate(fstar.values):
         if v > 0.0:
-            total += v**q * w.integral_dt(edges[i], edges[i + 1])
+            total += v**q * tw.integral_dt_over_t(edges[i], edges[i + 1])
     return total ** (1.0 / q)
 
 
@@ -489,7 +490,7 @@ def loop_k_bounds(space, f, t, spec, alpha):
     upper = total ** (1.0 / alpha)
     exact = None
     if spec.family == "lp" and spec.p == 1.0 and spec.convexify_power == 1.0 and alpha == 1.0:
-        exact = k_functional_l1(space, f, t)
+        exact = k_functional_path(space, f, [t])[0]
     return KBounds(t=t, lower=lower, upper=upper, exact=exact)
 
 
@@ -574,9 +575,8 @@ def fundamental_function(spec: RISpaceSpec, t: float) -> float:
     elif fam in ("marcinkiewicz", "marcinkiewicz_tilde"):
         val = float(spec.weight(t))
     elif fam == "lambda_w":
-        val = spec.weight.integral_dt(0.0, t) ** (1.0 / spec.q)
-    elif fam == "orlicz":
-        val = 1.0 / spec.orlicz_fn.inverse(1.0 / t)
+        w = spec.weight
+        val = PowerLog(w.a + 1.0, w.b, w.g, w.const).integral_dt_over_t(0.0, t) ** (1.0 / spec.q)
     else:
         val = quasi_norm(replace(spec, convexify_power=1.0), indicator_step(t))
     return val ** (1.0 / r) if r != 1.0 else val

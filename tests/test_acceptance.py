@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oscembed import (collapse_sweep, diagnostics, embedding_report, grid_space,
-                      hajlasz_seminorm_l1, k_bounds, load_space, lorentz,
+                      hajlasz_seminorm_l1, k_bounds_path, load_space, lorentz,
                       lorentz_zygmund, lp, oscillation_gradient_constant,
                       path_space, random_geometric_space,
                       reciprocal_weight_finite, reciprocal_weight_integral,
@@ -229,7 +229,7 @@ def _sandwich_constants(space, corpus, ts):
     c1 = c2 = 0.0
     for f in corpus:
         for t in ts:
-            kb = k_bounds(space, f, float(t), spec, 1.0)
+            kb = k_bounds_path(space, f, [float(t)], spec, 1.0)[0]
             if kb.exact and kb.exact > 1e-12:
                 c1 = max(c1, kb.lower / kb.exact)
                 c2 = max(c2, kb.exact / kb.upper)

@@ -156,6 +156,7 @@ def test_cli_uncertified_lp_exits_4_with_dump(space_file, tmp_path, capsys, monk
     (["kfun", "--t-min", "1e-308"], {}),
     (["kfun", "--t-max", "1e-308"], {}),
     (["regimes", "--q-dim", "inf"], {}),
+    (["norms", "--spec", '{"family": "orlicz", "Phi": {"kind": "power", "p": 2, "b": 1}}'], {}),
 ])
 def test_cli_config_errors_exit_2_without_traceback(space_file, tmp_path, capsys,
                                                     command, files):
@@ -192,6 +193,18 @@ def test_verify_infinito_refusal_exit_code(space_file, tmp_path, capsys):
 def test_cli_norm_without_closed_form_exits_3(space_file, tmp_path, capsys, command, spec):
     rc = main(command + ["--space", space_file, "--spec", json.dumps(spec),
                          "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["norms", "modulus", "besov", "kfun"])
+@pytest.mark.parametrize("w", [{"a": -2}, {"a": -1}, {"a": -1, "b": -0.5}])
+def test_cli_lambda_w_weight_not_integrable_at_0_is_refused(space_file, tmp_path, capsys,
+                                                            command, w):
+    spec = {"family": "lambda_w", "q": 1, "w": w}
+    rc = main([command, "--space", space_file, "--spec", json.dumps(spec),
+               "--out", str(tmp_path / "out")])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("refused: ") and err.count("\n") == 1
@@ -263,6 +276,25 @@ def test_cli_norm_table_rederivable(space_file, tmp_path):
     for row, f in zip(rows, corpus):
         assert float(row["quasi_norm"]) == pytest.approx(
             quasi_norm(lp(2.0), rearrangement(sp, f)), rel=1e-12)
+
+
+def test_indicators_corpus_is_seeded_ball_masks():
+    from oscembed import grid_space
+    from oscembed.corpus import build_corpus
+
+    sp = grid_space(4, 4)
+    spec = {"generator": "indicators", "count": 6}
+    corpus, labels = build_corpus(sp, spec, 3)
+    assert labels == [f"ind{i}" for i in range(6)]
+    for f in corpus:
+        inside = f == 1.0
+        assert np.all(inside | (f == 0.0)) and inside.any()
+        assert any(np.array_equal(inside, sp.dist[x] <= sp.dist[x][inside].max())
+                   for x in np.flatnonzero(inside))
+    again, _ = build_corpus(sp, spec, 3)
+    assert all(np.array_equal(f, g) for f, g in zip(corpus, again))
+    other, _ = build_corpus(sp, spec, 4)
+    assert not all(np.array_equal(f, g) for f, g in zip(corpus, other))
 
 
 @pytest.mark.parametrize("case, named", [
@@ -361,7 +393,10 @@ _TINY_SPACES = {
 @pytest.mark.parametrize("command", sorted(_RUNS) + [f"verify-{t}" for t in THEOREMS])
 def test_cli_every_command_gives_a_result_or_a_refusal_on_tiny_spaces(tmp_path, capsys,
                                                                        space, command):
-    """Every subcommand and theorem, at its defaults: exit 0, 2 or 3, never a traceback."""
+    """Every subcommand and theorem, at its defaults: exit 0, 2 or 3, never a traceback.
+
+    Every JSON it writes, as a file or on stdout, is valid JSON: no Infinity or NaN.
+    """
     path = tmp_path / "space.json"
     path.write_text(json.dumps(_TINY_SPACES[space]))
     argv = ["verify", "--theorem", command[len("verify-"):]] if command.startswith("verify-") \
@@ -369,7 +404,17 @@ def test_cli_every_command_gives_a_result_or_a_refusal_on_tiny_spaces(tmp_path, 
     if command != "regimes":
         argv += ["--space", str(path)]
     assert main(argv + ["--out", str(tmp_path / "out")]) in (0, 2, 3)
-    assert "Traceback" not in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    texts = [p.read_text() for p in (tmp_path / "out").glob("*.json")]
+    if command == "space-info" and captured.out:
+        texts.append(captured.out)
+    for text in texts:
+        json.loads(text, parse_constant=refuse)
 
 
 # Cells that name a row rather than hold a number: labels, norm specs and regime

@@ -65,7 +65,8 @@ def test_tent_gradient_certified():
 
 def test_oscillation_functional_constant_zero():
     sp = path_space(4)
-    assert oscillation_functional(sp, np.full(4, 2.0), lp(1.0), 1.0, 0.5, 1.0, 1.0) == 0.0
+    fstar = rearrangement(sp, np.full(4, 2.0))
+    assert oscillation_functional(fstar, lp(1.0), 1.0, 0.5, 1.0, 1.0) == 0.0
 
 
 def test_oscillation_functional_indicator_closed_form():
@@ -76,13 +77,13 @@ def test_oscillation_functional_indicator_closed_form():
     sp = space_from_matrix([[0.0, 1.0], [1.0, 0.0]], w)
     f = np.array([1.0, 0.0])
     s, q_dim = 0.5, 2.0
-    got = oscillation_functional(sp, f, lp(1.0), 1.0, s, 1.0, q_dim)
+    got = oscillation_functional(rearrangement(sp, f), lp(1.0), 1.0, s, 1.0, q_dim)
     m0 = 0.2
     # integrand (m0/t) * t^{1 - s/Q} dt/t = m0 t^{-1 - s/Q} dt on (m0, 1)
     expect = m0 * (q_dim / s) * (m0 ** (-s / q_dim) - 1.0)
     assert got == pytest.approx(expect, rel=1e-10)
     # and the sup form
-    got_inf = oscillation_functional(sp, f, lp(1.0), 1.0, s, math.inf, q_dim)
+    got_inf = oscillation_functional(rearrangement(sp, f), lp(1.0), 1.0, s, math.inf, q_dim)
     expect_inf = max(m0 * t ** (-s / q_dim) for t in (m0, 1.0))
     assert got_inf == pytest.approx(expect_inf, rel=1e-10)
 
@@ -90,10 +91,10 @@ def test_oscillation_functional_indicator_closed_form():
 def test_oscillation_functional_homogeneous():
     sp = fine_grid_space(5, 5, 0.4)
     f = tent_function(sp, 5) - tent_function(sp, 6)
-    base = oscillation_functional(sp, f, lp(2.0), 1.0, 0.4, 2.0, 1.8)
+    base = oscillation_functional(rearrangement(sp, f), lp(2.0), 1.0, 0.4, 2.0, 1.8)
     assert base > 0.0
     for lam in (0.2, 7.0):
-        scaled = oscillation_functional(sp, lam * f, lp(2.0), 1.0, 0.4, 2.0, 1.8)
+        scaled = oscillation_functional(rearrangement(sp, lam * f), lp(2.0), 1.0, 0.4, 2.0, 1.8)
         assert scaled == pytest.approx(lam * base, rel=1e-9)
 
 
@@ -102,7 +103,7 @@ def test_oscillation_functional_zero_on_noncollapsed_tents():
     sp = fine_grid_space(5, 5, 0.4)
     assert float(sp.ball_masses(1.0).min()) >= 1.0 - 1e-12
     f = tent_function(sp, 12)
-    assert oscillation_functional(sp, f, lp(1.0), 1.0, 0.5, 1.0, 2.0) == 0.0
+    assert oscillation_functional(rearrangement(sp, f), lp(1.0), 1.0, 0.5, 1.0, 2.0) == 0.0
 
 
 # -- embedding report -------------------------------------------------------------------

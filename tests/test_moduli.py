@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscembed import (PowerLog, grid_space, k_bounds, lorentz, lorentz_zygmund, lp,
+from oscembed import (PowerLog, grid_space, k_bounds_path, lorentz, lorentz_zygmund, lp,
                       modulus_profile, path_space, smoothness, space_from_graph,
                       space_from_points, tent_function)
 
@@ -53,7 +53,7 @@ def test_moduli_equal_per_radius_loops_bitwise(instance, alpha, spec_name):
     assert prof.values.tobytes() == want.values.tobytes()
     assert prof.tail_value == want.tail_value
     assert modulus(sp, f, t, spec, alpha) == loop_modulus(sp, f, t, spec, alpha)
-    assert k_bounds(sp, f, t, spec, alpha) == loop_k_bounds(sp, f, t, spec, alpha)
+    assert k_bounds_path(sp, f, [t], spec, alpha)[0] == loop_k_bounds(sp, f, t, spec, alpha)
 
 
 @pytest.mark.parametrize("t", [0.3, 1.0, 5.0, 11.0, 40.0])
@@ -67,7 +67,7 @@ def test_k_bounds_makes_one_pass_per_distinct_radius(monkeypatch, t):
         return inner(space, values, rs, alpha)
 
     monkeypatch.setattr(smoothness, "_ball_averages", counted)
-    k_bounds(sp, np.arange(6.0) ** 2, t, lp(2.0), 0.5)
+    k_bounds_path(sp, np.arange(6.0) ** 2, [t], lp(2.0), 0.5)[0]
     assert len(radii) == len(set(radii))
     top = 2.0 * sp.diameter
     j_cut = int(np.ceil(np.log2(top / t))) if t < top else 0

@@ -143,7 +143,8 @@ def test_convexify_norm_identity():
     f = np.array([3.0, 1.5, 0.5, 2.0, 1.0])
     fs = rearrangement(SP5, f)
     fs_sq = rearrangement(SP5, f**2)
-    for spec in (lp(1.0), lorentz(1.0, 2.0), lorentz_zygmund(1.0, 1.0, 0.5)):
+    for spec in (lp(1.0), lorentz(1.0, 2.0), lorentz_zygmund(1.0, 1.0, 0.5),
+                 lambda_w(1.5, PowerLog(0.5, 1.0)), marcinkiewicz_tilde(PowerLog(0.5))):
         lhs = quasi_norm(convexify(spec, 2.0), fs)
         rhs = quasi_norm(spec, fs_sq) ** 0.5
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -198,7 +199,8 @@ def test_fundamental_duality_relation():
 
 def test_fundamental_powerlog_agrees_where_exact():
     for spec in (lp(2.0), lorentz(1.5, 3.0), marcinkiewicz(PowerLog(0.5)),
-                 lambda_w(2.0, PowerLog(0.5))):
+                 lambda_w(2.0, PowerLog(0.5)), lambda_w(2.0, PowerLog(-1.0, -2.0)),
+                 orlicz(OrliczFunction("power", 3.0))):
         pl = fundamental_powerlog(spec)
         for t in (0.1, 0.9):
             assert float(pl(t)) == pytest.approx(fundamental_function(spec, t), rel=1e-10)

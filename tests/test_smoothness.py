@@ -13,13 +13,11 @@ from scipy.optimize._highspy._core import HighsStatus
 from scipy.sparse import vstack
 
 from oscembed import (DomainError, GradientField, ModulusProfile, besov_seminorm,
-                      convexify, grid_space, hajlasz_seminorm_l1, k_bounds, k_functional_l1,
-                      lp, modulus_profile, path_space, quasi_norm, rearrangement,
-                      space_from_matrix)
+                      convexify, grid_space, hajlasz_seminorm_l1, lp, modulus_profile,
+                      path_space, quasi_norm, rearrangement, space_from_matrix)
 from oscembed import SolverError, smoothness, space_from_graph, space_from_points
 from oscembed.embed import oscillation_gradient_constant
-from oscembed.smoothness import (besov_from_profile, k_bounds_path, k_functional_l1_nonhomogeneous,
-                                 k_functional_path)
+from oscembed.smoothness import besov_from_profile, k_bounds_path, k_functional_path
 from oscembed.space import diagnostics
 
 from _oracles import (canonical_gradient, critical_radii, full_pair_gradient_seminorm,
@@ -324,14 +322,14 @@ def test_k_below_l1_norm():
     for _ in range(10):
         f = rng.normal(size=5)
         for t in (0.1, 1.0, 10.0):
-            k = k_functional_l1(sp, f, t)
+            k = k_functional_path(sp, f, [t])[0]
             assert k <= float(np.sum(np.abs(f) * sp.weight)) + 1e-9
 
 
 def test_k_constant_zero():
     sp = path_space(4)
     for t in (0.5, 2.0):
-        assert k_functional_l1(sp, np.full(4, 3.0), t) == 0.0
+        assert k_functional_path(sp, np.full(4, 3.0), [t])[0] == 0.0
 
 
 def test_k_two_point_vertex_candidates():
@@ -343,7 +341,7 @@ def test_k_two_point_vertex_candidates():
         w = rng.uniform(0.1, 2.0, 2)
         f = rng.normal(size=2)
         sp = space_from_matrix([[0.0, d], [d, 0.0]], w)
-        k = k_functional_l1(sp, f, 1.0)
+        k = k_functional_path(sp, f, [1.0])[0]
         gap = abs(f[0] - f[1])
         candidates = [1.0 * gap / d * min(w), w[0] * gap, w[1] * gap]
         assert k == pytest.approx(min(candidates), rel=1e-9)
@@ -354,7 +352,7 @@ def test_k_monotone_and_concave_in_t():
     sp = path_space(6)
     f = rng.normal(size=6)
     ts = np.geomspace(0.05, 20.0, 12)
-    ks = [k_functional_l1(sp, f, float(t)) for t in ts]
+    ks = [k_functional_path(sp, f, [float(t)])[0] for t in ts]
     assert all(a <= b + 1e-9 for a, b in zip(ks[:-1], ks[1:]))
     # K(f, t)/t decreasing
     ratios = [k / t for k, t in zip(ks, ts)]
@@ -368,7 +366,7 @@ def test_k_bounds_sandwich_on_path():
     for _ in range(5):
         f = rng.normal(size=8)
         for t in (0.3, 1.0, 4.0):
-            kb = k_bounds(sp, f, t, spec, 1.0)
+            kb = k_bounds_path(sp, f, [t], spec, 1.0)[0]
             assert kb.exact is not None
             assert kb.lower <= kb.upper + 1e-9
             # two-sided with finite constants
@@ -379,7 +377,7 @@ def test_k_bounds_sandwich_on_path():
 
 def test_k_bounds_constant():
     sp = path_space(4)
-    kb = k_bounds(sp, np.full(4, 1.0), 1.0, lp(1.0), 1.0)
+    kb = k_bounds_path(sp, np.full(4, 1.0), [1.0], lp(1.0), 1.0)[0]
     assert (kb.lower, kb.upper, kb.exact) == (0.0, 0.0, 0.0)
 
 
@@ -388,7 +386,7 @@ def test_k_bounds_upper_dominates_j0_term():
     sp = path_space(7)
     f = rng.normal(size=7)
     for t in (0.4, 1.3):
-        kb = k_bounds(sp, f, t, lp(1.0), 1.0)
+        kb = k_bounds_path(sp, f, [t], lp(1.0), 1.0)[0]
         assert kb.upper >= modulus(sp, f, t, lp(1.0), 1.0) - 1e-12
 
 
@@ -400,8 +398,8 @@ def test_nonhomogeneous_k_structure():
         f = rng.normal(size=5)
         l1 = float(np.sum(np.abs(f) * sp.weight))
         for t in (0.2, 1.0, 5.0):
-            k_in = k_functional_l1_nonhomogeneous(sp, f, t)
-            k_hom = k_functional_l1(sp, f, t)
+            k_in = k_functional_path(sp, f, [t], inhomogeneous=True)[0]
+            k_hom = k_functional_path(sp, f, [t])[0]
             combo = k_hom + min(1.0, t) * l1
             assert k_in <= combo + 1e-9
             assert combo <= 3.0 * k_in + 1e-9
@@ -412,8 +410,8 @@ def test_k_scales_with_measure():
     sp = path_space(6)
     f = rng.normal(size=6)
     for lam in (0.1, 10.0):
-        a = k_functional_l1(sp.scale_weights(lam), f, 0.7)
-        b = lam * k_functional_l1(sp, f, 0.7)
+        a = k_functional_path(sp.scale_weights(lam), f, [0.7])[0]
+        b = lam * k_functional_path(sp, f, [0.7])[0]
         assert a == pytest.approx(b, rel=1e-8)
 
 
@@ -486,7 +484,7 @@ def test_uncertified_optimum_is_dumped(monkeypatch):
 
     monkeypatch.setattr(smoothness, "_run", halved_duals)
     f = [0.0, 1.0, 3.0, 2.0]
-    for lp_call in (lambda: k_functional_l1(path_space(4), f, 1.0),
+    for lp_call in (lambda: k_functional_path(path_space(4), f, [1.0])[0],
                     lambda: hajlasz_seminorm_l1(path_space(4), f)):
         with pytest.raises(SolverError, match="duality gap") as info:
             lp_call()
@@ -521,8 +519,8 @@ def test_solver_failures_propagate_with_dump(monkeypatch):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_pair_lps_refuse_non_finite_f(bad):
     sp, f = path_space(4), [0.0, bad, 1.0, 2.0]
-    for lp_call in (lambda: k_functional_l1(sp, f, 1.0),
-                    lambda: k_functional_l1_nonhomogeneous(sp, f, 1.0),
+    for lp_call in (lambda: k_functional_path(sp, f, [1.0])[0],
+                    lambda: k_functional_path(sp, f, [1.0], inhomogeneous=True)[0],
                     lambda: hajlasz_seminorm_l1(sp, f)):
         with pytest.raises(DomainError, match="must be finite"):
             lp_call()
@@ -535,7 +533,7 @@ def test_failed_add_rows_stops_with_dump(monkeypatch):
 
     monkeypatch.setattr(smoothness, "_Highs", RefusingRows)
     f = [0.0, 1.0, 3.0, 2.0]
-    for lp_call in (lambda: k_functional_l1(path_space(4), f, 1.0),
+    for lp_call in (lambda: k_functional_path(path_space(4), f, [1.0])[0],
                     lambda: hajlasz_seminorm_l1(path_space(4), f)):
         with pytest.raises(SolverError, match="HiGHS addRows failed") as info:
             lp_call()
@@ -564,8 +562,8 @@ def _assert_row_generation_exact(sp, f, t):
     gap = np.abs(f[:, None] - f[None, :]) - sp.dist * (gf.g[:, None] + gf.g[None, :])
     np.fill_diagonal(gap, 0.0)
     assert gap.max() <= smoothness._FEAS_TOL * max(1.0, float(np.abs(f).max()))
-    for inhomogeneous, k_fn in ((False, k_functional_l1), (True, k_functional_l1_nonhomogeneous)):
-        k = k_fn(sp, f, t)
+    for inhomogeneous in (False, True):
+        k = k_functional_path(sp, f, [t], inhomogeneous)[0]
         assert abs(k - full_pair_k_functional(sp, f, t, inhomogeneous)) <= 1e-9 * max(1.0, abs(k))
 
 
@@ -635,8 +633,8 @@ def test_violated_active_pair_stops_with_dump(monkeypatch):
     monkeypatch.setattr(smoothness, "_run", violating)
     sp, f = path_space(n), [0.0, 1.0, 3.0, 2.0]
     for lp_call in (lambda: hajlasz_seminorm_l1(sp, f),
-                    lambda: k_functional_l1(sp, f, 1.0),
-                    lambda: k_functional_l1_nonhomogeneous(sp, f, 1.0)):
+                    lambda: k_functional_path(sp, f, [1.0])[0],
+                    lambda: k_functional_path(sp, f, [1.0], inhomogeneous=True)[0]):
         calls.clear()
         with pytest.raises(SolverError, match="pair constraint violated") as info:
             lp_call()
@@ -656,12 +654,11 @@ ascending_ts = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=6, unique=T
 @given(st.one_of(k_instances(), long_trees()), ascending_ts, st.booleans())
 def test_k_path_matches_one_point_calls_and_full_pair_oracle(instance, ts, inhomogeneous):
     sp, f, _ = instance
-    one_point = k_functional_l1_nonhomogeneous if inhomogeneous else k_functional_l1
     path = smoothness.k_functional_path(sp, f, ts, inhomogeneous)
     assert len(path) == len(ts)
     for t, k in zip(ts, path):
         tol = 1e-9 * max(1.0, abs(k))
-        assert abs(k - one_point(sp, f, t)) <= tol
+        assert abs(k - smoothness.k_functional_path(sp, f, [t], inhomogeneous)[0]) <= tol
         assert abs(k - full_pair_k_functional(sp, f, t, inhomogeneous)) <= tol
 
 
@@ -674,7 +671,7 @@ def test_k_path_makes_fewer_highs_runs_than_one_point_calls(monkeypatch):
     path = smoothness.k_functional_path(sp, f, ts)
     path_runs = len(runs)
     runs.clear()
-    one_point = [k_functional_l1(sp, f, float(t)) for t in ts]
+    one_point = [k_functional_path(sp, f, [float(t)])[0] for t in ts]
     assert path_runs < len(runs)
     assert np.allclose(path, one_point, rtol=1e-9, atol=1e-9)
 
