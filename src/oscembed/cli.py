@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="raise", invalid="raise"):  # saturation is refused, never written
+            return args.fn(args)
     except (SpaceValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

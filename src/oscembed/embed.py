@@ -27,8 +27,9 @@ Weight machinery for the rearranged-norm targets:
   * reciprocal_weight_integral: the finiteness gauge m(t) built from the
     reciprocal weight t^(s/Q)/phi(t), on arrays of t; its value at 0 decides
     between the sup-norm target (finite) and weighted-rearrangement targets
-    (infinite); target_norm_check evaluates it once per report on its sup-form
-    grid, and once per function at the points that function adds;
+    (infinite); target_norm_check evaluates it once per report, at every
+    breakpoint below 1 of its rearranged corpus and, in the sup form, on a
+    fixed grid;
   * the target weight w of the a < q < infinity case, with w(t)^q/t equal to
     the derivative of (1 + m(t))^(1-q/a): target_norm_check integrates
     against it through that exact primitive, so w itself is never evaluated;
@@ -158,15 +159,17 @@ def measure_growth_constant(space: Space, q_dim: float) -> float:
     return float((balls.point_masses(radii) / radii**q_dim).min())
 
 
-def oscillation_gradient_constant(space: Space, f, alpha: float, q_dim: float,
-                                  n_grid: int = 200) -> float:
-    """Empirical constant c in gap(|f|^a, t) <= c t^(a/Q) avg(g^a, t) on a t-grid.
+def oscillation_gradient_constant(space: Space, f, alpha: float, q_dim: float) -> float:
+    """Empirical constant c in gap(|f|^a, t) <= c t^(a/Q) avg(g^a, t), sup over t in (0, mass/2].
 
     g is always the L1-optimal gradient field of hajlasz_seminorm_l1; a failed
     or uncertified L1 solve raises its SolverError, which names the dump of the
     instance.
-    Returns 0 for constant f (the bound is vacuous).  The sup is
-    over a log grid in (0, mass/2); doubling n_grid refines the grid.
+    Returns 0 for constant f (the bound is vacuous).  The sup is exact: on a
+    panel [b_k, b_{k+1}) of (f*)^a the gap is D_k/t and t^(a/Q) avg(g^a, t) is
+    t^(a/Q - 1) int_0^t (g*)^a, so their ratio D_k / (t^(a/Q) int_0^t (g*)^a)
+    falls in t.  The sup is therefore read at the breakpoints b <= mass/2 of
+    (f*)^a (the first panel, from 0, has D = 0).
     """
     f = np.asarray(f, dtype=float)
     if float(np.ptp(f)) == 0.0:
@@ -174,8 +177,7 @@ def oscillation_gradient_constant(space: Space, f, alpha: float, q_dim: float,
     _, gradient = hajlasz_seminorm_l1(space, f)
     fpow = rearrangement(space, f).power(alpha)
     gpow = rearrangement(space, gradient.g).power(alpha)
-    mass = fpow.mass
-    ts = np.geomspace(mass * 1e-6, mass / 2.0, n_grid)
+    ts = fpow.breakpoints[fpow.breakpoints <= fpow.mass / 2.0]
     gap = fpow.integral(ts) / ts - fpow.eval(ts)
     denom = ts ** (alpha / q_dim) * (gpow.integral(ts) / ts)
     live = denom > 0.0
@@ -185,16 +187,11 @@ def oscillation_gradient_constant(space: Space, f, alpha: float, q_dim: float,
 # -- weight machinery for rearranged-norm targets ----------------------------------------
 
 
-def _reciprocal_weight(spec: RISpaceSpec, alpha: float, s: float, q_dim: float) -> PowerLog:
-    """t^(s/Q) / phi_{spec^(alpha)}(t): reciprocal of the oscillation weight."""
-    return _oscillation_weight(spec, alpha, s, q_dim).reciprocal()
-
-
 def _gauge(spec, alpha, s, q, q_dim) -> tuple[PowerLog, bool]:
     """(v, is_sup): m(t) is v's sup on [t, 1) if is_sup (q <= a), else int_t^1 v(z) dz/z."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
-    v = _reciprocal_weight(spec, alpha, s, q_dim)
+    v = _oscillation_weight(spec, alpha, s, q_dim).reciprocal()  # t^(s/Q) / phi(t)
     if q <= alpha:
         return v, True
     kappa = alpha if math.isinf(q) else alpha * q / (q - alpha)
@@ -242,15 +239,31 @@ def weighted_step_norm(fstar: StepDecreasing, w: PowerLog, q: float) -> float:
     return (w**q).panel_sum(lo, hi, fstar.values**q) ** (1.0 / q)
 
 
-def _stieltjes_target_norm(fstar: StepDecreasing, spec, alpha, s, q, q_dim) -> float:
+def _gauge_table(spec, alpha, s, q, q_dim, ts) -> tuple[np.ndarray, np.ndarray]:
+    """(t, m(t)) at the distinct entries of ts below 1, then at t = 1, where m is 0.
+
+    One reciprocal_weight_integral call evaluates every entry, each with the
+    bits of its scalar call; _gauge_at reads the table.
+    """
+    t = np.unique(ts[ts < 1.0])
+    m = reciprocal_weight_integral(spec, alpha, s, q, q_dim, t)
+    return np.append(t, 1.0), np.append(m, 0.0)
+
+
+def _gauge_at(table, t: np.ndarray) -> np.ndarray:
+    """m at the entries of t, each in (0, 1] and in the table."""
+    table_t, table_m = table
+    return table_m[np.searchsorted(table_t, t)]
+
+
+def _stieltjes_target_norm(fstar: StepDecreasing, table, alpha: float, q: float) -> float:
     """Exact int_0^1 (f* w)^q dt/t with the case-1 weight, via the primitive.
 
     The weight's defining derivative makes (1 + m(t))^(1 - q/a) an exact
-    primitive, so the integral is a finite Stieltjes sum over step panels.
+    primitive, so the integral is a finite Stieltjes sum over step panels;
+    m comes from the report's gauge table.
     """
-    t = np.minimum(fstar.breakpoints, 1.0)
-    m = np.zeros(t.shape)
-    m[t < 1.0] = reciprocal_weight_integral(spec, alpha, s, q, q_dim, t[t < 1.0])
+    m = _gauge_at(table, np.minimum(fstar.breakpoints, 1.0))
     # psi is 0 at edges[0] = 0, where m = inf and the exponent 1 - q/a is negative
     psi = [0.0] + [(1.0 + m_t) ** (1.0 - q / alpha) for m_t in m.tolist()]
     return float(np.sum(fstar.values**q * np.diff(psi))) ** (1.0 / q)
@@ -303,8 +316,9 @@ def target_norm_check(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: 
     Dispatches on q: the derivative weight for alpha < q < inf, the
     (1 + m)^(-1/a) sup form for q = inf, and a u-weight (supplied or the
     norm weight itself, verified) for q <= alpha.  Requires m(0) = inf.
-    m is evaluated on arrays: in the sup form once per report on a fixed grid and
-    once per function at its breakpoints off it, in the derivative form once per function.
+    The corpus is rearranged up front, and m is evaluated once per report, at
+    every breakpoint below 1 of the corpus (and, in the sup form, on a fixed
+    grid); each function reads its values from that table.
     """
     if reciprocal_weight_finite(spec, alpha, s, q, q_dim):
         raise PreconditionError(
@@ -312,31 +326,32 @@ def target_norm_check(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: 
             "use the sup-norm embedding check instead")
     mode = "derivative" if (alpha < q and not math.isinf(q)) else (
         "sup" if math.isinf(q) else "u-weight")
+    items = [(f, rearrangement(space, f)) for f in corpus]
     if mode == "u-weight":
-        v_norm = _reciprocal_weight(spec, alpha, s, q_dim).reciprocal()
+        v_norm = _oscillation_weight(spec, alpha, s, q_dim)
         u = v_norm if u_weight is None else u_weight
         _u_condition_check(u, v_norm, q)
-    elif mode == "sup":
-        grid = np.geomspace(1e-10, 1.0, 200)  # its last point is 1, where m = 0
-        m_grid = np.append(reciprocal_weight_integral(spec, alpha, s, q, q_dim, grid[:-1]), 0.0)
+    else:
+        grid = np.geomspace(1e-10, 1.0, 200) if mode == "sup" else np.empty(0)
+        table = _gauge_table(spec, alpha, s, q, q_dim, np.concatenate(
+            [grid, *(fstar.breakpoints for _f, fstar in items)]))
 
-    def one(f):
-        fstar = rearrangement(space, f)
+    def one(item):
+        f, fstar = item
         if mode == "derivative":
-            lhs = _stieltjes_target_norm(fstar, spec, alpha, s, q, q_dim)
+            lhs = _stieltjes_target_norm(fstar, table, alpha, q)
         elif mode == "sup":
-            off_grid = np.setdiff1d(fstar.breakpoints[fstar.breakpoints < 1.0], grid)
-            ts = np.concatenate([grid, off_grid])
-            m = np.append(m_grid, reciprocal_weight_integral(spec, alpha, s, q, q_dim, off_grid))
+            # the grid's last point is 1, where m = 0
+            ts = np.union1d(grid, fstar.breakpoints[fstar.breakpoints < 1.0])
             avgs = fstar.power(alpha).integral(ts) / ts
             lhs = max((avg / (1.0 + m_t)) ** (1.0 / alpha)
-                      for avg, m_t in zip(avgs.tolist(), m.tolist()))
+                      for avg, m_t in zip(avgs.tolist(), _gauge_at(table, ts).tolist()))
         else:
             lhs = weighted_step_norm(fstar, u, q)
         return lhs, _hb_norm(space, f, fstar, spec, alpha, s, q, ratio)
 
     params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": q, "Q": q_dim, "mode": mode}
-    return _finish_report("pesos", corpus, labels, one, params)
+    return _finish_report("pesos", items, labels, one, params)
 
 
 # -- log-Lorentz case table -------------------------------------------------------------------

@@ -56,7 +56,7 @@ except ImportError as exc:
 
 from .errors import DomainError, SolverError
 from .rearrange import rearrangement_rows
-from .rispace import RISpaceSpec, convexify, quasi_norms
+from .rispace import RISpaceSpec, convexify, lp, quasi_norms
 from .space import Space
 
 DEFAULT_GRID_RATIO = 2.0 ** 0.25
@@ -158,7 +158,9 @@ def besov_from_profile(profile: ModulusProfile, s: float, q: float) -> float:
         best = float(np.max(v * r ** (-s))) if v.size else 0.0
         return float(max(best, profile.tail_value * r[-1] ** (-s)))
     sq = s * q
-    with np.errstate(over="raise"):  # an overflow raises FloatingPointError, as ** does below
+    # An overflowing sum raises FloatingPointError.  The tail and the root below are
+    # np.float64 powers, which only warn on overflow, except under cli.main's errstate.
+    with np.errstate(over="raise"):
         inner = float(np.sum(v[:-1] ** q * (r[:-1] ** (-sq) - r[1:] ** (-sq)))) / sq
     tail = profile.tail_value ** q * r[-1] ** (-sq) / sq
     return float((inner + tail) ** (1.0 / q))
@@ -601,7 +603,7 @@ def k_bounds_path(space: Space, f, ts, spec: RISpaceSpec, alpha: float) -> list[
     moduli = dict(zip(distinct, _moduli(space, f, distinct, spec, alpha)))
     bounds = [_modulus_bounds([moduli[r] for r in radii], alpha) for radii in plans]
     exact = [None] * len(ts)
-    if spec.family == "lp" and spec.p == 1.0 and spec.convexify_power == 1.0 and alpha == 1.0:
+    if spec == lp(1.0) and alpha == 1.0:
         exact = k_functional_path(space, f, ts)
     return [KBounds(t=t, lower=lower, upper=upper, exact=e)
             for t, (lower, upper), e in zip(ts, bounds, exact)]

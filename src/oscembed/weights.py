@@ -265,14 +265,19 @@ class PowerLog:
             # (hi^a - p_lo^a) / a, written to stay exact as a -> 0
             p_lo = np.maximum(lo[high], 1.0)
             span = np.log(hi[high] / p_lo)
-            total[high] += p_lo**self.a * span * exprel(self.a * span)
+            piece = p_lo**self.a * span * exprel(self.a * span)
+            if np.isinf(piece).any():  # scipy's exprel saturates without numpy's overflow flag
+                raise FloatingPointError("overflow encountered in the integral of t^a dt/t "
+                                         "past t = 1")
+            total[high] += piece
         return self.const * total
 
     def integral_dt_over_t(self, lo, hi):
         """int_lo^hi p(t) dt/t, by the paths of the module docstring.
 
         lo and hi may be arrays: one kernel call gives each element its scalar call's bits.
-        lo may be 0 (improper); raises EvaluationError if symbolically divergent.
+        lo may be 0 (improper); raises EvaluationError if symbolically divergent,
+        and FloatingPointError if the part past t = 1 overflows.
         """
         lo_a, hi_a = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         if (hi_a < lo_a).any() or (lo_a < 0.0).any():

@@ -8,8 +8,10 @@ mask d(x, .) < r, never from the space's ball index, LP optima from
 exhaustive vertex enumeration or from one HiGHS solve over every pair, LP
 instances row by row, derivatives from central differences, the power-log
 norms of step functions one panel at a time in a hand-written loop,
-rearrangements one function at a time, and moduli one radius at a time, from
-nabla or one single-radius call of the package's ball average per radius.
+rearrangements one function at a time, moduli one radius at a time, from
+nabla or one single-radius call of the package's ball average per radius, and
+the gradient-bound sup from running integrals summed one atom at a time, at
+every breakpoint and on a dense grid.
 
 The last sections hold the helpers that the command line never runs, moved
 here from the package: critical radii, running averages and oscillation gaps
@@ -32,7 +34,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from oscembed.corpus import tent_function
-from oscembed.embed import (_oscillation_weight, _reciprocal_weight, reciprocal_weight_finite,
+from oscembed.embed import (_oscillation_weight, reciprocal_weight_finite,
                             reciprocal_weight_integral, weighted_step_norm)
 from oscembed.errors import DomainError
 from oscembed.rearrange import StepDecreasing, rearrangement
@@ -415,6 +417,46 @@ def loop_oscillation_functional(space, f, spec, alpha, s, q, q_dim):
     return total ** (1.0 / q)
 
 
+def _running_integral(h, weights, alpha, t):
+    """int_0^t ((h*)^alpha), one atom at a time in decreasing order of |h|."""
+    h = np.abs(np.asarray(h, dtype=float))
+    total, used = 0.0, 0.0
+    for i in np.argsort(-h, kind="stable").tolist():
+        take = min(float(weights[i]), t - used)
+        if take <= 0.0:
+            break
+        total += h[i] ** alpha * take
+        used += take
+    return total
+
+
+def loop_gradient_constant(space, f, alpha, q_dim, n_dense=400):
+    """sup over t in (0, mass/2] of gap(|f|^a, t) / (t^(a/Q) avg(g^a, t)), by brute force.
+
+    The ratio is taken at every breakpoint mu{|f| > v} <= mass/2 of (f*)^a, v
+    over the values of |f|, and on a dense grid of (0, mass/2]; running
+    integrals come from the atoms one at a time and f* from the inf formula.
+    g is hajlasz_seminorm_l1's field, the one the package reads.
+    """
+    f = np.asarray(f, dtype=float)
+    if float(np.ptp(f)) == 0.0:
+        return 0.0
+    g = hajlasz_seminorm_l1(space, f)[1].g
+    w = space.weight
+    half = float(w.sum()) / 2.0
+    cuts = {distribution_mass(f, w, v) for v in np.abs(f).tolist()}
+    ts = sorted(t for t in cuts if 0.0 < t <= half) + np.linspace(
+        half / n_dense, half, n_dense).tolist()
+    best = 0.0
+    for t in ts:
+        gap = (_running_integral(f, w, alpha, t) / t
+               - rearrangement_inf_formula(f, w, t) ** alpha)
+        denom = t ** (alpha / q_dim) * _running_integral(g, w, alpha, t) / t
+        if denom > 0.0:
+            best = max(best, gap / denom)
+    return best
+
+
 def loop_weighted_step_norm(fstar, w, q):
     """(int_0^1 (f*(t) w(t))^q dt/t)^(1/q); the sup form for q = inf."""
     edges = np.concatenate([[0.0], fstar.breakpoints])
@@ -715,7 +757,7 @@ def target_weight(spec: RISpaceSpec, alpha: float, s: float, q: float,
         raise DomainError("weight defined on (0, 1]")
     if reciprocal_weight_finite(spec, alpha, s, q, q_dim):
         raise DomainError("m(0) is finite: the sup-norm embedding applies, no weight needed")
-    v = _reciprocal_weight(spec, alpha, s, q_dim)
+    v = _oscillation_weight(spec, alpha, s, q_dim).reciprocal()
     m_t = reciprocal_weight_integral(spec, alpha, s, q, q_dim, t) if t < 1.0 else 0.0
     return ((q / alpha - 1.0) ** (1.0 / q)
             * (1.0 + m_t) ** (-1.0 / alpha)
@@ -733,7 +775,7 @@ def target_norm_lhs(space: Space, f, spec: RISpaceSpec, alpha: float, s: float, 
     """
     fstar = rearrangement(space, f)
     if q <= alpha:
-        return weighted_step_norm(fstar, _reciprocal_weight(spec, alpha, s, q_dim).reciprocal(), q)
+        return weighted_step_norm(fstar, _oscillation_weight(spec, alpha, s, q_dim), q)
 
     def m(t: float) -> float:
         return reciprocal_weight_integral(spec, alpha, s, q, q_dim, t) if t < 1.0 else 0.0

@@ -306,14 +306,13 @@ def test_criterion_8_gradient_bound_stability():
     diag = diagnostics(sp)
     ok = True
     detail = []
-    for x0 in (1, 3, 5):
+    for x0, exact in ((1, 6.0 / 5.0), (3, 9.0 / 11.0), (5, 5.0 / 6.0)):
         f = tent_function(sp, x0)
-        c200 = oscillation_gradient_constant(sp, f, 1.0, diag.q_dim, n_grid=200)
-        c400 = oscillation_gradient_constant(sp, f, 1.0, diag.q_dim, n_grid=400)
-        scaled = oscillation_gradient_constant(sp, 7.0 * f, 1.0, diag.q_dim, n_grid=200)
-        ok &= abs(c400 - c200) / c200 < 0.10
-        ok &= abs(scaled - c200) / c200 < 1e-9
-        detail.append(f"{c200:.3f}")
+        c = oscillation_gradient_constant(sp, f, 1.0, diag.q_dim)
+        scaled = oscillation_gradient_constant(sp, 7.0 * f, 1.0, diag.q_dim)
+        ok &= abs(c - exact) / exact < 1e-14
+        ok &= abs(scaled - c) / c < 1e-14
+        detail.append(f"{c:.3f}")
     runtime = time.time() - t0
     _report("criterion 8: gradient-bound stability", runtime, ok and runtime < 60.0,
             "constants " + ", ".join(detail))

@@ -157,6 +157,20 @@ def test_cli_uncertified_lp_exits_4_with_dump(space_file, tmp_path, capsys, monk
     (["kfun", "--t-max", "1e-308"], {}),
     (["regimes", "--q-dim", "inf"], {}),
     (["norms", "--spec", '{"family": "orlicz", "Phi": {"kind": "power", "p": 2, "b": 1}}'], {}),
+    # numeric saturation: an overflow or an invalid value is refused, never written as inf or nan
+    (["besov", "--q", "1e-9"], {}),
+    (["verify", "--theorem", "k1", "--q", "1e-6",
+      "--corpus", '{"generator": "random-uniform", "count": 3}'], {}),
+    (["norms", "--spec", '{"family": "lorentz", "p": 0.001, "q": 2}'], {}),
+    (["norms", "--spec", '{"family": "lorentz_zygmund", "p": 0.01, "r": 1000, "beta": 100}'], {}),
+    # the input checks of space._validate, space_from_graph, load_space and build_corpus
+    (["space-info"], {"space": {"dist": [[0, 1], [1, 0]], "weights": [1, 1, 1]}}),
+    (["space-info"], {"space": {"dist": [[0, math.inf], [math.inf, 0]], "weights": [1, 1]}}),
+    (["space-info"], {"space": {"dist": [[1, 1], [1, 0]], "weights": [1, 1]}}),
+    (["space-info"], {"space": {"dist": [[0, 0], [0, 0]], "weights": [1, 1]}}),
+    (["space-info"], {"space": {"metric": "graph", "edges": [[0, 1, 0]], "weights": [1, 1]}}),
+    (["space-info"], {"space": {"metric": "taxicab", "coords": [[0], [1]], "weights": [1, 1]}}),
+    (["norms"], {"corpus": {"f": [0.0] * 8}}),
 ])
 def test_cli_config_errors_exit_2_without_traceback(space_file, tmp_path, capsys,
                                                     command, files):

@@ -13,12 +13,14 @@ from oscembed import (DomainError, PowerLog, PreconditionError, convexify, colla
                       lorentz_zygmund, lp, measure_growth_constant,
                       oscillation_functional, oscillation_gradient_constant,
                       path_space, rearrangement, reciprocal_weight_integral,
-                      regime_classify, space_from_matrix, sup_norm_embedding_check,
-                      target_norm_check, tent_function, weighted_step_norm)
+                      regime_classify, space_from_graph, space_from_matrix,
+                      sup_norm_embedding_check, target_norm_check, tent_function,
+                      weighted_step_norm)
 from oscembed.embed import _finish_report, lz_base_spec, log_lorentz_embedding_check
 from oscembed.space import diagnostics
 
-from _oracles import numeric_derivative, target_norm_lhs, target_weight, tent_gradient
+from _oracles import (loop_gradient_constant, numeric_derivative, target_norm_lhs,
+                      target_weight, tent_gradient)
 
 
 def fine_grid_space(rows=8, cols=8, h=0.4):
@@ -146,13 +148,41 @@ def test_gradient_bound_scale_invariant():
     assert c2 == pytest.approx(c1, rel=1e-9)
 
 
-def test_gradient_bound_grid_resolution_stable():
+def test_gradient_bound_exact_on_path_tents():
+    # a 200-point log grid of t read 1.1685, 0.7954 and 0.8116 here
     sp = path_space(8)
-    diag = diagnostics(sp)
-    f = tent_function(sp, 3)
-    c1 = oscillation_gradient_constant(sp, f, 1.0, diag.q_dim, n_grid=200)
-    c2 = oscillation_gradient_constant(sp, f, 1.0, diag.q_dim, n_grid=400)
-    assert abs(c2 - c1) / c1 < 0.10
+    q_dim = diagnostics(sp).q_dim
+    for x0, exact in ((1, 6.0 / 5.0), (3, 9.0 / 11.0), (5, 5.0 / 6.0)):
+        f = tent_function(sp, x0)
+        c = oscillation_gradient_constant(sp, f, 1.0, q_dim)
+        assert c == pytest.approx(exact, rel=1e-14)
+        assert c == pytest.approx(loop_gradient_constant(sp, f, 1.0, q_dim), rel=1e-12)
+        assert oscillation_gradient_constant(sp, 7.0 * f, 1.0, q_dim) == pytest.approx(
+            c, rel=1e-14)
+
+
+@st.composite
+def gradient_instances(draw):
+    """A weighted graph of 2-7 points and f on it, with values of a few levels."""
+    n = draw(st.integers(2, 7))
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    edges = [(i, draw(st.integers(0, i - 1)), draw(st.floats(0.1, 3.0))) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                     st.floats(0.1, 3.0)).filter(lambda e: e[0] != e[1]),
+                           max_size=3))
+    sp = space_from_graph(n, edges, weights)
+    f = np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n)), dtype=float) / 4.0
+    return sp, f
+
+
+@settings(max_examples=100, deadline=None)
+@given(gradient_instances(), st.one_of(st.just(1.0), st.floats(0.2, 1.0)))
+def test_gradient_bound_equals_the_brute_force_sup(instance, alpha):
+    sp, f = instance
+    q_dim = diagnostics(sp).q_dim
+    want = loop_gradient_constant(sp, f, alpha, q_dim)
+    assert oscillation_gradient_constant(sp, f, alpha, q_dim) == pytest.approx(
+        want, rel=1e-9, abs=1e-12)
 
 
 def test_measure_growth_constant_positive():

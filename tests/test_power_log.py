@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oscembed import (PowerLog, StepDecreasing, diagnostics, grid_space, lorentz_zygmund, lp,
-                      modulus_profile, quasi_norm, rearrangement, space_from_points,
-                      target_norm_check, tent_function, weights)
+from oscembed import (PowerLog, StepDecreasing, diagnostics, embed, grid_space,
+                      lorentz_zygmund, lp, modulus_profile, quasi_norm, rearrangement,
+                      space_from_points, target_norm_check, tent_function, weights)
 
 from _oracles import mp_power_log_integral, nabla
 
@@ -132,3 +132,19 @@ def test_sup_target_check_integrates_the_gauge_once_per_report(monkeypatch):
     rep = target_norm_check(sp, corpus, lp(1.0), 1.0, 0.4, math.inf, q_dim)
     assert rep.params["mode"] == "sup"
     assert 0 < len(calls) <= 199
+
+
+@pytest.mark.parametrize("q, mode, most", [(2.0, "derivative", 5), (math.inf, "sup", 199 + 5)])
+def test_target_check_evaluates_the_gauge_once_per_report(monkeypatch, q, mode, most):
+    # weight 0.05 puts the 144 tents' breakpoints below 1 at 5 distinct t
+    sp = grid_space(12, 12, np.full(144, 0.05))
+    corpus = [tent_function(sp, x) for x in range(sp.n)]
+    q_dim = diagnostics(sp).q_dim
+    gauge_calls, real_gauge = [], embed.reciprocal_weight_integral
+    monkeypatch.setattr(embed, "reciprocal_weight_integral",
+                        lambda *args: gauge_calls.append(args) or real_gauge(*args))
+    calls = _count_quad_calls(monkeypatch)
+    rep = target_norm_check(sp, corpus, lp(1.0), 1.0, 0.4, q, q_dim)
+    assert rep.params["mode"] == mode
+    assert len(gauge_calls) == 1
+    assert 0 < len(calls) <= most

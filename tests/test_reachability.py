@@ -5,7 +5,10 @@ it is on KEEP; a public method stays only if some code of the package calls
 it by name, or if it is on KEEP_METHODS.  The walk reads the source: from each
 reached definition it follows the names the definition loads and the
 ``module.attr`` reads of modules it imported, through the package's relative
-imports.  A reached class takes its whole body along.
+imports.  A reached class takes its whole body along.  A parameter with a
+default, of a function or method of the package, stays only if some call in
+the package passes it, by position or by name, or if it is on KEEP_PARAMS; a
+call ``Class(...)`` passes the parameters of ``Class.__init__``.
 """
 
 import ast
@@ -19,6 +22,11 @@ PACKAGE = Path(oscembed.__file__).parent
 KEEP = {"space.grid_space", "space.path_space", "space.random_geometric_space"}
 # The tests' independent ball mask, kept beside the ball index the program reads.
 KEEP_METHODS = {"space.Space.ball"}
+# The entry point's argv, two options the library keeps for its callers, and the
+# test constructors' weights and edge length.
+KEEP_PARAMS = {"cli.main(argv)", "smoothness.k_functional_path(inhomogeneous)",
+               "embed.target_norm_check(u_weight)", "space.path_space(weights)",
+               "space.path_space(edge_length)", "space.grid_space(weights)"}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -86,6 +94,65 @@ def _uncalled_methods() -> set[str]:
                        for where, attr, line in calls)}
 
 
+def _defaulted_params(tree: ast.Module):
+    """(name, callee, shift, [(position or None, parameter)]) of each def with defaults.
+
+    callee is the name its calls use (the class for __init__), and shift is 1
+    where the call does not pass the first parameter (self or cls).
+    """
+    out = []
+
+    def visit(node, owner):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.ClassDef):
+                visit(sub, sub)
+                continue
+            if not isinstance(sub, ast.FunctionDef):
+                visit(sub, owner)
+                continue
+            args = sub.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(k, arg.arg) for k, arg in enumerate(positional) if k >= first]
+            params += [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                       if default is not None]
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in sub.decorator_list)
+            if owner is None:
+                name, callee, shift = sub.name, sub.name, 0
+            else:
+                name = f"{owner.name}.{sub.name}"
+                callee = owner.name if sub.name == "__init__" else sub.name
+                shift = 0 if static else 1
+            if params:
+                out.append((name, callee, shift, params))
+            visit(sub, None)
+
+    visit(tree, None)
+    return out
+
+
+def _passes(call: ast.Call, shift: int, position, param: str) -> bool:
+    if any(kw.arg in (param, None) for kw in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or len(call.args) > position - shift)
+
+
+def _unpassed_params() -> set[str]:
+    trees = _modules()
+    calls = [(sub.func.id if isinstance(sub.func, ast.Name) else sub.func.attr, sub)
+             for tree in trees.values() for sub in ast.walk(tree)
+             if isinstance(sub, ast.Call) and isinstance(sub.func, (ast.Name, ast.Attribute))]
+    return {f"{mod}.{name}({param})" for mod, tree in trees.items()
+            for name, callee, shift, params in _defaulted_params(tree)
+            for position, param in params
+            if not any(called == callee and _passes(call, shift, position, param)
+                       for called, call in calls)}
+
+
 def test_every_public_name_is_reached_from_the_command_line_or_kept():
     unreached = _unreached()
     assert unreached - KEEP == set(), "public names no command reaches"
@@ -97,3 +164,9 @@ def test_every_public_method_is_called_in_the_package_or_kept():
     assert uncalled - KEEP_METHODS == set(), "public methods nothing in the package calls"
     assert KEEP_METHODS - uncalled == set(), "kept methods that the package now calls"
 
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package_or_kept():
+    unpassed = _unpassed_params()
+    assert unpassed - KEEP_PARAMS == set(), "parameters with defaults no call passes"
+    assert KEEP_PARAMS - unpassed == set(), "kept parameters that a call now passes"
