@@ -167,10 +167,14 @@ def _report_table(report: embed.EmbeddingReport) -> tuple[dict, list[dict], str]
     """The payload, rows and summary of an embedding report; informative rows have lhs > 0."""
     rows = [{"label": lab, "lhs": _num(lhs), "rhs": _num(rhs), "ratio": _num(ratio)}
             for lab, lhs, rhs, ratio in report.per_function]
-    informative = sum(lhs > 0.0 for _lab, lhs, _rhs, _ratio in report.per_function)
-    summary = (f"empirical_constant={report.empirical_constant:g} "
-               f"informative={informative}/{len(rows)}")
+    summary = f"empirical_constant={report.empirical_constant:g} {_informative(report)}"
     return report.to_json(), rows, summary
+
+
+def _informative(report: embed.EmbeddingReport) -> str:
+    """informative=i/n: i of the report's n rows have lhs > 0, so their ratio tests something."""
+    informative = sum(lhs > 0.0 for _lab, lhs, _rhs, _ratio in report.per_function)
+    return f"informative={informative}/{len(report.per_function)}"
 
 
 def cmd_verify(args) -> int:
@@ -248,12 +252,15 @@ def cmd_collapse_sweep(args) -> int:
         eps_list = [float(e) for e in args.eps.split(",")]
     except ValueError as exc:
         raise DomainError(f"--eps must be a comma-separated list of numbers: {exc}") from exc
-    rows_raw = embed.collapse_sweep(space, corpus, spec, args.alpha, args.s, args.q,
-                                    eps_list, diagnostics(space).q_dim, args.grid_ratio)
+    sweep = embed.collapse_sweep(space, corpus, spec, args.alpha, args.s, args.q,
+                                 eps_list, diagnostics(space).q_dim, args.grid_ratio)
+    rows_raw = [{"eps": eps, "b": b, "empirical_constant": report.empirical_constant}
+                for eps, b, report in sweep]
     rows = [{k: _num(v) for k, v in row.items()} for row in rows_raw]
     _write_artifacts(Path(args.out), "collapse-sweep", {"rows": rows_raw}, rows)
-    for row in rows_raw:
-        print(f"eps={row['eps']:g} b={row['b']:g} constant={row['empirical_constant']:g}")
+    for eps, b, report in sweep:
+        print(f"eps={eps:g} b={b:g} constant={report.empirical_constant:g} "
+              f"{_informative(report)}")
     return 0
 
 

@@ -45,15 +45,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .rearrange import StepDecreasing, rearrangement, sum_plus_linf_norm
+from .rearrange import StepDecreasing, ranking, rearrangement, sum_plus_linf_norm
 from .rispace import (RISpaceSpec, convexify, fundamental_powerlog, lorentz_zygmund)
-from .smoothness import DEFAULT_GRID_RATIO, besov_seminorm, hajlasz_seminorm_l1
+from .smoothness import (DEFAULT_GRID_RATIO, ProfileAverages, besov_from_profile,
+                         besov_seminorm, hajlasz_seminorm_l1)
 from .space import Space, noncollapsing_constant
 from .weights import PowerLog
 
 # The number of threads a report runs on.  Only the benchmark's environment
 # record reads it; ROADMAP item 1's benchmark change deletes it.
 _POOL_WORKERS = 1
+
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 # -- the oscillation functional ---------------------------------------------------------
@@ -80,7 +83,22 @@ def oscillation_functional(fstar: StepDecreasing, spec: RISpaceSpec, alpha: floa
     if math.isinf(q):
         return (PowerLog(-1.0 / alpha) * w_pl).panel_max(lo, hi, gap ** (1.0 / alpha))
     pl = (w_pl**q) * PowerLog(-q / alpha)
-    return pl.panel_sum(lo, hi, gap ** (q / alpha)) ** (1.0 / q)
+    powered = gap ** (q / alpha)
+    return _root_of_sum(pl.panel_sum(lo, hi, powered), gap, powered, q)
+
+
+def _root_of_sum(total: float, base: np.ndarray, powered: np.ndarray, q: float) -> float:
+    """total ** (1/q), for total a sum of terms with the factors powered, the powers of base.
+
+    When base has a positive entry but the largest of powered, or total itself,
+    lies below the smallest normal float, the powers have underflowed and total
+    has lost the terms it is made of.  That is refused with FloatingPointError
+    (exit 2 under cli.main), as an overflow is, instead of a silent 0.
+    """
+    if base.max(initial=0.0) > 0.0 and min(float(powered.max()), total) < _TINY:
+        raise FloatingPointError(f"underflow: at q = {q!r} the terms of a q-th power sum "
+                                 "fall below the smallest normal float")
+    return total ** (1.0 / q)
 
 
 # -- embedding reports ---------------------------------------------------------------------
@@ -153,10 +171,9 @@ def measure_growth_constant(space: Space, q_dim: float) -> float:
     The mass is fixed on each (e_k, e_{k+1}], e_k the sorted distances from x,
     while r^Q grows: the row's distances <= 1 and r = 1 attain the minimum.
     """
-    balls = space.balls
-    radii = np.minimum(balls.sorted_dist, 1.0)  # a row's distances past 1 read as r = 1,
+    radii = np.minimum(space.metric.sorted_dist, 1.0)  # a row's distances past 1 read as r = 1,
     radii[:, 0] = 1.0  # and so does its 0, at x itself
-    return float((balls.point_masses(radii) / radii**q_dim).min())
+    return float((space.balls.point_masses(radii) / radii**q_dim).min())
 
 
 def oscillation_gradient_constant(space: Space, f, alpha: float, q_dim: float) -> float:
@@ -236,7 +253,8 @@ def weighted_step_norm(fstar: StepDecreasing, w: PowerLog, q: float) -> float:
     lo, hi = fstar.edges[:-1], np.minimum(fstar.edges[1:], 1.0)
     if math.isinf(q):
         return w.panel_max(lo, hi, fstar.values)
-    return (w**q).panel_sum(lo, hi, fstar.values**q) ** (1.0 / q)
+    powered = fstar.values**q
+    return _root_of_sum((w**q).panel_sum(lo, hi, powered), fstar.values, powered, q)
 
 
 def _gauge_table(spec, alpha, s, q, q_dim, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +284,8 @@ def _stieltjes_target_norm(fstar: StepDecreasing, table, alpha: float, q: float)
     m = _gauge_at(table, np.minimum(fstar.breakpoints, 1.0))
     # psi is 0 at edges[0] = 0, where m = inf and the exponent 1 - q/a is negative
     psi = [0.0] + [(1.0 + m_t) ** (1.0 - q / alpha) for m_t in m.tolist()]
-    return float(np.sum(fstar.values**q * np.diff(psi))) ** (1.0 / q)
+    powered = fstar.values**q
+    return _root_of_sum(float(np.sum(powered * np.diff(psi))), fstar.values, powered, q)
 
 
 # -- sup-norm and target-norm checks ---------------------------------------------------------
@@ -500,19 +519,43 @@ def log_lorentz_embedding_check(space: Space, corpus, p: float, r: float, beta: 
 
 
 def collapse_sweep(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: float,
-                   q: float, eps_list, q_dim: float,
-                   ratio: float = DEFAULT_GRID_RATIO) -> list[dict]:
+                   q: float, eps_list, q_dim: float, ratio: float = DEFAULT_GRID_RATIO
+                   ) -> list[tuple[float, float, EmbeddingReport]]:
     """Empirical oscillation-bound constants on the shrinking-weight family.
 
     Scaling all weights by eps leaves the metric and doubling constant alone
     and scales the unit-ball mass infimum linearly, so the sweep isolates the
-    effect of measure collapse on the embedding constant.
+    effect of measure collapse on the embedding constant.  Returns one
+    (eps, b, report) per eps: b = inf_x eps mu(B(x, 1)) and the report of
+    embedding_report on the scaled space, theorem k1.
+
+    Scaling leaves the metric, the radius grid, every ball average and every
+    sort order alone; only the masses change.  So the scaled spaces share the
+    space's sorted rows (Space.scale_weights), and each function's ball
+    averages and its own order are taken once, under the unscaled weights
+    (ProfileAverages, ranking).  Per eps, only the masses in those orders, the
+    quasi-norms, the scale sum and the oscillation functional are redone, one
+    function at a time.  The averages differ from the scaled space's at
+    rounding unless eps is a power of 2; b and the other steps are bitwise
+    embedding_report's.  Each eps's constant follows _finish_report's rules.
     """
-    rows = []
+    weights, bs = [], []
     for eps in eps_list:
         scaled = space.scale_weights(float(eps))
-        rep = embedding_report(scaled, corpus, spec, alpha, s, q, q_dim, ratio=ratio)
-        rows.append({"eps": float(eps),
-                     "b": noncollapsing_constant(scaled),
-                     "empirical_constant": rep.empirical_constant})
-    return rows
+        weights.append(scaled.weight)
+        bs.append(noncollapsing_constant(scaled))
+    pairs = []  # pairs[k][e]: (lhs, rhs) of function k under eps_list[e]
+    for f in corpus:
+        order = ranking(space, f)
+        averages = ProfileAverages(space, f, alpha, ratio)
+        row = []
+        for weight in weights:
+            fstar = order.steps(weight)[0]
+            lhs = oscillation_functional(fstar, spec, alpha, s, q, q_dim)
+            row.append((lhs, besov_from_profile(averages.profile(weight, spec), s, q)
+                        + sum_plus_linf_norm(fstar, alpha)))
+        pairs.append(row)
+    params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": q, "Q": q_dim}
+    return [(float(eps), b, _finish_report("k1", range(len(pairs)), None,
+                                           lambda k, e=e: pairs[k][e], params))
+            for e, (eps, b) in enumerate(zip(eps_list, bs))]

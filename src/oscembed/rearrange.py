@@ -21,10 +21,12 @@ integral (or supremum), which weights.PowerLog.panel_sum / panel_max evaluate.
 rearrangement_rows rearranges every row of a matrix in one batch: one stable
 argsort, one add.reduceat for the tie groups of all rows, and the breakpoints,
 edges and prefix integrals as cumulative sums along rows padded past their
-last step.  StepDecreasing's checks run on all rows at once and raise the
-DomainError of the first refused row, the one that row raises alone.  Each
-row's step function is bitwise the one it gets alone; a single function is
-a batch of one.
+last step.  The argsort and the tie groups depend on the values alone, so a
+Ranking keeps them and rearranges the same rows under another measure with
+only the add.reduceat and the cumulative sums.  StepDecreasing's checks run
+on all rows at once and raise the DomainError of the first refused row, the
+one that row raises alone.  Each row's step function is bitwise the one it
+gets alone; a single function is a batch of one.
 
 Powers commute with rearrangement ((|f|^a)* = (f*)^a), so the a-oscillation
 is computed from the powered step function directly.
@@ -166,31 +168,48 @@ def _step_rows(breakpoints, values, counts):
     return edges, prefix
 
 
+class Ranking:
+    """The half of rearrangement_rows that the weights leave alone: each row's order and ties.
+
+    One stable argsort of |f| by decreasing value, and the runs of equal
+    values that merge into single steps, depend on the values only.
+    steps(weights) does the rest under one set of atomic weights: one
+    add.reduceat of the weights in that order over all rows' runs, and the
+    breakpoints as cumulative sums along rows padded with zero weights.  So a
+    family of measures, such as the multiples of one, ranks each matrix once.
+    """
+
+    def __init__(self, f):
+        f = np.abs(np.asarray(f, dtype=float))
+        self.order = np.argsort(-f, axis=1, kind="stable")
+        fv = np.take_along_axis(f, self.order, axis=1)
+        new = np.ones(f.shape, dtype=bool)  # where a run of equal values starts
+        new[:, 1:] = np.diff(fv, axis=1) != 0.0
+        self.counts = new.sum(axis=1)
+        rows, cols = np.nonzero(new)
+        self.slots = rows, (np.cumsum(new, axis=1) - 1)[rows, cols]  # each run's step in its row
+        self.starts = np.flatnonzero(new)
+        self.values = np.zeros((f.shape[0], self.counts.max(initial=0)))
+        self.values[self.slots] = fv[new]
+        self.values.setflags(write=False)
+
+    def steps(self, weights) -> list[StepDecreasing]:
+        """The decreasing rearrangement of every row under the weights, each bitwise its own."""
+        fw = np.asarray(weights, dtype=float)[self.order]
+        masses = np.zeros(self.values.shape)
+        if self.starts.size:
+            masses[self.slots] = np.add.reduceat(fw.ravel(), self.starts)
+        return StepDecreasing._rows(np.cumsum(masses, axis=1), self.values, self.counts)
+
+
 def rearrangement_rows(f, weights) -> list[StepDecreasing]:
     """Decreasing rearrangement of |f[i]| for every row f[i] of f, under one set of atomic weights.
 
-    All rows at once: one stable argsort of the matrix, one add.reduceat over
-    all rows' runs of equal values (ties merge into single steps), and the
-    breakpoints as cumulative sums along rows padded with zero weights.  Each
-    row's step function is bitwise the one the row gets alone, and a refused
-    row raises the DomainError it raises alone.
+    All rows at once, by one Ranking of f (ties merge into single steps).
+    Each row's step function is bitwise the one the row gets alone, and a
+    refused row raises the DomainError it raises alone.
     """
-    f = np.abs(np.asarray(f, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    order = np.argsort(-f, axis=1, kind="stable")
-    fv = np.take_along_axis(f, order, axis=1)
-    fw = w[order]
-    new = np.ones(f.shape, dtype=bool)  # where a run of equal values starts
-    new[:, 1:] = np.diff(fv, axis=1) != 0.0
-    counts = new.sum(axis=1)
-    rows, cols = np.nonzero(new)
-    slot = (np.cumsum(new, axis=1) - 1)[rows, cols]  # the step each run becomes in its row
-    masses = np.zeros((f.shape[0], counts.max(initial=0)))
-    values = np.zeros(masses.shape)
-    if rows.size:
-        masses[rows, slot] = np.add.reduceat(fw.ravel(), np.flatnonzero(new))
-        values[rows, slot] = fv[new]
-    return StepDecreasing._rows(np.cumsum(masses, axis=1), values, counts)
+    return Ranking(f).steps(weights)
 
 
 def rearrangement_from_weights(f, weights) -> StepDecreasing:
@@ -198,12 +217,22 @@ def rearrangement_from_weights(f, weights) -> StepDecreasing:
     return rearrangement_rows(np.asarray(f, dtype=float)[None], weights)[0]
 
 
-def rearrangement(space: Space, f) -> StepDecreasing:
-    """Decreasing rearrangement of |f| on the space's measure."""
+def _on(space: Space, f) -> np.ndarray:
+    """f as a float array, refused unless it has one value per point of the space."""
     f = np.asarray(f, dtype=float)
     if f.shape != (space.n,):
         raise DomainError(f"function has shape {f.shape}, expected ({space.n},)")
-    return rearrangement_from_weights(f, space.weight)
+    return f
+
+
+def rearrangement(space: Space, f) -> StepDecreasing:
+    """Decreasing rearrangement of |f| on the space's measure."""
+    return rearrangement_from_weights(_on(space, f), space.weight)
+
+
+def ranking(space: Space, f) -> Ranking:
+    """The Ranking of f, a function on the space, to rearrange it under any weights there."""
+    return Ranking(_on(space, f)[None])
 
 
 def sum_plus_linf_norm(fstar: StepDecreasing, alpha: float) -> float:

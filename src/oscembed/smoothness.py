@@ -6,18 +6,22 @@ The local roughness of f at scale r is the ball average
 
 and the modulus at scale r is the chosen quasi-norm of its rearrangement.
 Every modulus, in a profile or in a K-bound, comes from one routine that
-takes all radii of one function as a batch: it forms |f(x) - f(y)|^a once,
+takes all radii of one function as a batch, in two steps.  The first does
+not depend on the scale of the measure: it forms |f(x) - f(y)|^a once and
 takes the ball averages at every radius from the space's one ball index (one
-cumulative sum along its sorted rows, read at each radius's ball sizes),
-rearranges the (radii x points) matrix of averages in one pass, and evaluates
-all their quasi-norms together, the Lorentz-Zygmund and Lambda_w ones in one
-call of the panel kernel.  The batch gives every radius the bits it gets alone.
-On a finite space the modulus is piecewise constant in r (balls only change
-at pairwise distances), is identically 0 for r <= the smallest positive
-distance (balls are singletons), and is constant once r exceeds the diameter
-(every ball is the whole space).  The scale integral defining the Besov
-seminorm is therefore evaluated on a geometric radius grid with an exact
-closed-form tail; the grid ratio is the only quadrature knob.
+cumulative sum along its sorted rows, read at each radius's ball sizes).  The
+second rearranges the (radii x points) matrix of averages in one pass under
+the weights and evaluates all their quasi-norms together, the
+Lorentz-Zygmund and Lambda_w ones in one call of the panel kernel.  A profile
+keeps the first step's averages, ranked once (ProfileAverages), so the
+collapse sweep redoes only the second per weight scale.  The batch gives
+every radius the bits it gets alone.  On a finite space the modulus is
+piecewise constant in r (balls only change at pairwise distances), is
+identically 0 for r <= the smallest positive distance (balls are
+singletons), and is constant once r exceeds the diameter (every ball is the
+whole space).  The scale integral defining the Besov seminorm is therefore
+evaluated on a geometric radius grid with an exact closed-form tail; the grid
+ratio is the only quadrature knob.
 
 Gradient seminorms come from the pairwise relaxation
 
@@ -55,7 +59,7 @@ except ImportError as exc:
                       "provides the HiGHS models its LPs run on") from exc
 
 from .errors import DomainError, SolverError
-from .rearrange import rearrangement_rows
+from .rearrange import Ranking, rearrangement_rows
 from .rispace import RISpaceSpec, convexify, lp, quasi_norms
 from .space import Space
 
@@ -81,6 +85,13 @@ def _check_ball_args(r: float, alpha: float) -> None:
         raise DomainError("alpha must lie in (0, 1]")
 
 
+def _averages(space: Space, f, radii, alpha: float) -> np.ndarray:
+    """(R x n) ball averages grad_[r, a] f, one row per r of radii, in one pass."""
+    _check_ball_args(min(radii), alpha)
+    f = np.asarray(f, dtype=float)
+    return _ball_averages(space, np.abs(f[:, None] - f[None, :]) ** alpha, radii, alpha)
+
+
 def _moduli(space: Space, f, radii, spec: RISpaceSpec, alpha: float) -> list:
     """The modulus at each radius, all radii in one batch.
 
@@ -90,9 +101,7 @@ def _moduli(space: Space, f, radii, spec: RISpaceSpec, alpha: float) -> list:
     panel-kernel call for the panel-kernel families.  Each modulus is bitwise
     the one its radius gets alone.
     """
-    _check_ball_args(min(radii), alpha)
-    f = np.asarray(f, dtype=float)
-    averages = _ball_averages(space, np.abs(f[:, None] - f[None, :]) ** alpha, radii, alpha)
+    averages = _averages(space, f, radii, alpha)
     return quasi_norms(convexify(spec, alpha), rearrangement_rows(averages, space.weight))
 
 
@@ -137,11 +146,36 @@ def radius_grid(space: Space, ratio: float = DEFAULT_GRID_RATIO) -> np.ndarray:
     return r0 * ratio ** np.arange(n_steps + 1)
 
 
+class ProfileAverages:
+    """The ball averages of one f on modulus_profile's radius grid and past the diameter, ranked.
+
+    A ball average is the same under every multiple of the measure, which
+    scales each ball's sum and its mass alike; so is the order of each row.
+    So these are made once per function, and profile(weight) does only what
+    depends on the weights: it rearranges each row in its stored order under
+    the weights and takes the quasi-norms.
+    """
+
+    def __init__(self, space: Space, f, alpha: float, ratio: float):
+        self.radii = radius_grid(space, ratio)
+        self.alpha = alpha
+        self.ranking = Ranking(_averages(space, f, [*self.radii, 2.0 * space.diameter + 1.0],
+                                         alpha))
+
+    def profile(self, weight: np.ndarray, spec: RISpaceSpec) -> ModulusProfile:
+        """The modulus profile under weight, the space's weights times some eps > 0.
+
+        It is modulus_profile's on the scaled space, bitwise when eps is a
+        power of 2 (or 1) and to rounding otherwise, since the averages were
+        taken under the unscaled weights.
+        """
+        *vals, tail = quasi_norms(convexify(spec, self.alpha), self.ranking.steps(weight))
+        return ModulusProfile(self.radii, np.asarray(vals), tail)
+
+
 def modulus_profile(space: Space, f, spec: RISpaceSpec, alpha: float,
                     ratio: float = DEFAULT_GRID_RATIO) -> ModulusProfile:
-    radii = radius_grid(space, ratio)
-    *vals, tail = _moduli(space, f, [*radii, 2.0 * space.diameter + 1.0], spec, alpha)
-    return ModulusProfile(radii, np.asarray(vals), tail)
+    return ProfileAverages(space, f, alpha, ratio).profile(space.weight, spec)
 
 
 def besov_from_profile(profile: ModulusProfile, s: float, q: float) -> float:
@@ -158,12 +192,43 @@ def besov_from_profile(profile: ModulusProfile, s: float, q: float) -> float:
         best = float(np.max(v * r ** (-s))) if v.size else 0.0
         return float(max(best, profile.tail_value * r[-1] ** (-s)))
     sq = s * q
-    # An overflowing sum raises FloatingPointError.  The tail and the root below are
-    # np.float64 powers, which only warn on overflow, except under cli.main's errstate.
+    # The direct sum, unless a power over- or underflows: then a term may be
+    # inf, or a subnormal that a large factor blows up, and the sum is taken in
+    # logs.  The root stays inside, since a tiny q overflows there.
+    try:
+        with np.errstate(over="raise", under="raise"):
+            inner = float(np.sum(v[:-1] ** q * (r[:-1] ** (-sq) - r[1:] ** (-sq)))) / sq
+            tail = np.float64(profile.tail_value) ** q * r[-1] ** (-sq) / sq
+            return float((inner + tail) ** (1.0 / q))
+    except FloatingPointError:
+        return _scale_sum_in_logs(r, v, profile.tail_value, s, q)
+
+
+def _scale_sum_in_logs(r, v, tail_value: float, s: float, q: float) -> float:
+    """besov_from_profile's finite-q value, from the logs of its terms (log-sum-exp).
+
+    Cell i contributes v_i^q (r_i^-sq - r_{i+1}^-sq) / sq and the tail
+    T^q r_last^-sq / sq.  Each term's log over q is
+    l_i = log v_i - s log r_i + (log(1 - (r_i / r_{i+1})^sq) - log sq) / q, and
+    the tail's log T - s log r_last - log(sq) / q.  With M = max l_i the value
+    is exp(M + log(sum exp(q (l_i - M))) / q): no power is formed, a term far
+    below the largest underflows to 0 as it should, and the errors of the
+    logs are not multiplied by q.  A zero cell is log 0 = -inf.  A value
+    beyond the float range still raises FloatingPointError.
+    """
+    sq = s * q
+    lr = np.log(r)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: a cell, or a tail, that adds nothing
+        logs = np.append(np.log(v[:-1]) - s * lr[:-1]
+                         + np.log(-np.expm1(sq * (lr[:-1] - lr[1:]))) / q,
+                         np.log(tail_value) - s * lr[-1]) - math.log(sq) / q
+    top = logs.max()
+    if top == -np.inf:
+        return 0.0
+    with np.errstate(over="ignore", under="ignore"):  # a negligible term: exp(-inf) = 0
+        total = np.sum(np.exp(q * (logs - top)))
     with np.errstate(over="raise"):
-        inner = float(np.sum(v[:-1] ** q * (r[:-1] ** (-sq) - r[1:] ** (-sq)))) / sq
-    tail = profile.tail_value ** q * r[-1] ** (-sq) / sq
-    return float((inner + tail) ** (1.0 / q))
+        return float(np.exp(top + np.log(total) / q))
 
 
 def besov_seminorm(space: Space, f, s: float, q: float, spec: RISpaceSpec, alpha: float,
@@ -290,7 +355,7 @@ class _PairLP:
     since lowering g to it keeps every pair.  In the K-LPs, h lies in
     [min f, max f], widened to hold 0 when inhomogeneous: clipping h there
     shrinks |h(x) - h(y)|, |f - h| and |h|.  Then e, a <= the width of that
-    interval, and g(x) <= width / space.balls.nearest[x] (x's nearest distance).
+    interval, and g(x) <= width / space.metric.nearest[x] (x's nearest distance).
     """
 
     def __init__(self, space: Space, f: np.ndarray, family: str, t: float = 1.0):
@@ -320,7 +385,7 @@ class _PairLP:
             self.lo = np.concatenate([np.full(n, f_lo), np.zeros(size - n)])
             self.hi = np.full(size, width)
             self.hi[self.cols["h"]] = f_hi
-            self.hi[self.cols["g"]] = width / space.balls.nearest
+            self.hi[self.cols["g"]] = width / space.metric.nearest
         else:
             self.lo, self.hi = np.zeros(n), self.slopes.max(axis=1)
         # an empty first block, so that a failed setup call can dump the instance

@@ -5,16 +5,20 @@ and a strictly positive weight (atomic measure) per point.  Balls use the
 strict inequality B(x, r) = {y : d(x, y) < r}; ties at distance exactly r are
 excluded.
 
-Every question of distance order is answered by one index per space (BallIndex,
-cached on the immutable Space): each row of the distance matrix sorted once,
-with the weight prefix sums in that order.  B(x, r) is the first
-#{y : d(x, y) < r} points of row x, a count that one binary search per row
-gives for a list of radii, shared or per point.  Ball masses are prefix sums
-read at those counts, and ball means of values[x, y] one cumulative sum of
-weight * values along the sorted rows read at the same counts; neither depends
-on which other radii share the call.  mu(B(x, r)) jumps only at distances from
-x, so suprema and infima over all radii are reads at each row's own sorted
-distances: the doubling constant here is the exact supremum, not an estimate.
+Every question of distance order is answered by one index per space, in two
+halves.  The metric half (MetricIndex, cached as Space.metric) depends on the
+distance matrix alone: each row sorted once, and each point's nearest
+distance.  The weight half (BallIndex, cached as Space.balls) adds the weight
+prefix sums in that order.  B(x, r) is the first #{y : d(x, y) < r} points of
+row x, a count that one binary search per row gives for a list of radii,
+shared or per point.  Ball masses are prefix sums read at those counts, and
+ball means of values[x, y] one cumulative sum of weight * values along the
+sorted rows read at the same counts; neither depends on which other radii
+share the call.  mu(B(x, r)) jumps only at distances from x, so suprema and
+infima over all radii are reads at each row's own sorted distances: the
+doubling constant here is the exact supremum, not an estimate.
+Space.scale_weights gives the scaled space the parent's read-only distance
+matrix and metric half, so a family of re-weightings sorts the rows once.
 Readers: doubling_constant, noncollapsing_constant and Space.r_min here,
 embed.measure_growth_constant, and in smoothness every modulus's ball averages
 and the K-LP's bound on g.
@@ -43,34 +47,53 @@ _TRIANGLE_TOL = 1e-12
 MAX_POINTS = 2000  # dense n x n distance storage
 
 
-class BallIndex:
-    """The rows of a distance matrix sorted once, for the masses and means of all balls.
+class MetricIndex:
+    """The rows of a distance matrix sorted once: the ball index's half that has no weights.
 
-    order[x] is the stable argsort of d(x, .), sorted_dist[x] the row in that
-    order and prefix[x, k] the weight of its first k points, so that
-    mu(B(x, r)) = prefix[x, #{y : d(x, y) < r}].  order[x, 0] = x, so x's nearest
-    neighbour is at nearest[x] = sorted_dist[x, 1], or inf when x is alone.
+    order[x] is the stable argsort of d(x, .) and sorted_dist[x] the row in
+    that order.  order[x, 0] = x, so x's nearest neighbour is at
+    nearest[x] = sorted_dist[x, 1], or inf when x is alone.
     """
 
-    def __init__(self, dist: np.ndarray, weight: np.ndarray):
-        self.weight = weight
+    def __init__(self, dist: np.ndarray):
+        n = dist.shape[0]
         self.order = np.argsort(dist, axis=1, kind="stable")
         self.sorted_dist = np.take_along_axis(dist, self.order, axis=1)
-        self.prefix = np.zeros((weight.size, weight.size + 1))
-        np.cumsum(weight[self.order], axis=1, out=self.prefix[:, 1:])
-        self.nearest = self.sorted_dist[:, 1] if weight.size > 1 else np.full(weight.size, np.inf)
-        for arr in (self.order, self.sorted_dist, self.prefix, self.nearest):
+        self.nearest = self.sorted_dist[:, 1] if n > 1 else np.full(n, np.inf)
+        for arr in (self.order, self.sorted_dist, self.nearest):
             arr.setflags(write=False)
 
     def counts(self, radii) -> np.ndarray:
         """(n x R) integers #{y : d(x, y) < r}, r over radii or, if (n x R), over radii[x]."""
         radii = np.asarray(radii, dtype=float)
-        radii = np.broadcast_to(radii, (self.weight.size, radii.shape[-1]))
+        radii = np.broadcast_to(radii, (self.order.shape[0], radii.shape[-1]))
         return np.array([np.searchsorted(row, r) for row, r in zip(self.sorted_dist, radii)])
+
+
+class BallIndex:
+    """The weight half of the ball index: the masses and means of all balls under one measure.
+
+    prefix[x, k] is the weight of the first k points of the metric half's row
+    x, so that mu(B(x, r)) = prefix[x, #{y : d(x, y) < r}].
+    """
+
+    def __init__(self, metric: MetricIndex, weight: np.ndarray):
+        self.metric = metric
+        self.weight = weight
+        self.prefix = np.zeros((weight.size, weight.size + 1))
+        np.cumsum(weight[metric.order], axis=1, out=self.prefix[:, 1:])
+        self.prefix.setflags(write=False)
+
+    @cached_property
+    def sorted_weight(self) -> np.ndarray:
+        """weight[order]: each row's weights in distance order, gathered once for means."""
+        arr = self.weight[self.metric.order]
+        arr.setflags(write=False)
+        return arr
 
     def point_masses(self, radii) -> np.ndarray:
         """(n x R) masses mu(B(x, r)), r over radii[x]: each point's own (n x R) radii."""
-        return np.take_along_axis(self.prefix, self.counts(radii), axis=1)
+        return np.take_along_axis(self.prefix, self.metric.counts(radii), axis=1)
 
     def masses(self, radii) -> np.ndarray:
         """(R x n) masses mu(B(x, r)), one row per r of radii."""
@@ -82,9 +105,9 @@ class BallIndex:
         One cumulative sum of weight * values along the sorted rows holds every
         ball's sum, so each radius gets the bits it gets alone.
         """
-        counts = self.counts(radii)
-        terms = self.weight[self.order]
-        terms *= np.take_along_axis(values, self.order, axis=1)  # in place: one n x n array fewer
+        counts = self.metric.counts(radii)
+        terms = np.take_along_axis(values, self.metric.order, axis=1)
+        terms *= self.sorted_weight  # in place: one n x n array fewer
         sums = np.zeros_like(self.prefix)
         np.cumsum(terms, axis=1, out=sums[:, 1:])
         return np.ascontiguousarray((np.take_along_axis(sums, counts, axis=1)
@@ -123,7 +146,7 @@ class Space:
     @cached_property
     def r_min(self) -> float:
         """Smallest positive pairwise distance (inf for a single point)."""
-        return float(self.balls.nearest.min())
+        return float(self.metric.nearest.min())
 
     def ball(self, x: int, r: float) -> np.ndarray:
         """Indices of B(x, r) = {y : d(x, y) < r} (always contains x for r > 0)."""
@@ -134,23 +157,43 @@ class Space:
         return np.flatnonzero(self.dist[x] < r)
 
     @cached_property
+    def metric(self) -> MetricIndex:
+        return MetricIndex(self.dist)
+
+    @cached_property
     def balls(self) -> BallIndex:
-        return BallIndex(self.dist, self.weight)
+        return BallIndex(self.metric, self.weight)
 
     def ball_masses(self, r: float) -> np.ndarray:
         """mu(B(x, r)) for every x at once."""
         return self.balls.masses([r])[0]
 
     def scale_weights(self, factor: float) -> "Space":
-        with np.errstate(over="ignore"):
+        """The space with every weight multiplied by factor, on this space's metric.
+
+        The scaled space shares this space's read-only distance matrix and
+        metric half (no copy, no sort); only its weight half is its own.  A
+        factor is refused when it leaves a weight that is not positive and
+        finite, or below the smallest normal float (a subnormal weight keeps
+        only part of its digits), or a total mass that overflows.
+        """
+        with np.errstate(over="ignore", under="ignore"):
             weight = self.weight * factor
         if not np.all((weight > 0.0) & (weight < np.inf)):
             raise SpaceValidationError(f"weight scale factor {factor!r} must leave every weight "
                                        "positive and finite")
+        if not np.all(weight >= np.finfo(float).tiny):
+            raise SpaceValidationError(f"weight scale factor {factor!r} leaves a weight below the "
+                                       "smallest normal float, where it loses digits")
         if not _finite_total(weight):
             raise SpaceValidationError(f"weight scale factor {factor!r} makes the total mass "
                                        "overflow")
-        return Space(self.dist, weight)
+        weight.setflags(write=False)
+        scaled = object.__new__(Space)  # the arrays are already read-only copies: share them
+        object.__setattr__(scaled, "dist", self.dist)
+        object.__setattr__(scaled, "weight", weight)
+        scaled.__dict__["metric"] = self.metric
+        return scaled
 
 
 @dataclass(frozen=True)
@@ -354,7 +397,7 @@ def doubling_constant(space: Space) -> float:
     and the sup is W(d < 2 e_{k+1}) / W(d <= e_k), taken at r = e_{k+1}.
     """
     balls = space.balls
-    edges = balls.sorted_dist[:, 1:]  # sorted_dist[x, 0] = 0 is x itself
+    edges = space.metric.sorted_dist[:, 1:]  # sorted_dist[x, 0] = 0 is x itself
     return float((balls.point_masses(2.0 * edges) / balls.point_masses(edges)).max(initial=1.0))
 
 

@@ -3,15 +3,17 @@
 Nothing here may call the evaluation paths it is used to check: rearrangement
 values come from the inf-formula on a grid, norms from dense-grid sups or
 generic quadrature, power-log integrals from mpmath quadrature at 30 digits,
-ball-scan constants from global radius tables or from masses summed over a
-mask d(x, .) < r, never from the space's ball index, LP optima from
+Besov scale sums in 50-digit mpmath, ball-scan constants from global radius
+tables or from masses summed over a mask d(x, .) < r, never from the space's
+ball index, LP optima from
 exhaustive vertex enumeration or from one HiGHS solve over every pair, LP
 instances row by row, derivatives from central differences, the power-log
 norms of step functions one panel at a time in a hand-written loop,
 rearrangements one function at a time, moduli one radius at a time, from
 nabla or one single-radius call of the package's ball average per radius, and
 the gradient-bound sup from running integrals summed one atom at a time, at
-every breakpoint and on a dense grid.
+every breakpoint and on a dense grid, and the collapse sweep from one full
+embedding report per weight scale on a freshly built space.
 
 The last sections hold the helpers that the command line never runs, moved
 here from the package: critical radii, running averages and oscillation gaps
@@ -34,7 +36,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from oscembed.corpus import tent_function
-from oscembed.embed import (_oscillation_weight, reciprocal_weight_finite,
+from oscembed.embed import (_oscillation_weight, embedding_report, reciprocal_weight_finite,
                             reciprocal_weight_integral, weighted_step_norm)
 from oscembed.errors import DomainError
 from oscembed.rearrange import StepDecreasing, rearrangement
@@ -42,7 +44,7 @@ from oscembed.rispace import RISpaceSpec, _norm_marcinkiewicz, convexify, quasi_
 from oscembed.smoothness import (DEFAULT_GRID_RATIO, GradientField, KBounds, ModulusProfile,
                                  _ball_averages, _check_ball_args, _moduli, _slopes,
                                  hajlasz_seminorm_l1, k_functional_path, radius_grid)
-from oscembed.space import Space, doubling_constant
+from oscembed.space import Space, doubling_constant, noncollapsing_constant
 from oscembed.weights import PowerLog
 
 
@@ -359,6 +361,21 @@ def mp_power_log_integral(a, b, g, lo, hi):
         return float(total)
 
 
+# The Besov scale sum of a profile's cells, in mpmath.
+
+
+def mp_scale_sum(profile, s, q):
+    """besov_from_profile's cells and tail, summed in 50-digit arithmetic."""
+    with mp.workdps(50):
+        r = [mp.mpf(x) for x in profile.radii.tolist()]
+        v = [mp.mpf(x) for x in profile.values.tolist()]
+        s, q = mp.mpf(s), mp.mpf(q)
+        total = sum(v[i] ** q * (r[i] ** (-s * q) - r[i + 1] ** (-s * q))
+                    for i in range(len(r) - 1))
+        total += mp.mpf(profile.tail_value) ** q * r[-1] ** (-s * q)
+        return (total / (s * q)) ** (1 / q)
+
+
 # -- power-log norms of step functions, one hand-written loop per norm ---------------------
 #
 # Each loop integrates (or maximises over) the same panels as the panel kernel
@@ -534,6 +551,21 @@ def loop_k_bounds(space, f, t, spec, alpha):
     if spec.family == "lp" and spec.p == 1.0 and spec.convexify_power == 1.0 and alpha == 1.0:
         exact = k_functional_path(space, f, [t])[0]
     return KBounds(t=t, lower=lower, upper=upper, exact=exact)
+
+
+# The collapse sweep as written before it shared work across eps: a fresh space
+# per eps, with its own sorted rows, ball averages and rearrangements, and one
+# full embedding report on it.
+
+
+def per_eps_collapse_sweep(space, corpus, spec, alpha, s, q, eps_list, q_dim):
+    """(eps, b, report) per eps, from embedding_report on a freshly built scaled space."""
+    out = []
+    for eps in eps_list:
+        scaled = Space(space.dist, space.scale_weights(float(eps)).weight)
+        out.append((float(eps), noncollapsing_constant(scaled),
+                    embedding_report(scaled, corpus, spec, alpha, s, q, q_dim)))
+    return out
 
 
 # -- moved from oscembed.space ----------------------------------------------------------------

@@ -287,7 +287,7 @@ def test_criterion_7_collapse_sensitivity():
     corpus = tent_mix_corpus(sp)
     rows = collapse_sweep(sp, corpus, lp(1.0), 1.0, 0.9, 1.0,
                           [1.0, 1e-1, 1e-2, 1e-3, 1e-4], diag.q_dim)
-    consts = [row["empirical_constant"] for row in rows]
+    consts = [report.empirical_constant for _eps, _b, report in rows]
     monotone = all(a <= b * (1.0 + 1e-9) for a, b in zip(consts[:-1], consts[1:]))
     growth = consts[-1] / consts[0] if consts[0] > 0.0 else math.inf
     runtime = time.time() - t0

@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscembed import smoothness
+from oscembed import load_space, lp, smoothness
 from oscembed.cli import THEOREMS, _num, build_parser, main
+from oscembed.corpus import build_corpus
+
+from _oracles import mp_scale_sum
 
 
 @pytest.fixture()
@@ -146,10 +149,7 @@ def test_cli_uncertified_lp_exits_4_with_dump(space_file, tmp_path, capsys, monk
     (["space-info"], {"space": {"metric": "graph", "edges": [[0, 1]], "weights": [1e308, 1e308]}}),
     (["regimes", "--count", "0"], {}),
     (["regimes", "--count", "-5"], {}),
-    (["besov", "--q", "1e308"], {}),
     (["collapse-sweep", "--q", "1e308"], {}),
-    *((["verify", "--theorem", theorem, "--q", "1e308"], {})
-      for theorem in ("k1", "teolp", "pesos", "embteo", "lorentzlog")),
     *((["verify", "--theorem", theorem, "--q", "1e-308"], {})
       for theorem in ("pesos", "embteo", "lorentzlog")),
     (["kfun", "--alpha", "1e-308"], {}),
@@ -171,6 +171,17 @@ def test_cli_uncertified_lp_exits_4_with_dump(space_file, tmp_path, capsys, monk
     (["space-info"], {"space": {"metric": "graph", "edges": [[0, 1, 0]], "weights": [1, 1]}}),
     (["space-info"], {"space": {"metric": "taxicab", "coords": [[0], [1]], "weights": [1, 1]}}),
     (["norms"], {"corpus": {"f": [0.0] * 8}}),
+    # a weight scale that leaves a subnormal weight, which keeps only part of its digits
+    (["collapse-sweep", "--eps", "1,1e-320"], {}),
+    (["collapse-sweep", "--eps", "1,1e-310"], {}),
+    # q-th powers that underflow, where the lhs would silently read 0: the oscillation
+    # gaps, and the values of f* in the pesos and lorentzlog targets
+    (["collapse-sweep", "--q", "3000"], {}),
+    (["verify", "--theorem", "k1", "--q", "3000"],
+     {"space": {"metric": "graph", "edges": [[i, i + 1] for i in range(7)],
+                "weights": [0.1] * 8}}),
+    *((["verify", "--theorem", theorem, "--q", "3000"], {"corpus": [[0.5] * 4 + [0.25] * 4]})
+      for theorem in ("pesos", "lorentzlog")),
 ])
 def test_cli_config_errors_exit_2_without_traceback(space_file, tmp_path, capsys,
                                                     command, files):
@@ -187,6 +198,53 @@ def test_cli_config_errors_exit_2_without_traceback(space_file, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _besov_cells(space_file, spec, alpha, s, q):
+    """The 50-digit scale sums of the program's modulus profiles of the default tents."""
+    sp = load_space(space_file)
+    corpus, _labels = build_corpus(sp, {"generator": "tents-at-all-centers"}, 0)
+    return [mp_scale_sum(smoothness.modulus_profile(sp, f, spec, alpha), s, q) for f in corpus]
+
+
+@pytest.mark.parametrize("q", ["100", "200", "500", "3000", "1e308"])
+def test_cli_besov_at_large_q_is_the_finite_scale_sum(space_file, tmp_path, q):
+    out = tmp_path / "out"
+    assert main(["besov", "--space", space_file, "--q", q, "--out", str(out)]) == 0
+    got = [float(row["seminorm"]) for row in json.loads((out / "besov.json").read_text())["rows"]]
+    want = _besov_cells(space_file, lp(1.0), 1.0, 0.5, float(q))
+    assert all(0.0 < g < math.inf for g in got)
+    assert got == pytest.approx([float(w) for w in want], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("theorem, lhs", [("k1", 0.0), ("teolp", 0.0), ("pesos", 1.0),
+                                          ("embteo", 1.0), ("lorentzlog", 1.0)])
+def test_cli_verify_at_q_1e308_gives_finite_values(space_file, tmp_path, theorem, lhs):
+    # The tents on the unit-weight path have f* = 1 on [0, m) with m >= 1, then 0: the
+    # oscillation over (0, 1) is exactly 0, and each weighted target of f* is 1 at any q.
+    out = tmp_path / "out"
+    assert main(["verify", "--theorem", theorem, "--space", space_file, "--q", "1e308",
+                 "--out", str(out)]) == 0
+    rows = json.loads((out / f"verify-{theorem}.json").read_text())["per_function"]
+    assert [row["lhs"] for row in rows] == [lhs] * 8
+    assert all(0.0 < row["rhs"] < math.inf for row in rows)
+    if theorem == "k1":  # rhs = the scale sum plus the split norm, int_0^1 f* = 1
+        want = _besov_cells(space_file, lp(1.0), 1.0, 0.5, 1e308)
+        assert [row["rhs"] for row in rows] == pytest.approx([float(w) + 1.0 for w in want],
+                                                             rel=1e-12, abs=0.0)
+
+
+def test_cli_collapse_sweep_counts_its_informative_rows(space_file, tmp_path, capsys):
+    assert main(["collapse-sweep", "--space", space_file, "--eps", "1,0.1",
+                 "--out", str(tmp_path / "out")]) == 0
+    at_one, at_tenth = capsys.readouterr().out.splitlines()
+    # each tent is 1 on its unit ball, of mass >= 1: f* is constant on (0, 1) at eps = 1
+    assert at_one.startswith("eps=1 b=1 ") and at_one.endswith(" informative=0/8")
+    assert at_tenth.startswith("eps=0.1 b=0.1 ")
+    informative = int(at_tenth.rsplit("informative=", 1)[1].split("/")[0])
+    assert 0 < informative <= 8
+    header = (tmp_path / "out" / "collapse-sweep.csv").read_text().splitlines()[0]
+    assert header == "eps,b,empirical_constant"
 
 
 def test_verify_infinito_refusal_exit_code(space_file, tmp_path, capsys):

@@ -19,8 +19,8 @@ from oscembed import (DomainError, PowerLog, PreconditionError, convexify, colla
 from oscembed.embed import _finish_report, lz_base_spec, log_lorentz_embedding_check
 from oscembed.space import diagnostics
 
-from _oracles import (loop_gradient_constant, numeric_derivative, target_norm_lhs,
-                      target_weight, tent_gradient)
+from _oracles import (loop_gradient_constant, numeric_derivative, per_eps_collapse_sweep,
+                      target_norm_lhs, target_weight, tent_gradient)
 
 
 def fine_grid_space(rows=8, cols=8, h=0.4):
@@ -489,11 +489,49 @@ def test_collapse_sweep_monotone_growth():
     corpus = [tent_function(sp, x) for x in range(0, sp.n, 4)]
     rows = collapse_sweep(sp, corpus, lp(1.0), 1.0, 0.6, 1.0,
                           [1.0, 0.1, 0.01], diag.q_dim)
-    consts = [row["empirical_constant"] for row in rows]
+    consts = [report.empirical_constant for _eps, _b, report in rows]
     assert all(a <= b + 1e-12 for a, b in zip(consts[:-1], consts[1:]))
     assert consts[-1] > 0.0
-    assert rows[0]["b"] == pytest.approx(1.0)
-    assert rows[-1]["b"] == pytest.approx(0.01)
+    assert rows[0][1] == pytest.approx(1.0)
+    assert rows[-1][1] == pytest.approx(0.01)
+
+
+@st.composite
+def sweep_instances(draw):
+    """A weighted graph of 2-7 points, 1-3 functions on it and 1-4 weight scales."""
+    sp, f = draw(gradient_instances())
+    corpus = [f] + [tent_function(sp, x) for x in draw(st.lists(st.integers(0, sp.n - 1),
+                                                                  max_size=2))]
+    power_of_2 = st.integers(-12, 3).map(lambda k: 2.0**k)
+    eps_list = draw(st.lists(st.one_of(power_of_2, st.floats(1e-4, 8.0)), min_size=1,
+                             max_size=4))
+    return sp, corpus, eps_list
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_instances(), st.sampled_from([lp(1.0), lp(2.0), lorentz_zygmund(1.5, 2.0, 0.5)]),
+       st.sampled_from([1.0, 0.5]), st.sampled_from([0.3, 0.7]), st.sampled_from([1.0, 2.0]))
+@example((path_space(4, weights=[0.5, 1.0, 1.5, 1.0]),
+          [np.array([0.0, 1.0, 0.0, -1.0]), np.array([1.0, 1.0, 0.0, 0.0])],
+          [1.0, 0.1, 0.25, 1e-3]), lp(1.0), 1.0, 0.5, 1.0)
+def test_collapse_sweep_equals_one_report_per_eps(instance, spec, alpha, s, q):
+    sp, corpus, eps_list = instance
+    q_dim = diagnostics(sp).q_dim
+    got = collapse_sweep(sp, corpus, spec, alpha, s, q, eps_list, q_dim)
+    want = per_eps_collapse_sweep(sp, corpus, spec, alpha, s, q, eps_list, q_dim)
+    assert len(got) == len(want)
+    for (eps, b, report), (want_eps, want_b, want_report) in zip(got, want):
+        assert eps == want_eps and b == want_b  # b reads the same prefix sums, bitwise
+        assert report.params == want_report.params
+        if math.frexp(eps)[0] == 0.5:  # eps a power of 2: the same averages, bitwise
+            assert report.per_function == want_report.per_function
+            assert report.empirical_constant == want_report.empirical_constant
+        else:  # the averages under mu and under eps mu differ at rounding
+            for row, want_row in zip(report.per_function, want_report.per_function):
+                assert row[:2] == want_row[:2]  # label, and lhs from the same f*
+                assert row[2:] == pytest.approx(want_row[2:], rel=1e-12, abs=0.0)
+            assert report.empirical_constant == pytest.approx(want_report.empirical_constant,
+                                                              rel=1e-12, abs=0.0)
 
 
 def test_finish_report_default_labels():

@@ -22,8 +22,8 @@ from oscembed.space import diagnostics
 
 from _oracles import (canonical_gradient, critical_radii, full_pair_gradient_seminorm,
                       full_pair_k_functional, hajlasz_seminorm_upper, hajlasz_vertex_oracle,
-                      modulus, nabla, rowwise_gradient_lp, rowwise_k_functional_lp,
-                      t_r_operator)
+                      modulus, mp_scale_sum, nabla, rowwise_gradient_lp,
+                      rowwise_k_functional_lp, t_r_operator)
 
 TWO = space_from_matrix([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
 
@@ -145,6 +145,50 @@ def test_besov_synthetic_profile_closed_form():
         expect = (c**q * r0 ** (-s * q) / (s * q)) ** (1.0 / q)
         assert besov_from_profile(prof, s, q) == pytest.approx(expect, rel=1e-8)
     assert besov_from_profile(prof, 0.5, math.inf) == pytest.approx(c * r0 ** -0.5)
+
+
+@st.composite
+def scale_profiles(draw):
+    """A geometric radius grid and a nondecreasing profile on it, zero at the first radii.
+
+    The values' scale runs from 1e-200 to 1e200, so that the direct sum over-
+    or underflows at small q too.
+    """
+    n = draw(st.integers(1, 12))
+    radii = draw(st.floats(1e-3, 10.0)) * draw(st.floats(1.01, 2.0)) ** np.arange(n)
+    scale = 10.0 ** draw(st.sampled_from([0, 0, -200, 200]))
+    values = scale * np.sort(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+    values[:draw(st.integers(0, min(2, n)))] = 0.0  # singleton balls
+    tail = float(values[-1]) * draw(st.floats(1.0, 2.0))
+    return ModulusProfile(radii, values, tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scale_profiles(), st.floats(0.01, 0.99), st.floats(0.1, 1e4))
+@example(ModulusProfile(np.array([1.0, 2.0, 4.0]), np.array([0.0, 1.5, 2.0]), 2.5), 0.5, 3000.0)
+@example(ModulusProfile(np.array([1e-3, 1e-2]), np.array([1e3, 1e3]), 1e3), 0.99, 1e4)  # overflows
+@example(ModulusProfile(np.array([5.0, 9.0]), np.array([1e-3, 2e-3]), 2e-3), 0.5, 1e4)  # underflows
+@example(ModulusProfile(np.array([1.0, 2.0]), np.array([0.0, 0.0]), 0.0), 0.5, 1e4)  # zero
+@example(ModulusProfile(np.array([1.0, 1.05, 1.1]), np.array([0.0, 1e-200, 2e-200]), 3e-200),
+         0.5, 2.0)  # underflows at q = 2, where each cell's weight is far from r_i^-sq
+def test_besov_scale_sum_equals_an_mpmath_sum(profile, s, q):
+    want = mp_scale_sum(profile, s, q)
+    got = besov_from_profile(profile, s, q)
+    assert type(got) is float
+    assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("q, fallback", [(1.0, False), (2.0, False), (3000.0, True)])
+def test_besov_scale_sum_keeps_the_direct_sum_unless_a_power_saturates(q, fallback):
+    profile = ModulusProfile(np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.8, 1.3]), 1.6)
+    with mock.patch.object(smoothness, "_scale_sum_in_logs",
+                           wraps=smoothness._scale_sum_in_logs) as in_logs:
+        got = besov_from_profile(profile, 0.5, q)
+    assert in_logs.called == fallback
+    sq, r, v = 0.5 * q, profile.radii, profile.values
+    if not fallback:  # bitwise the direct sum
+        inner = float(np.sum(v[:-1] ** q * (r[:-1] ** (-sq) - r[1:] ** (-sq)))) / sq
+        assert got == float((inner + 1.6 ** q * r[-1] ** (-sq) / sq) ** (1.0 / q))
 
 
 def test_besov_seminorm_is_a_python_float():

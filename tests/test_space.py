@@ -14,8 +14,10 @@ from oscembed import (SpaceValidationError, diagnostics, doubling_constant,
 from oscembed import (hajlasz_seminorm_l1, lp, measure_growth_constant, modulus_profile,
                       random_geometric_space, space_from_graph, space_from_points,
                       tent_function)
+from oscembed import smoothness
+from oscembed.embed import collapse_sweep
 from oscembed.smoothness import k_functional_path
-from oscembed.space import BallIndex, Space
+from oscembed.space import BallIndex, MetricIndex, Space
 
 from _oracles import (brute_force_growth_constant, critical_radii, dense_grid_doubling,
                       iterated_doubling_margin, table_doubling_constant, upper_dimension)
@@ -217,7 +219,7 @@ def test_ball_index_masses_and_means_equal_per_point_loops(instance):
         for r, mass in zip(own[x], point_masses[x]):
             assert mass == pytest.approx(sp.weight[sp.ball(x, r)].sum(), rel=1e-12, abs=0.0)
         others = np.delete(sp.dist[x], x)
-        assert sp.balls.nearest[x] == (others.min() if others.size else math.inf)
+        assert sp.metric.nearest[x] == (others.min() if others.size else math.inf)
     assert masses.shape == means.shape == (len(radii), sp.n)
     for k, r in enumerate(radii):
         for x in range(sp.n):
@@ -232,21 +234,55 @@ def test_ball_index_masses_and_means_equal_per_point_loops(instance):
 
 
 def test_space_sorts_its_rows_once(monkeypatch):
-    builds = []
-    init = BallIndex.__init__
+    sorts, indexes, passes = [], [], []
+    metric_init, ball_init = MetricIndex.__init__, BallIndex.__init__
+    averages = smoothness._ball_averages
 
-    def counted(self, dist, weight):
-        builds.append(dist.shape[0])
-        init(self, dist, weight)
+    def counted_sort(self, dist):
+        sorts.append(dist.shape[0])
+        metric_init(self, dist)
 
-    monkeypatch.setattr(BallIndex, "__init__", counted)
+    def counted_index(self, metric, weight):
+        indexes.append(weight.size)
+        ball_init(self, metric, weight)
+
+    def counted_averages(space, values, radii, alpha):
+        passes.append(len(radii))
+        return averages(space, values, radii, alpha)
+
+    monkeypatch.setattr(MetricIndex, "__init__", counted_sort)
+    monkeypatch.setattr(BallIndex, "__init__", counted_index)
+    monkeypatch.setattr(smoothness, "_ball_averages", counted_averages)
     sp = random_geometric_space(40, 0.3, 3)
     diag = diagnostics(sp)
     measure_growth_constant(sp, diag.q_dim)
     modulus_profile(sp, tent_function(sp, 0), lp(2.0), 0.5)
     hajlasz_seminorm_l1(sp, tent_function(sp, 1))
     k_functional_path(sp, tent_function(sp, 1), [0.5, 2.0])
-    assert builds == [40]
+    assert sorts == [40] and indexes == [40] and len(passes) == 1
+    # a sweep over 4 weight scales: the scaled spaces share the sorted rows, each
+    # has its own prefix sums, and each function's ball averages are taken once
+    corpus = [tent_function(sp, 0), tent_function(sp, 5) - tent_function(sp, 9)]
+    sweep = collapse_sweep(sp, corpus, lp(1.0), 1.0, 0.5, 1.0, [1.0, 0.1, 0.01, 0.001],
+                           diag.q_dim)
+    assert len(sweep) == 4
+    assert sorts == [40] and indexes == [40] * 5 and len(passes) == 1 + len(corpus)
+
+
+def test_scaled_space_shares_the_distance_matrix_and_the_metric_half():
+    sp = random_geometric_space(30, 0.3, 2)
+    scaled = sp.scale_weights(0.1)
+    assert scaled.dist is sp.dist and np.shares_memory(scaled.dist, sp.dist)
+    assert scaled.metric is sp.metric
+    for name in ("order", "sorted_dist", "nearest"):
+        assert getattr(scaled.metric, name) is getattr(sp.metric, name)
+    assert scaled.balls.metric is sp.balls.metric
+    assert not scaled.weight.flags.writeable and not scaled.dist.flags.writeable
+    # the weight half is the scaled space's own, with the prefix sums of a fresh build
+    fresh = Space(sp.dist, sp.weight * 0.1)
+    assert scaled.weight.tobytes() == fresh.weight.tobytes()
+    assert scaled.balls.prefix.tobytes() == fresh.balls.prefix.tobytes()
+    assert noncollapsing_constant(scaled) == noncollapsing_constant(fresh)
 
 
 def test_ball_scans_memory_at_n240():
@@ -291,6 +327,21 @@ def test_weight_scaling_refuses_a_factor_that_leaves_a_weight_not_positive_and_f
     sp = path_space(3, weights=[0.5, 1.0, 2.0])
     with pytest.raises(SpaceValidationError, match="positive and finite"):
         sp.scale_weights(factor)
+
+
+@pytest.mark.parametrize("factor", [1e-320, 1e-308, 2.2e-308 / 0.5])
+def test_weight_scaling_refuses_a_factor_that_leaves_a_subnormal_weight(factor):
+    sp = path_space(3, weights=[0.5, 1.0, 2.0])
+    assert 0.0 < factor * 0.5 < np.finfo(float).tiny
+    with pytest.raises(SpaceValidationError, match="smallest normal float"):
+        sp.scale_weights(factor)
+
+
+def test_weight_scaling_keeps_a_factor_that_leaves_every_weight_normal():
+    sp = path_space(3, weights=[0.5, 1.0, 2.0])
+    factor = np.finfo(float).tiny / 0.5
+    assert (sp.scale_weights(factor).weight >= np.finfo(float).tiny).all()
+    assert sp.scale_weights(1e-300).weight.tolist() == [0.5e-300, 1e-300, 2e-300]
 
 
 def test_weight_scaling_refuses_a_factor_whose_total_mass_overflows():
