@@ -38,8 +38,11 @@ violated ones as new rows, and re-run from the last basis.  K(f, t) along a
 t-grid stays on the same model; a new t only changes the costs.  Every optimum
 is certified by a two-sided enclosure: U is the objective at the solution
 repaired to exact feasibility for every pair, L a safe dual bound over a box
-known to hold an optimum, and U - L must be at most 1e-9 relative.  Failed or
-uncertified solves dump the instance to a text file for inspection.
+known to hold an optimum, and U - L must be at most 1e-9 relative.  K never
+exceeds its plateau, the value at a constant h, and a t whose dual bound from
+the last certified solve already reaches the plateau is answered there with no
+run.  Failed or uncertified solves dump the instance to a text file for
+inspection.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
@@ -292,8 +296,8 @@ def _run(highs: _Highs) -> _Run:
 
     Each _PairLP keeps one model per (space, f) across its rounds and t-grid;
     this seam only runs it and reads the solution.  _PairLP.optimum certifies
-    what comes back by _enclosure, and dumps the instance when a run fails or
-    the bracket stays open.
+    what comes back by _PairLP._bracket, and dumps the instance when a run fails
+    or the bracket stays open.
     """
     highs.run()
     status = highs.getModelStatus()
@@ -303,20 +307,15 @@ def _run(highs: _Highs) -> _Run:
     return _Run(0, "optimal", np.array(sol.col_value), np.array(sol.row_dual))
 
 
-def _enclosure(c, a_ub, b_ub, lo, hi, x, duals) -> tuple[float, float]:
-    """[L, U] around the optimum of min c.x s.t. a_ub x <= b_ub, for a feasible x.
-
-    U = c.x.  L is the safe dual bound of Neumaier and Shcherbina: with
-    lam = max(-duals, 0), every feasible x' in the box [lo, hi] has
-    c.x' >= (c + a_ub^T lam).x' - lam.b_ub >= L, the sum of each term's minimum
-    over the box.  So L bounds the optimum from below whenever the box holds an
-    optimal point, whatever the duals are; rows missing from a_ub count as
-    lam = 0.  Rounding in the two sums is far below the widths compared.
-    """
+def _dual_part(a_ub, b_ub, duals) -> tuple[np.ndarray, float]:
+    """(a_ub^T lam, lam.b_ub) with lam = max(-duals, 0): the t-free part of _PairLP._bracket."""
     lam = np.maximum(-duals, 0.0)
-    r = c + a_ub.T @ lam
-    lower = float(np.minimum(r * lo, r * hi).sum() - lam @ b_ub)
-    return lower, float(c @ x)
+    return a_ub.T @ lam, float(lam @ b_ub)
+
+
+def _closed(lower: float, upper: float) -> bool:
+    """Whether the enclosure [lower, upper] certifies its optimum: U - L <= 1e-9 max(1, |U|)."""
+    return upper - lower <= _LP_TOL * max(1.0, abs(upper))
 
 
 def _seed_pairs(space: Space, slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,6 +355,16 @@ class _PairLP:
     [min f, max f], widened to hold 0 when inhomogeneous: clipping h there
     shrinks |h(x) - h(y)|, |f - h| and |h|.  Then e, a <= the width of that
     interval, and g(x) <= width / space.metric.nearest[x] (x's nearest distance).
+
+    K never exceeds its value at the plateau point (_plateau): M = min over
+    constants c of ||f - c||_1, or ||f||_1 when inhomogeneous, whatever t is.
+    So optimum keeps the t-free part of each certified run's dual bound
+    (_dual_part), and before a run at a new t it first bounds the optimum below
+    from those duals under the new costs, in O(columns).  When that bound
+    closes the bracket around M, the plateau point is the answer and HiGHS is
+    not run; no row is added.  A larger t raises only the costs of g and a,
+    whose lower bounds are 0, so a bracket closed at t stays closed at every
+    larger t; at a smaller t the bound is as valid, and only closes less often.
     """
 
     def __init__(self, space: Space, f: np.ndarray, family: str, t: float = 1.0):
@@ -407,6 +416,7 @@ class _PairLP:
         seeded = np.zeros((n, n), dtype=bool)
         seeded[_seed_pairs(space, slopes)] = True
         self._add_pairs((seeded | seeded.T)[self.ii, self.jj])
+        self.dual = None  # _dual_part of the last certified run of a K-LP
 
     def _costs(self, t: float) -> np.ndarray:
         """w on g in the gradient LP; 0 on h, t w on g, w on e and t w on a in the K-LPs."""
@@ -522,6 +532,40 @@ class _PairLP:
         x[self.cols["g"]] = g + 0.5 * np.maximum(violation.max(axis=1), 0.0)
         return x
 
+    @cached_property
+    def _plateau(self) -> np.ndarray:
+        """The K-LP's plateau point: h = m constant, g = 0, e = |f - m| and a = |m|.
+
+        m is a weighted median of f, where ||f - m||_1 is least over constants;
+        when inhomogeneous m = 0, since ||f - h||_1 + t ||h||_1 >= ||f||_1 once
+        t >= 1.  The point lies in the box and satisfies every row at every t.
+        """
+        m = 0.0
+        if not self.inhomogeneous:
+            order = np.argsort(self.f, kind="stable")
+            mass = np.cumsum(self.space.weight[order])
+            m = float(self.f[order[np.searchsorted(mass, 0.5 * mass[-1])]])
+        x = np.zeros(self.c.size)
+        x[self.cols["h"]] = m
+        x[self.cols["e"]] = np.abs(self.f - m)
+        return x
+
+    def _bracket(self, x: np.ndarray, dual) -> tuple[float, float]:
+        """[L, U] around the optimum over all pairs at the current t, for a feasible x.
+
+        U = c.x.  L is the safe dual bound of Neumaier and Shcherbina: with
+        dual = (a_ub^T lam, lam.b_ub) for some lam >= 0 on the model's rows,
+        every feasible x' in the box [lo, hi] has
+        c.x' >= (c + a_ub^T lam).x' - lam.b_ub >= L, the sum of each term's
+        minimum over the box.  So L bounds the optimum from below whenever the
+        box holds an optimal point, whatever lam and t are; rows missing from
+        a_ub count as lam = 0.  Rounding in the two sums is far below the widths
+        compared.
+        """
+        r = self.c + dual[0]
+        lower = float(np.minimum(r * self.lo, r * self.hi).sum() - dual[1])
+        return lower, float(self.c @ x)
+
     def set_t(self, t: float) -> None:
         """Move the K-LP to parameter t: new costs on the columns whose cost changes."""
         c = self._costs(t)
@@ -558,12 +602,21 @@ class _PairLP:
         instance is dumped and SolverError raised.
 
         Certificate: the repaired point gives U and the row duals give L (see
-        _enclosure).  If U - L > 1e-9 max(1, |U|), the model's tolerances go to
+        _bracket).  If U - L > 1e-9 max(1, |U|), the model's tolerances go to
         1e-10 and row generation runs once more, warm, now taking in every
         violated pair: pairs left out below 1e-9 can open the bracket once t w
         is large.  A bracket still open, or a failed run, dumps the instance and
         raises SolverError.  L, U and the point come back in units of f.
+
+        A K-LP keeps the certified run's _dual_part in self.dual.  At the next
+        call, before any run, the plateau point is tried against it: if that
+        bracket closes by the same rule, it comes back with U = M and no run.
         """
+        if self.dual is not None:
+            x = self._plateau
+            lower, upper = self._bracket(x, self.dual)
+            if _closed(lower, upper):
+                return lower * self.unit, upper * self.unit, x * self.unit
         for attempt, (tol, joins) in enumerate(((_LP_TOL, _LP_TOL * self.scale),
                                                 (_LP_RETRY_TOL, 0.0))):
             if attempt:
@@ -587,9 +640,12 @@ class _PairLP:
                 raise SolverError(f"pair constraint violated by {worst:g}; "
                                   f"instance dumped to {path}")
             x = self._repaired(run.x)
-            c, a_ub, b_ub = self._lp()
-            lower, upper = _enclosure(c, a_ub, b_ub, self.lo, self.hi, x, run.duals)
-            if upper - lower <= _LP_TOL * max(1.0, abs(upper)):
+            _, a_ub, b_ub = self._lp()
+            dual = _dual_part(a_ub, b_ub, run.duals)
+            lower, upper = self._bracket(x, dual)
+            if _closed(lower, upper):
+                if self.is_k:
+                    self.dual = dual
                 return lower * self.unit, upper * self.unit, x * self.unit
         path = self._dump(f"{note} duality gap")
         raise SolverError(f"duality gap {upper - lower:g} too large ([{lower!r}, {upper!r}]); "
@@ -611,8 +667,12 @@ def k_functional_path(space: Space, f, ts, inhomogeneous: bool = False) -> list[
     K(f, t) = min over h of ||f - h||_L1 + t * (L1 gradient seminorm of h), or
     against the inhomogeneous norm ||h||_L1 + seminorm when inhomogeneous.
     Pairs found binding at one t stay in the model for the next, and each solve
-    starts from the last basis, so an ascending t-grid costs far fewer simplex
-    iterations than separate solves.
+    starts from the last basis, so a t-grid costs far fewer simplex iterations
+    than separate solves.  Once K reaches its plateau (M = min over constants c
+    of ||f - c||_1, or ||f||_1 when inhomogeneous), the last certified solve's
+    duals prove K = M at every larger t, which then takes no HiGHS run (see
+    _PairLP).  ts may come in any order, with repeats; the shortcut fires most
+    often on an ascending grid, where a skipped t means every larger t is skipped.
     """
     ts = _checked_ts(ts)
     f = np.asarray(f, dtype=float)

@@ -260,6 +260,16 @@ def full_pair_k_functional(space, f, t, inhomogeneous):
     return float(res.fun) * unit
 
 
+def k_plateau(space, f, inhomogeneous):
+    """The value K(f, t) tends to as t grows: min over constants c of sum w |f - c|, by trying
+    every value of f as c (the sum is convex and piecewise linear, with kinks there); or
+    sum w |f| when inhomogeneous."""
+    f = np.asarray(f, dtype=float)
+    if inhomogeneous:
+        return float(np.sum(space.weight * np.abs(f)))
+    return min(float(np.sum(space.weight * np.abs(f - c))) for c in f)
+
+
 def lp_unit(f):
     """The power of 2 that lifts max |f| < 1 into [0.5, 1), else 1.
 

@@ -22,7 +22,7 @@ from oscembed.space import diagnostics
 
 from _oracles import (canonical_gradient, critical_radii, full_pair_gradient_seminorm,
                       full_pair_k_functional, hajlasz_seminorm_upper, hajlasz_vertex_oracle,
-                      modulus, mp_scale_sum, nabla, rowwise_gradient_lp,
+                      k_plateau, modulus, mp_scale_sum, nabla, rowwise_gradient_lp,
                       rowwise_k_functional_lp, t_r_operator)
 
 TWO = space_from_matrix([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
@@ -718,6 +718,95 @@ def test_k_path_makes_fewer_highs_runs_than_one_point_calls(monkeypatch):
     one_point = [k_functional_path(sp, f, [float(t)])[0] for t in ts]
     assert path_runs < len(runs)
     assert np.allclose(path, one_point, rtol=1e-9, atol=1e-9)
+
+
+# t in any order, with repeats: a few values, drawn from again
+unordered_ts = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=4).flatmap(
+    lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(k_instances(), long_trees()), unordered_ts, st.booleans())
+@example((path_space(4), np.array([0.0, 1.0, 3.0, 2.0]), 1.0), [50.0, 2.0, 50.0, 0.01, 2.0], True)
+@example((path_space(4), np.array([0.0, 1.0, 3.0, 2.0]), 1.0), [50.0, 2.0, 50.0, 0.01, 2.0], False)
+def test_k_path_in_any_t_order_matches_one_point_calls_and_full_pair_oracle(instance, ts,
+                                                                             inhomogeneous):
+    """A skipped t rests on the duals of whichever t was solved last, larger or smaller."""
+    sp, f, _ = instance
+    path = smoothness.k_functional_path(sp, f, ts, inhomogeneous)
+    assert len(path) == len(ts)
+    for t, k in zip(ts, path):
+        tol = 1e-9 * max(1.0, abs(k))
+        assert abs(k - smoothness.k_functional_path(sp, f, [t], inhomogeneous)[0]) <= tol
+        assert abs(k - full_pair_k_functional(sp, f, t, inhomogeneous)) <= tol
+
+
+def _runs_per_t(sp, f, ts, family, shortcut, runs):
+    """The HiGHS runs and the [L, U] of each t along one model, with or without the plateau
+    shortcut (forgetting the last certificate before each t turns it off)."""
+    model = smoothness._PairLP(sp, f, family, ts[0])
+    counts, brackets = [], []
+    for t in ts:
+        model.set_t(t)
+        if not shortcut:
+            model.dual = None
+        before = len(runs)
+        brackets.append(model.optimum(family)[:2])
+        counts.append(len(runs) - before)
+    return counts, brackets
+
+
+@pytest.mark.parametrize("family", ["k", "k-inhomogeneous"])
+@pytest.mark.parametrize("shape", ["tent", "normal", "weighted normal"])
+def test_saturated_t_make_no_highs_run(monkeypatch, family, shape):
+    """On the 6 x 6 grid, and on a weighted 5 x 7 one whose weighted median is the only one."""
+    solve, runs = smoothness._run, []
+    monkeypatch.setattr(smoothness, "_run", lambda highs: runs.append(1) or solve(highs))
+    sp = grid_space(6, 6)
+    if shape == "tent":
+        f = np.maximum(0.0, 2.0 - sp.dist[14])
+    elif shape == "normal":
+        f = np.random.default_rng(60).normal(size=36)
+    else:
+        sp = grid_space(5, 7, np.random.default_rng(61).uniform(0.5, 1.5, 35))
+        f = np.random.default_rng(62).normal(size=35)
+    ts = np.geomspace(0.1, 10.0, 8)
+    inhomogeneous = family == "k-inhomogeneous"
+    path = k_functional_path(sp, f, ts, inhomogeneous)
+    path_runs = len(runs)
+    with_skip, brackets = _runs_per_t(sp, f, ts, family, True, runs)
+    without, _ = _runs_per_t(sp, f, ts, family, False, runs)
+    assert sum(with_skip) == path_runs
+    skipped = [k for k, count in enumerate(with_skip) if count == 0]
+    assert skipped and skipped == list(range(skipped[0], len(ts)))  # ascending: a suffix
+    assert [without[k] - with_skip[k] for k in range(len(ts))] == [
+        1 if k in skipped else 0 for k in range(len(ts))]
+    plateau = k_plateau(sp, f, inhomogeneous)
+    for k in skipped:
+        lower, upper = brackets[k]
+        assert path[k] == upper == pytest.approx(plateau, rel=1e-14)
+        oracle = full_pair_k_functional(sp, f, float(ts[k]), inhomogeneous)
+        slack = 1e-10 * max(1.0, abs(oracle))  # the oracle's own HiGHS tolerance
+        assert lower - slack <= oracle <= upper + slack
+
+
+def test_plateau_row_reports_the_plateau_value(monkeypatch):
+    """The seventh function of the kfun-grid64 workload at seed 1, an N(0, 1) f on the 8 x 8
+    grid.  Solved at t = 5.18, K is the repaired HiGHS point's 44.68281678915402, 1.5e-11
+    above the optimum; skipped, it is sum w |f - m| for a weighted median m."""
+    solve, runs = smoothness._run, []
+    monkeypatch.setattr(smoothness, "_run", lambda highs: runs.append(1) or solve(highs))
+    rng = np.random.default_rng([1, 64])
+    rng.choice(64, 4, replace=False)  # the workload's tent centres
+    f = [rng.standard_normal(64) for _ in range(3)][-1]
+    sp, ts = grid_space(8, 8), np.geomspace(0.1, 10.0, 8)
+    counts, brackets = _runs_per_t(sp, f, ts, "k", True, runs)
+    assert counts[6:] == [0, 0]
+    assert [upper for _, upper in brackets] == k_functional_path(sp, f, ts)
+    plateau = k_plateau(sp, f, False)
+    for t, (_, k) in zip(ts[6:], brackets[6:]):
+        assert k == pytest.approx(plateau, rel=1e-15)
+        assert k == pytest.approx(full_pair_k_functional(sp, f, float(t), False), rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
