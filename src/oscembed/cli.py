@@ -167,14 +167,15 @@ def _report_table(report: embed.EmbeddingReport) -> tuple[dict, list[dict], str]
     """The payload, rows and summary of an embedding report; informative rows have lhs > 0."""
     rows = [{"label": lab, "lhs": _num(lhs), "rhs": _num(rhs), "ratio": _num(ratio)}
             for lab, lhs, rhs, ratio in report.per_function]
-    summary = f"empirical_constant={report.empirical_constant:g} {_informative(report)}"
+    summary = (f"empirical_constant={report.empirical_constant:g} "
+               f"{_informative([row[1] for row in report.per_function])}")
     return report.to_json(), rows, summary
 
 
-def _informative(report: embed.EmbeddingReport) -> str:
-    """informative=i/n: i of the report's n rows have lhs > 0, so their ratio tests something."""
-    informative = sum(lhs > 0.0 for _lab, lhs, _rhs, _ratio in report.per_function)
-    return f"informative={informative}/{len(report.per_function)}"
+def _informative(values) -> str:
+    """informative=i/n: i of the n rows have a value > 0 (a report's lhs, teomo1's constant),
+    so they test something."""
+    return f"informative={sum(v > 0.0 for v in values)}/{len(values)}"
 
 
 def cmd_verify(args) -> int:
@@ -205,7 +206,7 @@ def cmd_verify(args) -> int:
         worst = max([0.0] + constants)
         rows = [{"label": lab, "constant": _num(c)} for lab, c in zip(labels, constants)]
         payload = {"growth_constant": growth, "max_constant": worst, "rows": rows}
-        summary = f"growth={growth:g} max_constant={worst:g}"
+        summary = f"growth={growth:g} max_constant={worst:g} {_informative(constants)}"
     elif theorem == "infinito":
         payload, rows, summary = _report_table(embed.sup_norm_embedding_check(
             space, corpus, spec, args.alpha, args.s, args.q, q_dim, labels, args.grid_ratio))
@@ -260,7 +261,7 @@ def cmd_collapse_sweep(args) -> int:
     _write_artifacts(Path(args.out), "collapse-sweep", {"rows": rows_raw}, rows)
     for eps, b, report in sweep:
         print(f"eps={eps:g} b={b:g} constant={report.empirical_constant:g} "
-              f"{_informative(report)}")
+              f"{_informative([row[1] for row in report.per_function])}")
     return 0
 
 

@@ -33,6 +33,8 @@ Weight machinery for the rearranged-norm targets:
   * the target weight w of the a < q < infinity case, with w(t)^q/t equal to
     the derivative of (1 + m(t))^(1-q/a): target_norm_check integrates
     against it through that exact primitive, so w itself is never evaluated;
+  * the u-weight of the q <= a case: the oscillation functional's own
+    weight t^(-s/Q) phi(t), checked by _u_condition_check near t = 0;
   * regime_classify: the total case table for log-Lorentz parameters
     (p, r, beta, s, q, Q), emitting the target weight per case.
 """
@@ -311,14 +313,14 @@ def sup_norm_embedding_check(space: Space, corpus, spec: RISpaceSpec, alpha: flo
     return _finish_report("infinito", corpus, labels, one, params)
 
 
-def _u_condition_check(u: PowerLog, v_norm: PowerLog, q: float) -> None:
-    """Verify int_0^t u^q dz/z stays within a constant of v_norm(t)^q near 0."""
-    uq = u**q
-    if not uq.integrable_at_zero_dt_over_t():
+def _u_condition_check(v_norm: PowerLog, q: float) -> None:
+    """Verify int_0^t v_norm^q dz/z stays within a constant of v_norm(t)^q near 0."""
+    vq = v_norm**q
+    if not vq.integrable_at_zero_dt_over_t():
         raise PreconditionError("u-weight fails its integral condition at t -> 0 "
                                 "(primitive diverges); violating t: any t near 0")
     ts = np.geomspace(1e-10, 1.0, 64)
-    ratios = uq.integral_dt_over_t(0.0, ts) / v_norm(ts) ** q
+    ratios = vq.integral_dt_over_t(0.0, ts) / v_norm(ts) ** q
     cap = 50.0 * float(ratios[ts >= 1e-2].max())
     bad = np.flatnonzero(ratios > cap)
     if bad.size:
@@ -328,13 +330,14 @@ def _u_condition_check(u: PowerLog, v_norm: PowerLog, q: float) -> None:
 
 
 def target_norm_check(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: float,
-                      q: float, q_dim: float, u_weight: PowerLog | None = None,
-                      labels=None, ratio: float = DEFAULT_GRID_RATIO) -> EmbeddingReport:
+                      q: float, q_dim: float, labels=None,
+                      ratio: float = DEFAULT_GRID_RATIO) -> EmbeddingReport:
     """Weighted rearranged-norm target vs smoothness seminorm + split norm.
 
     Dispatches on q: the derivative weight for alpha < q < inf, the
-    (1 + m)^(-1/a) sup form for q = inf, and a u-weight (supplied or the
-    norm weight itself, verified) for q <= alpha.  Requires m(0) = inf.
+    (1 + m)^(-1/a) sup form for q = inf, and for q <= alpha the u-weight mode,
+    whose weight is the norm weight v_norm itself, once it passes its integral
+    condition.  Requires m(0) = inf.
     The corpus is rearranged up front, and m is evaluated once per report, at
     every breakpoint below 1 of the corpus (and, in the sup form, on a fixed
     grid); each function reads its values from that table.
@@ -348,8 +351,7 @@ def target_norm_check(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: 
     items = [(f, rearrangement(space, f)) for f in corpus]
     if mode == "u-weight":
         v_norm = _oscillation_weight(spec, alpha, s, q_dim)
-        u = v_norm if u_weight is None else u_weight
-        _u_condition_check(u, v_norm, q)
+        _u_condition_check(v_norm, q)
     else:
         grid = np.geomspace(1e-10, 1.0, 200) if mode == "sup" else np.empty(0)
         table = _gauge_table(spec, alpha, s, q, q_dim, np.concatenate(
@@ -366,7 +368,7 @@ def target_norm_check(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: 
             lhs = max((avg / (1.0 + m_t)) ** (1.0 / alpha)
                       for avg, m_t in zip(avgs.tolist(), _gauge_at(table, ts).tolist()))
         else:
-            lhs = weighted_step_norm(fstar, u, q)
+            lhs = weighted_step_norm(fstar, v_norm, q)
         return lhs, _hb_norm(space, f, fstar, spec, alpha, s, q, ratio)
 
     params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": q, "Q": q_dim, "mode": mode}

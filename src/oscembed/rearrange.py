@@ -177,6 +177,8 @@ class Ranking:
     add.reduceat of the weights in that order over all rows' runs, and the
     breakpoints as cumulative sums along rows padded with zero weights.  So a
     family of measures, such as the multiples of one, ranks each matrix once.
+    Where weights span more than 2^53, a light run's mass can vanish in a
+    cumulative sum; its step then has width 0, and steps drops it from that row.
     """
 
     def __init__(self, f):
@@ -199,7 +201,16 @@ class Ranking:
         masses = np.zeros(self.values.shape)
         if self.starts.size:
             masses[self.slots] = np.add.reduceat(fw.ravel(), self.starts)
-        return StepDecreasing._rows(np.cumsum(masses, axis=1), self.values, self.counts)
+        breakpoints = np.cumsum(masses, axis=1)
+        lost = (np.diff(breakpoints, axis=1) == 0.0) & (masses[:, 1:] > 0.0)  # padding has mass 0
+        if not lost.any():
+            return StepDecreasing._rows(breakpoints, self.values, self.counts)
+        values, counts = self.values.copy(), self.counts.copy()
+        for i in np.flatnonzero(lost.any(axis=1)).tolist():
+            kept = np.flatnonzero(~lost[i, :counts[i] - 1]) + 1  # the steps after the first
+            k = counts[i] = kept.size + 1
+            breakpoints[i, 1:k], values[i, 1:k] = breakpoints[i, kept], values[i, kept]
+        return StepDecreasing._rows(breakpoints, values, counts)
 
 
 def rearrangement_rows(f, weights) -> list[StepDecreasing]:

@@ -30,8 +30,8 @@ Gradient seminorms come from the pairwise relaxation
 whose feasible fields form a polytope.  The weighted-L1 infimum over that
 polytope, and the split-infimum K(f, t) against the L1 error term, are linear
 programs, both built by _PairLP alone on one layout: a block of n columns for
-g, and for K blocks for h and the slacks of |f - h| and |h|; then costs, rows
-per point and rows per pair from its three emitters.  Few pair rows are ever
+g, and for K blocks for h and the slack of |f - h|; then costs, rows per point
+and rows per pair from its three emitters.  Few pair rows are ever
 binding, so the LPs are solved by row generation on one persistent HiGHS model
 per (space, f): run with an active set of pairs, check every pair, add the
 violated ones as new rows, and re-run from the last basis.  K(f, t) along a
@@ -339,32 +339,32 @@ def _seed_pairs(space: Space, slopes: np.ndarray) -> tuple[np.ndarray, np.ndarra
 class _PairLP:
     """One HiGHS model of a pair LP for one (space, f): the gradient LP, or K(f, t).
 
-    family is "gradient", "k" or "k-inhomogeneous".  The columns come in blocks
-    of n, one column per point: g in the gradient LP; h, g, e, then a when
-    inhomogeneous, in the K-LPs.  g >= 0 is a gradient field, of f or of the
-    free h, and e >= |f - h| and a >= |h| are slacks.  This class alone builds
-    the LP: the column bounds, the costs (_costs), and every row, all <=, from
-    _point_rows and _pair_rows.  The point rows go in once, then the pair rows
-    of _seed_pairs; more pair rows come in by addRows and none is ever removed,
-    so the active set carries over from one t to the next.  set_t changes only
-    the costs, and every run starts from the basis of the last.
+    family is "gradient" or "k".  The columns come in blocks of n, one column
+    per point: g in the gradient LP; h, g and e in the K-LP.  g >= 0 is a
+    gradient field, of f or of the free h, and e >= |f - h| is a slack.  This
+    class alone builds the LP: the column bounds, the costs (_costs), and
+    every row, all <=, from _point_rows and _pair_rows.  The point rows go in
+    once, then the pair rows of _seed_pairs; more pair rows come in by addRows
+    and none is ever removed, so the active set carries over from one t to the
+    next.  set_t changes only the costs, and every run starts from the basis
+    of the last.
 
     The box [lo, hi] holds an optimal point, as the enclosure needs.  In the
     gradient LP, 0 <= g <= the canonical gradient max_y |f(x) - f(y)| / d(x, y),
-    since lowering g to it keeps every pair.  In the K-LPs, h lies in
-    [min f, max f], widened to hold 0 when inhomogeneous: clipping h there
-    shrinks |h(x) - h(y)|, |f - h| and |h|.  Then e, a <= the width of that
-    interval, and g(x) <= width / space.metric.nearest[x] (x's nearest distance).
+    since lowering g to it keeps every pair.  In the K-LP, h lies in
+    [min f, max f]: clipping h there shrinks |h(x) - h(y)| and |f - h|.  Then
+    e <= the width of that interval, and g(x) <= width / space.metric.nearest[x]
+    (x's nearest distance).
 
     K never exceeds its value at the plateau point (_plateau): M = min over
-    constants c of ||f - c||_1, or ||f||_1 when inhomogeneous, whatever t is.
-    So optimum keeps the t-free part of each certified run's dual bound
-    (_dual_part), and before a run at a new t it first bounds the optimum below
-    from those duals under the new costs, in O(columns).  When that bound
-    closes the bracket around M, the plateau point is the answer and HiGHS is
-    not run; no row is added.  A larger t raises only the costs of g and a,
-    whose lower bounds are 0, so a bracket closed at t stays closed at every
-    larger t; at a smaller t the bound is as valid, and only closes less often.
+    constants c of ||f - c||_1, whatever t is.  So optimum keeps the t-free
+    part of each certified run's dual bound (_dual_part), and before a run at
+    a new t it first bounds the optimum below from those duals under the new
+    costs, in O(columns).  When that bound closes the bracket around M, the
+    plateau point is the answer and HiGHS is not run; no row is added.  A
+    larger t raises only the costs of g, whose lower bounds are 0, so a
+    bracket closed at t stays closed at every larger t; at a smaller t the
+    bound is as valid, and only closes less often.
     """
 
     def __init__(self, space: Space, f: np.ndarray, family: str, t: float = 1.0):
@@ -377,10 +377,9 @@ class _PairLP:
         self.unit = math.ldexp(1.0, min(0, math.frexp(float(np.abs(f).max()))[1]))
         f = f / self.unit
         self.space, self.f = space, f
-        self.is_k = family != "gradient"
-        self.inhomogeneous = family == "k-inhomogeneous"
+        self.is_k = {"gradient": False, "k": True}[family]
         self.scale = max(1.0, float(np.abs(f).max()))
-        blocks = ("h", "g", "e", "a")[:3 + self.inhomogeneous] if self.is_k else ("g",)
+        blocks = ("h", "g", "e") if self.is_k else ("g",)
         self.cols = {name: slice(k * n, (k + 1) * n) for k, name in enumerate(blocks)}
         self.c = self._costs(t)
         size = self.c.size
@@ -388,8 +387,6 @@ class _PairLP:
         self.slopes = None if self.is_k else slopes
         if self.is_k:
             f_lo, f_hi = float(f.min()), float(f.max())
-            if self.inhomogeneous:
-                f_lo, f_hi = min(0.0, f_lo), max(0.0, f_hi)
             width = f_hi - f_lo
             self.lo = np.concatenate([np.full(n, f_lo), np.zeros(size - n)])
             self.hi = np.full(size, width)
@@ -410,7 +407,8 @@ class _PairLP:
         self._check(self.highs.addVars(size, lower, np.full(size, kHighsInf)), "addVars")
         self._check(self.highs.changeColsCost(size, np.arange(size, dtype=np.int32), self.c),
                     "changeColsCost")
-        self._add_rows(*self._point_rows())
+        if self.is_k:
+            self._add_rows(*self._point_rows())
         self.ii, self.jj = np.triu_indices(n, k=1)
         self.active = np.zeros(self.ii.size, dtype=bool)
         seeded = np.zeros((n, n), dtype=bool)
@@ -419,11 +417,11 @@ class _PairLP:
         self.dual = None  # _dual_part of the last certified run of a K-LP
 
     def _costs(self, t: float) -> np.ndarray:
-        """w on g in the gradient LP; 0 on h, t w on g, w on e and t w on a in the K-LPs."""
+        """w on g in the gradient LP; 0 on h, t w on g and w on e in the K-LP."""
         w = self.space.weight
         if not self.is_k:
             return w
-        return np.concatenate([np.zeros(self.space.n), t * w, w, t * w][:len(self.cols)])
+        return np.concatenate([np.zeros(self.space.n), t * w, w])
 
     def _rows(self, cols: np.ndarray, vals: np.ndarray, b: np.ndarray):
         """(a_ub, b_ub): row k holds vals[k] in the columns cols[k], which ascend."""
@@ -432,28 +430,19 @@ class _PairLP:
                           shape=(m, self.c.size)), b
 
     def _point_rows(self):
-        """Per point x, consecutive: -e(x) - h(x) <= -f(x) and -e(x) + h(x) <= f(x), then
-        when inhomogeneous -a(x) + h(x) <= 0 and -a(x) - h(x) <= 0.  None in the gradient LP."""
-        if not self.is_k:
-            return self._rows(np.zeros((0, 2), dtype=int), np.zeros((0, 2)), np.zeros(0))
-        n, f = self.space.n, self.f
-        # row r of point x: h_sign[r] h(x) - (column slack[r] + x) <= rhs[r][x]
-        e, zero = self.cols["e"].start, np.zeros(n)
-        slack, h_sign, rhs = [e, e], [-1.0, 1.0], [-f, f]
-        if self.inhomogeneous:
-            a = self.cols["a"].start
-            slack, h_sign, rhs = slack + [a, a], h_sign + [1.0, -1.0], rhs + [zero, zero]
-        x = np.arange(n)[:, None]
-        k = len(slack)
-        cols = np.stack([x.repeat(k, axis=1), np.array(slack) + x], axis=2).reshape(-1, 2)
-        vals = np.stack([np.tile(h_sign, (n, 1)), np.full((n, k), -1.0)], axis=2).reshape(-1, 2)
-        return self._rows(cols, vals, np.stack(rhs, axis=1).ravel())
+        """The K-LP's rows per point x, consecutive: -h(x) - e(x) <= -f(x) and
+        h(x) - e(x) <= f(x)."""
+        n = self.space.n
+        x = np.arange(n).repeat(2)
+        cols = np.stack([x, self.cols["e"].start + x], axis=1)
+        vals = np.tile([[-1.0, -1.0], [1.0, -1.0]], (n, 1))
+        return self._rows(cols, vals, np.stack([-self.f, self.f], axis=1).ravel())
 
     def _pair_rows(self, ii: np.ndarray, jj: np.ndarray):
         """The rows of the pairs (ii[k], jj[k]), ii < jj, in the order of the pairs.
 
         Gradient LP: the one row -g(x) - g(y) <= -|f(x) - f(y)| / d(x, y) per
-        pair, and none where f(x) = f(y).  K-LPs: the two rows
+        pair, and none where f(x) = f(y).  K-LP: the two rows
         +-(h(x) - h(y)) / d(x, y) - g(x) - g(y) <= 0 per pair.
         """
         g = self.cols["g"].start
@@ -497,7 +486,7 @@ class _PairLP:
     def _repaired(self, x: np.ndarray) -> np.ndarray:
         """x made feasible for every pair and every point row, inside the box.
 
-        x is clipped into the box, then repaired by raising g.  In the K-LPs a
+        x is clipped into the box, then repaired by raising g.  In the K-LP a
         second repair first lowers h to the largest h' <= h that the field g
         allows, h'(x) <= h'(y) + d(x, y) (g(x) + g(y)) for all pairs (by
         Bellman-Ford rounds), and the cheaper of the two is kept: at large t a
@@ -518,14 +507,11 @@ class _PairLP:
         return min((self._raise_g(x), self._raise_g(lowered)), key=lambda y: float(self.c @ y))
 
     def _raise_g(self, x: np.ndarray) -> np.ndarray:
-        """x with e = |f - h| and a = |h| in the K-LPs, and g(x) raised by half
-        the largest remaining violation of a pair at x."""
+        """x with e = |f - h| in the K-LP, and g(x) raised by half the largest
+        remaining violation of a pair at x."""
         x = x.copy()
         if self.is_k:
-            h = x[self.cols["h"]]
-            x[self.cols["e"]] = np.abs(self.f - h)
-            if self.inhomogeneous:
-                x[self.cols["a"]] = np.abs(h)
+            x[self.cols["e"]] = np.abs(self.f - x[self.cols["h"]])
         slopes, g = self._fields(x)
         violation = slopes - g[:, None] - g[None, :]
         np.fill_diagonal(violation, 0.0)
@@ -534,17 +520,14 @@ class _PairLP:
 
     @cached_property
     def _plateau(self) -> np.ndarray:
-        """The K-LP's plateau point: h = m constant, g = 0, e = |f - m| and a = |m|.
+        """The K-LP's plateau point: h = m constant, g = 0 and e = |f - m|.
 
-        m is a weighted median of f, where ||f - m||_1 is least over constants;
-        when inhomogeneous m = 0, since ||f - h||_1 + t ||h||_1 >= ||f||_1 once
-        t >= 1.  The point lies in the box and satisfies every row at every t.
+        m is a weighted median of f, where ||f - m||_1 is least over constants.
+        The point lies in the box and satisfies every row at every t.
         """
-        m = 0.0
-        if not self.inhomogeneous:
-            order = np.argsort(self.f, kind="stable")
-            mass = np.cumsum(self.space.weight[order])
-            m = float(self.f[order[np.searchsorted(mass, 0.5 * mass[-1])]])
+        order = np.argsort(self.f, kind="stable")
+        mass = np.cumsum(self.space.weight[order])
+        m = float(self.f[order[np.searchsorted(mass, 0.5 * mass[-1])]])
         x = np.zeros(self.c.size)
         x[self.cols["h"]] = m
         x[self.cols["e"]] = np.abs(self.f - m)
@@ -661,32 +644,29 @@ def hajlasz_seminorm_l1(space: Space, f) -> tuple[float, GradientField]:
     return value, GradientField.certify(space, f, g)
 
 
-def k_functional_path(space: Space, f, ts, inhomogeneous: bool = False) -> list[float]:
+def k_functional_path(space: Space, f, ts) -> list[float]:
     """K(f, t) at each t of ts, all on one HiGHS model of the joint LP.
 
-    K(f, t) = min over h of ||f - h||_L1 + t * (L1 gradient seminorm of h), or
-    against the inhomogeneous norm ||h||_L1 + seminorm when inhomogeneous.
+    K(f, t) = min over h of ||f - h||_L1 + t * (L1 gradient seminorm of h).
     Pairs found binding at one t stay in the model for the next, and each solve
     starts from the last basis, so a t-grid costs far fewer simplex iterations
     than separate solves.  Once K reaches its plateau (M = min over constants c
-    of ||f - c||_1, or ||f||_1 when inhomogeneous), the last certified solve's
-    duals prove K = M at every larger t, which then takes no HiGHS run (see
-    _PairLP).  ts may come in any order, with repeats; the shortcut fires most
-    often on an ascending grid, where a skipped t means every larger t is skipped.
+    of ||f - c||_1), the last certified solve's duals prove K = M at every
+    larger t, which then takes no HiGHS run (see _PairLP).  ts may come in any
+    order, with repeats; the shortcut fires most often on an ascending grid,
+    where a skipped t means every larger t is skipped.
     """
     ts = _checked_ts(ts)
     f = np.asarray(f, dtype=float)
     if not ts:
         return []
-    if not inhomogeneous and (space.n < 2 or float(np.abs(f - f[0]).max()) == 0.0):
+    if space.n < 2 or float(np.abs(f - f[0]).max()) == 0.0:
         return [0.0] * len(ts)
-    family = "k-inhomogeneous" if inhomogeneous else "k"
-    model = _PairLP(space, f, family, ts[0])
+    model = _PairLP(space, f, "k", ts[0])
     values = []
     for t in ts:
         model.set_t(t)
-        note = f"k-functional-inhomogeneous t={t}" if inhomogeneous else f"k-functional t={t}"
-        values.append(model.optimum(note)[1])
+        values.append(model.optimum(f"k-functional t={t}")[1])
     return values
 
 

@@ -161,12 +161,11 @@ def iterated_doubling_margin(space, q_dim, n_radii=12):
     return worst
 
 
-def rowwise_k_functional_lp(space, f, t, inhomogeneous):
+def rowwise_k_functional_lp(space, f, t):
     """K(f, t) LP instance (c, a_ub, b_ub, bounds), built one row at a time.
 
-    Variables h (free), g, e and, when inhomogeneous, a.  Per pair i < j two
-    rows +-(h_i - h_j)/d - g_i - g_j <= 0; per point e >= |f - h| and, when
-    inhomogeneous, a >= |h|, each as two rows.
+    Variables h (free), g and e.  Per pair i < j two rows
+    +-(h_i - h_j)/d - g_i - g_j <= 0; per point e >= |f - h| as two rows.
     """
     f = np.asarray(f, dtype=float)
     n = space.n
@@ -193,16 +192,10 @@ def rowwise_k_functional_lp(space, f, t, inhomogeneous):
         row += 1
         add_row(row, [(2 * n + x, -1.0), (x, 1.0)], float(f[x]))
         row += 1
-        if inhomogeneous:
-            add_row(row, [(3 * n + x, -1.0), (x, 1.0)], 0.0)
-            row += 1
-            add_row(row, [(3 * n + x, -1.0), (x, -1.0)], 0.0)
-            row += 1
-    blocks = 4 if inhomogeneous else 3
-    a_ub = coo_matrix((data, (rows, cols)), shape=(row, blocks * n))
-    c = [np.zeros(n), t * space.weight, space.weight] + [t * space.weight] * (blocks - 3)
-    bounds = [(None, None)] * n + [(0.0, None)] * ((blocks - 1) * n)
-    return np.concatenate(c), a_ub, np.asarray(rhs), bounds
+    a_ub = coo_matrix((data, (rows, cols)), shape=(row, 3 * n))
+    c = np.concatenate([np.zeros(n), t * space.weight, space.weight])
+    bounds = [(None, None)] * n + [(0.0, None)] * (2 * n)
+    return c, a_ub, np.asarray(rhs), bounds
 
 
 # HiGHS feasibility tolerances 1000 times below its defaults of 1e-7.  At the
@@ -247,26 +240,22 @@ def full_pair_gradient_seminorm(space, f):
     return float(res.fun) * unit
 
 
-def full_pair_k_functional(space, f, t, inhomogeneous):
+def full_pair_k_functional(space, f, t):
     """K(f, t) from one HiGHS solve of the row-by-row LP, which holds every pair.
 
     The solve runs on f / lp_unit(f) and its optimum is scaled back, which is exact.
     """
     unit = lp_unit(f)
-    c, a_ub, b_ub, bounds = rowwise_k_functional_lp(space, np.asarray(f, dtype=float) / unit,
-                                                    t, inhomogeneous)
+    c, a_ub, b_ub, bounds = rowwise_k_functional_lp(space, np.asarray(f, dtype=float) / unit, t)
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=TIGHT_HIGHS)
     assert res.status == 0, res.message
     return float(res.fun) * unit
 
 
-def k_plateau(space, f, inhomogeneous):
+def k_plateau(space, f):
     """The value K(f, t) tends to as t grows: min over constants c of sum w |f - c|, by trying
-    every value of f as c (the sum is convex and piecewise linear, with kinks there); or
-    sum w |f| when inhomogeneous."""
+    every value of f as c (the sum is convex and piecewise linear, with kinks there)."""
     f = np.asarray(f, dtype=float)
-    if inhomogeneous:
-        return float(np.sum(space.weight * np.abs(f)))
     return min(float(np.sum(space.weight * np.abs(f - c))) for c in f)
 
 
@@ -517,7 +506,11 @@ def rearrangement_from_weights(f, weights) -> StepDecreasing:
     starts = np.concatenate([[0], np.flatnonzero(np.diff(fv)) + 1])
     merged_vals = fv[starts]
     merged_w = np.add.reduceat(fw, starts)
-    return StepDecreasing(np.cumsum(merged_w), merged_vals)
+    breakpoints = np.cumsum(merged_w)
+    # a run of positive mass that the sum loses to rounding would make a step of width 0
+    lost = (np.diff(breakpoints) == 0.0) & (merged_w[1:] > 0.0)
+    keep = np.concatenate([[True], ~lost])
+    return StepDecreasing(breakpoints[keep], merged_vals[keep])
 
 
 # The modulus, the modulus profile and the K-bounds one radius at a time, as

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oscembed import load_space, lp, smoothness
+from oscembed.space import diagnostics
 from oscembed.cli import THEOREMS, _num, build_parser, main
 from oscembed.corpus import build_corpus
 
@@ -80,6 +81,23 @@ def test_verify_summary_counts_the_rows_with_positive_lhs(space_file, tmp_path, 
             informative += 1
     assert f" informative={informative}/4\n" in summary
     assert summary.split()[-2].startswith("empirical_constant=")
+
+
+def test_verify_teomo1_summary_counts_the_rows_with_positive_constant(space_file, tmp_path,
+                                                                        capsys):
+    out = tmp_path / "out"
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([[0.0] * 8, [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+                                  [float(i) for i in range(8)], [1.0] * 8]))
+    assert main(["verify", "--theorem", "teomo1", "--space", space_file,
+                 "--corpus", str(corpus), "--out", str(out)]) == 0
+    constants = [float(row["constant"]) for row in
+                 json.loads((out / "verify-teomo1.json").read_text())["rows"]]
+    informative = sum(c > 0.0 for c in constants)
+    assert 0 < informative < 4  # the constant rows give 0
+    summary = capsys.readouterr().out
+    assert summary.startswith("teomo1: growth=")
+    assert summary.endswith(f" informative={informative}/4\n")
 
 
 def test_cli_verify_teomo1_rows_are_float_literals(space_file, tmp_path):
@@ -255,6 +273,21 @@ def test_verify_infinito_refusal_exit_code(space_file, tmp_path, capsys):
     assert rc == 3
     captured = capsys.readouterr()
     assert "m(0)" in captured.err
+
+
+def test_verify_pesos_refuses_a_spec_whose_norm_weight_fails_the_integral_condition(tmp_path,
+                                                                                   capsys):
+    """At q <= alpha the u-weight is t^(-s/Q) phi(t) = (1 + ln(1/t))^(-1/2) here."""
+    space = tmp_path / "grid.json"
+    space.write_text(json.dumps({"coords": [[i, j] for i in range(4) for j in range(4)],
+                                 "metric": "euclidean", "weights": [1.0] * 16}))
+    q_dim = diagnostics(load_space(str(space))).q_dim
+    spec = {"family": "marcinkiewicz", "phi": {"a": 0.4 / q_dim, "b": -0.5}}
+    assert main(["verify", "--theorem", "pesos", "--space", str(space),
+                 "--spec", json.dumps(spec), "--s", "0.4", "--q", "0.8",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refused: u-weight fails its integral condition at t -> 0")
 
 
 @pytest.mark.parametrize("command", [["verify", "--theorem", "k1"], ["collapse-sweep"]])
@@ -487,6 +520,28 @@ def test_cli_every_command_gives_a_result_or_a_refusal_on_tiny_spaces(tmp_path, 
         texts.append(captured.out)
     for text in texts:
         json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", sorted(set(_RUNS) - {"regimes"})
+                         + [f"verify-{t}" for t in THEOREMS])
+def test_cli_every_command_on_weights_spanning_2_to_the_63(tmp_path, capsys, command):
+    """The 64-point unit path with weights 0.5^i, at the defaults.
+
+    In the rearrangements a light run's mass vanishes beside a heavy one, and
+    its step has width 0; every command gives its result, and infinito its
+    refusal, for m(0) is infinite at the defaults.
+    """
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"metric": "graph", "edges": [[i, i + 1] for i in range(63)],
+                                "weights": [0.5**i for i in range(64)]}))
+    argv = ["verify", "--theorem", command[len("verify-"):]] if command.startswith("verify-") \
+        else [command]
+    code = main(argv + ["--space", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if command == "verify-infinito":
+        assert code == 3 and "m(0) is infinite" in err
+    else:
+        assert (code, err) == (0, "")
 
 
 # Cells that name a row rather than hold a number: labels, norm specs and regime

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oscembed import (DomainError, PowerLog, PreconditionError, convexify, collapse_sweep,
                       choose_alpha, embedding_report, grid_space, lorentz,
-                      lorentz_zygmund, lp, measure_growth_constant,
+                      lorentz_zygmund, lp, marcinkiewicz, measure_growth_constant,
                       oscillation_functional, oscillation_gradient_constant,
                       path_space, rearrangement, reciprocal_weight_integral,
                       regime_classify, space_from_graph, space_from_matrix,
@@ -423,7 +423,7 @@ def test_target_check_sup_case():
     assert rep.empirical_constant < math.inf
 
 
-def test_target_check_u_weight_case():
+def test_target_check_norm_weight_case():
     sp = fine_grid_space(4, 4, 0.4)
     diag = diagnostics(sp)
     corpus = tent_differences(sp, 4)
@@ -444,12 +444,14 @@ def test_target_check_equals_the_per_t_gauge_loops(spec, alpha, q):
     assert np.array([row[1] for row in rep.per_function]).tobytes() == np.array(want).tobytes()
 
 
-def test_target_check_bad_u_weight_names_t():
-    sp = fine_grid_space(4, 4, 0.4)
-    corpus = tent_differences(sp, 2)
-    bad_u = PowerLog(-0.5)  # primitive of u^q dz/z diverges at 0
-    with pytest.raises(PreconditionError, match="integral condition"):
-        target_norm_check(sp, corpus, lp(1.0), 1.0, 0.4, 0.8, 2.0, u_weight=bad_u)
+def test_target_check_refuses_a_norm_weight_that_fails_the_integral_condition():
+    """At q <= alpha the weight is t^(-s/Q) phi(t).  With phi(t) = t^(s/Q) (1 + ln(1/t))^(-1/2)
+    it is (1 + ln(1/t))^(-1/2), whose q-th power is not dt/t-integrable at 0 for q = 0.8."""
+    sp = grid_space(4, 4)
+    q_dim = diagnostics(sp).q_dim
+    spec = marcinkiewicz(PowerLog(0.4 / q_dim, -0.5))
+    with pytest.raises(PreconditionError, match="integral condition at t -> 0"):
+        target_norm_check(sp, [tent_function(sp, 0)], spec, 1.0, 0.4, 0.8, q_dim)
 
 
 def test_weighted_step_norm_closed_form():

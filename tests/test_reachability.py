@@ -1,8 +1,10 @@
 """Only what the command line reaches stays in the package.
 
-A public module-level name stays only if a walk from cli.py reaches it, or if
-it is on KEEP; a public method stays only if some code of the package calls
-it by name, or if it is on KEEP_METHODS.  The walk reads the source: from each
+A module-level name, public or private (one leading underscore), stays only if
+a walk from cli.py reaches it, or if it is on KEEP; a method, public or
+private, stays only if some code of the package calls it by name, or if it is
+on KEEP_METHODS.  Dunder names and methods are the language's, and are not
+checked.  The walk reads the source: from each
 reached definition it follows the names the definition loads and the
 ``module.attr`` reads of modules it imported, through the package's relative
 imports.  A reached class takes its whole body along.  A parameter with a
@@ -18,15 +20,15 @@ import oscembed
 
 PACKAGE = Path(oscembed.__file__).parent
 
-# Test constructors of spaces, which no command builds.
-KEEP = {"space.grid_space", "space.path_space", "space.random_geometric_space"}
+# Test constructors of spaces, which no command builds, and the report's thread
+# count, which the benchmark's environment record reads.
+KEEP = {"space.grid_space", "space.path_space", "space.random_geometric_space",
+        "embed._POOL_WORKERS"}
 # The tests' independent ball mask, kept beside the ball index the program reads.
 KEEP_METHODS = {"space.Space.ball"}
-# The entry point's argv, two options the library keeps for its callers, and the
-# test constructors' weights and edge length.
-KEEP_PARAMS = {"cli.main(argv)", "smoothness.k_functional_path(inhomogeneous)",
-               "embed.target_norm_check(u_weight)", "space.path_space(weights)",
-               "space.path_space(edge_length)", "space.grid_space(weights)"}
+# The entry point's argv, and the test constructors' weights and edge length.
+KEEP_PARAMS = {"cli.main(argv)", "space.path_space(weights)", "space.path_space(edge_length)",
+               "space.grid_space(weights)"}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -78,14 +80,14 @@ def _unreached() -> set[str]:
         reached.add((mod, name))
         todo.extend(modules[mod].references(mod, modules[mod].defs[name]))
     return {f"{mod}.{name}" for mod, module in modules.items() for name in module.defs
-            if not name.startswith("_") and (mod, name) not in reached}
+            if not name.startswith("__") and (mod, name) not in reached}
 
 
 def _uncalled_methods() -> set[str]:
     trees = _modules()
     methods = [(mod, cls.name, fn) for mod, tree in trees.items() for cls in tree.body
                if isinstance(cls, ast.ClassDef) for fn in cls.body
-               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")]
     calls = [(mod, sub.attr, sub.lineno) for mod, tree in trees.items()
              for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)]
     return {f"{mod}.{cls}.{fn.name}" for mod, cls, fn in methods
@@ -155,13 +157,13 @@ def _unpassed_params() -> set[str]:
 
 def test_every_public_name_is_reached_from_the_command_line_or_kept():
     unreached = _unreached()
-    assert unreached - KEEP == set(), "public names no command reaches"
+    assert unreached - KEEP == set(), "names no command reaches"
     assert KEEP - unreached == set(), "kept names that a command now reaches"
 
 
 def test_every_public_method_is_called_in_the_package_or_kept():
     uncalled = _uncalled_methods()
-    assert uncalled - KEEP_METHODS == set(), "public methods nothing in the package calls"
+    assert uncalled - KEEP_METHODS == set(), "methods nothing in the package calls"
     assert KEEP_METHODS - uncalled == set(), "kept methods that the package now calls"
 
 

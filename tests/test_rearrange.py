@@ -316,7 +316,7 @@ def row_batches(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(row_batches())
-@example((np.array([[2.0, 1.0]]), np.array([1e20, 1.0])))  # breakpoints stop increasing
+@example((np.array([[2.0, 1.0]]), np.array([1e20, 1.0])))  # a run's mass lost to rounding
 @example((np.array([[0.0, 0.0], [2.0, 1.0]]), np.array([1e20, 1.0])))
 @example((np.array([[3.0] * 12 + [1.0] * 5, [0.0] * 17]), np.linspace(0.1, 1.7, 17)))
 def test_rearrangement_rows_equal_one_row_rearrangements_bitwise(batch):
@@ -329,8 +329,21 @@ def test_rearrangement_rows_equal_one_row_rearrangements_bitwise(batch):
 
 
 def test_refused_row_raises_what_it_raises_alone():
-    w = np.array([1e20, 1.0])
+    w = np.array([-1.0, 2.0])  # the second row's first step has mass -1
+    rearrangement_rows(np.array([[1.0, 1.0]]), w)
     with pytest.raises(DomainError, match="breakpoints must be strictly increasing"):
         one_row_rearrangement([2.0, 1.0], w)
     with pytest.raises(DomainError, match="breakpoints must be strictly increasing"):
         rearrangement_rows(np.array([[1.0, 1.0], [2.0, 1.0]]), w)
+
+
+def test_a_step_whose_mass_is_lost_to_rounding_is_dropped():
+    """1e20 + 1 rounds to 1e20: the value 1 of the first row gets a step of width 0."""
+    w = np.array([1e20, 1.0])
+    rows = rearrangement_rows(np.array([[2.0, 1.0], [1.0, 1.0], [1.0, 2.0]]), w)
+    assert [(fs.breakpoints.tolist(), fs.values.tolist()) for fs in rows] == [
+        ([1e20], [2.0]), ([1e20], [1.0]), ([1.0, 1e20], [2.0, 1.0])]
+    assert _outcome(lambda: rows[:1]) == _outcome(lambda: [StepDecreasing([1e20], [2.0])])
+    assert _outcome(lambda: rows[:1]) == _outcome(lambda: [one_row_rearrangement([2.0, 1.0], w)])
+    with pytest.raises(DomainError, match="breakpoints must be strictly increasing"):
+        StepDecreasing([1e20, 1e20], [2.0, 1.0])

@@ -434,21 +434,6 @@ def test_k_bounds_upper_dominates_j0_term():
         assert kb.upper >= modulus(sp, f, t, lp(1.0), 1.0) - 1e-12
 
 
-def test_nonhomogeneous_k_structure():
-    # K against the inhomogeneous norm is comparable to homogeneous K + min(1,t)||f||_L1
-    rng = np.random.default_rng(56)
-    sp = path_space(5)
-    for _ in range(6):
-        f = rng.normal(size=5)
-        l1 = float(np.sum(np.abs(f) * sp.weight))
-        for t in (0.2, 1.0, 5.0):
-            k_in = k_functional_path(sp, f, [t], inhomogeneous=True)[0]
-            k_hom = k_functional_path(sp, f, [t])[0]
-            combo = k_hom + min(1.0, t) * l1
-            assert k_in <= combo + 1e-9
-            assert combo <= 3.0 * k_in + 1e-9
-
-
 def test_k_scales_with_measure():
     rng = np.random.default_rng(57)
     sp = path_space(6)
@@ -483,7 +468,7 @@ def k_instances(draw):
 def _rowwise_lp(sp, f, t, family):
     if family == "gradient":
         return rowwise_gradient_lp(sp, f)
-    return rowwise_k_functional_lp(sp, f, t, family == "k-inhomogeneous")
+    return rowwise_k_functional_lp(sp, f, t)
 
 
 def _assert_bitwise(got, want):
@@ -492,14 +477,13 @@ def _assert_bitwise(got, want):
 
 
 @settings(max_examples=150, deadline=None)
-@given(k_instances(), st.sampled_from(["gradient", "k", "k-inhomogeneous"]),
-       st.floats(0.01, 100.0))
+@given(k_instances(), st.sampled_from(["gradient", "k"]), st.floats(0.01, 100.0))
 def test_k_lp_builder_matches_rowwise_oracle(instance, family, t2):
     """The model's own emitters give the row-by-row oracle's LP bit for bit, at t and at t2."""
     sp, f, t = instance
     model = smoothness._PairLP(sp, f, family, t)
     ii, jj = np.triu_indices(sp.n, k=1)
-    blocks = [model._pair_rows(ii, jj), model._point_rows()]
+    blocks = [model._pair_rows(ii, jj)] + ([model._point_rows()] if family == "k" else [])
     a_ub = vstack([a for a, _ in blocks], format="csr")
     b_ub = np.concatenate([b for _, b in blocks])
     c_o, a_o, b_o, bounds_o = _rowwise_lp(sp, f / model.unit, t, family)
@@ -564,7 +548,6 @@ def test_solver_failures_propagate_with_dump(monkeypatch):
 def test_pair_lps_refuse_non_finite_f(bad):
     sp, f = path_space(4), [0.0, bad, 1.0, 2.0]
     for lp_call in (lambda: k_functional_path(sp, f, [1.0])[0],
-                    lambda: k_functional_path(sp, f, [1.0], inhomogeneous=True)[0],
                     lambda: hajlasz_seminorm_l1(sp, f)):
         with pytest.raises(DomainError, match="must be finite"):
             lp_call()
@@ -606,9 +589,8 @@ def _assert_row_generation_exact(sp, f, t):
     gap = np.abs(f[:, None] - f[None, :]) - sp.dist * (gf.g[:, None] + gf.g[None, :])
     np.fill_diagonal(gap, 0.0)
     assert gap.max() <= smoothness._FEAS_TOL * max(1.0, float(np.abs(f).max()))
-    for inhomogeneous in (False, True):
-        k = k_functional_path(sp, f, [t], inhomogeneous)[0]
-        assert abs(k - full_pair_k_functional(sp, f, t, inhomogeneous)) <= 1e-9 * max(1.0, abs(k))
+    k = k_functional_path(sp, f, [t])[0]
+    assert abs(k - full_pair_k_functional(sp, f, t)) <= 1e-9 * max(1.0, abs(k))
 
 
 @settings(max_examples=150, deadline=None)
@@ -677,8 +659,7 @@ def test_violated_active_pair_stops_with_dump(monkeypatch):
     monkeypatch.setattr(smoothness, "_run", violating)
     sp, f = path_space(n), [0.0, 1.0, 3.0, 2.0]
     for lp_call in (lambda: hajlasz_seminorm_l1(sp, f),
-                    lambda: k_functional_path(sp, f, [1.0])[0],
-                    lambda: k_functional_path(sp, f, [1.0], inhomogeneous=True)[0]):
+                    lambda: k_functional_path(sp, f, [1.0])[0]):
         calls.clear()
         with pytest.raises(SolverError, match="pair constraint violated") as info:
             lp_call()
@@ -695,15 +676,15 @@ ascending_ts = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=6, unique=T
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(k_instances(), long_trees()), ascending_ts, st.booleans())
-def test_k_path_matches_one_point_calls_and_full_pair_oracle(instance, ts, inhomogeneous):
+@given(st.one_of(k_instances(), long_trees()), ascending_ts)
+def test_k_path_matches_one_point_calls_and_full_pair_oracle(instance, ts):
     sp, f, _ = instance
-    path = smoothness.k_functional_path(sp, f, ts, inhomogeneous)
+    path = smoothness.k_functional_path(sp, f, ts)
     assert len(path) == len(ts)
     for t, k in zip(ts, path):
         tol = 1e-9 * max(1.0, abs(k))
-        assert abs(k - smoothness.k_functional_path(sp, f, [t], inhomogeneous)[0]) <= tol
-        assert abs(k - full_pair_k_functional(sp, f, t, inhomogeneous)) <= tol
+        assert abs(k - smoothness.k_functional_path(sp, f, [t])[0]) <= tol
+        assert abs(k - full_pair_k_functional(sp, f, t)) <= tol
 
 
 def test_k_path_makes_fewer_highs_runs_than_one_point_calls(monkeypatch):
@@ -726,39 +707,36 @@ unordered_ts = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=4).flatmap(
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(k_instances(), long_trees()), unordered_ts, st.booleans())
-@example((path_space(4), np.array([0.0, 1.0, 3.0, 2.0]), 1.0), [50.0, 2.0, 50.0, 0.01, 2.0], True)
-@example((path_space(4), np.array([0.0, 1.0, 3.0, 2.0]), 1.0), [50.0, 2.0, 50.0, 0.01, 2.0], False)
-def test_k_path_in_any_t_order_matches_one_point_calls_and_full_pair_oracle(instance, ts,
-                                                                             inhomogeneous):
+@given(st.one_of(k_instances(), long_trees()), unordered_ts)
+@example((path_space(4), np.array([0.0, 1.0, 3.0, 2.0]), 1.0), [50.0, 2.0, 50.0, 0.01, 2.0])
+def test_k_path_in_any_t_order_matches_one_point_calls_and_full_pair_oracle(instance, ts):
     """A skipped t rests on the duals of whichever t was solved last, larger or smaller."""
     sp, f, _ = instance
-    path = smoothness.k_functional_path(sp, f, ts, inhomogeneous)
+    path = smoothness.k_functional_path(sp, f, ts)
     assert len(path) == len(ts)
     for t, k in zip(ts, path):
         tol = 1e-9 * max(1.0, abs(k))
-        assert abs(k - smoothness.k_functional_path(sp, f, [t], inhomogeneous)[0]) <= tol
-        assert abs(k - full_pair_k_functional(sp, f, t, inhomogeneous)) <= tol
+        assert abs(k - smoothness.k_functional_path(sp, f, [t])[0]) <= tol
+        assert abs(k - full_pair_k_functional(sp, f, t)) <= tol
 
 
-def _runs_per_t(sp, f, ts, family, shortcut, runs):
-    """The HiGHS runs and the [L, U] of each t along one model, with or without the plateau
+def _runs_per_t(sp, f, ts, shortcut, runs):
+    """The HiGHS runs and the [L, U] of each t along one K model, with or without the plateau
     shortcut (forgetting the last certificate before each t turns it off)."""
-    model = smoothness._PairLP(sp, f, family, ts[0])
+    model = smoothness._PairLP(sp, f, "k", ts[0])
     counts, brackets = [], []
     for t in ts:
         model.set_t(t)
         if not shortcut:
             model.dual = None
         before = len(runs)
-        brackets.append(model.optimum(family)[:2])
+        brackets.append(model.optimum("k")[:2])
         counts.append(len(runs) - before)
     return counts, brackets
 
 
-@pytest.mark.parametrize("family", ["k", "k-inhomogeneous"])
 @pytest.mark.parametrize("shape", ["tent", "normal", "weighted normal"])
-def test_saturated_t_make_no_highs_run(monkeypatch, family, shape):
+def test_saturated_t_make_no_highs_run(monkeypatch, shape):
     """On the 6 x 6 grid, and on a weighted 5 x 7 one whose weighted median is the only one."""
     solve, runs = smoothness._run, []
     monkeypatch.setattr(smoothness, "_run", lambda highs: runs.append(1) or solve(highs))
@@ -771,21 +749,20 @@ def test_saturated_t_make_no_highs_run(monkeypatch, family, shape):
         sp = grid_space(5, 7, np.random.default_rng(61).uniform(0.5, 1.5, 35))
         f = np.random.default_rng(62).normal(size=35)
     ts = np.geomspace(0.1, 10.0, 8)
-    inhomogeneous = family == "k-inhomogeneous"
-    path = k_functional_path(sp, f, ts, inhomogeneous)
+    path = k_functional_path(sp, f, ts)
     path_runs = len(runs)
-    with_skip, brackets = _runs_per_t(sp, f, ts, family, True, runs)
-    without, _ = _runs_per_t(sp, f, ts, family, False, runs)
+    with_skip, brackets = _runs_per_t(sp, f, ts, True, runs)
+    without, _ = _runs_per_t(sp, f, ts, False, runs)
     assert sum(with_skip) == path_runs
     skipped = [k for k, count in enumerate(with_skip) if count == 0]
     assert skipped and skipped == list(range(skipped[0], len(ts)))  # ascending: a suffix
     assert [without[k] - with_skip[k] for k in range(len(ts))] == [
         1 if k in skipped else 0 for k in range(len(ts))]
-    plateau = k_plateau(sp, f, inhomogeneous)
+    plateau = k_plateau(sp, f)
     for k in skipped:
         lower, upper = brackets[k]
         assert path[k] == upper == pytest.approx(plateau, rel=1e-14)
-        oracle = full_pair_k_functional(sp, f, float(ts[k]), inhomogeneous)
+        oracle = full_pair_k_functional(sp, f, float(ts[k]))
         slack = 1e-10 * max(1.0, abs(oracle))  # the oracle's own HiGHS tolerance
         assert lower - slack <= oracle <= upper + slack
 
@@ -800,20 +777,20 @@ def test_plateau_row_reports_the_plateau_value(monkeypatch):
     rng.choice(64, 4, replace=False)  # the workload's tent centres
     f = [rng.standard_normal(64) for _ in range(3)][-1]
     sp, ts = grid_space(8, 8), np.geomspace(0.1, 10.0, 8)
-    counts, brackets = _runs_per_t(sp, f, ts, "k", True, runs)
+    counts, brackets = _runs_per_t(sp, f, ts, True, runs)
     assert counts[6:] == [0, 0]
     assert [upper for _, upper in brackets] == k_functional_path(sp, f, ts)
-    plateau = k_plateau(sp, f, False)
+    plateau = k_plateau(sp, f)
     for t, (_, k) in zip(ts[6:], brackets[6:]):
         assert k == pytest.approx(plateau, rel=1e-15)
-        assert k == pytest.approx(full_pair_k_functional(sp, f, float(t), False), rel=1e-12)
+        assert k == pytest.approx(full_pair_k_functional(sp, f, float(t)), rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(k_instances(), long_trees()),
-       st.sampled_from(["gradient", "k", "k-inhomogeneous"]))
+       st.sampled_from(["gradient", "k"]))
 @example((path_space(4), np.array([0.0, 0.0, 1.0, 1e-9]), 1.0), "gradient")
-@example((path_space(4), np.array([0.0, 0.0, 1e-9, 1.0]), 1.0), "k-inhomogeneous")
+@example((path_space(4), np.array([0.0, 0.0, 1e-9, 1.0]), 1.0), "k")
 @example((space_from_matrix([[0.0, 0.25], [0.25, 0.0]], [3.0, 3.0]), np.array([0.0, 1e-11]), 1.0),
          "gradient")
 def test_enclosure_brackets_full_pair_oracle(instance, family):
@@ -822,7 +799,7 @@ def test_enclosure_brackets_full_pair_oracle(instance, family):
     if family == "gradient":
         oracle = full_pair_gradient_seminorm(sp, f)
     else:
-        oracle = full_pair_k_functional(sp, f, t, family == "k-inhomogeneous")
+        oracle = full_pair_k_functional(sp, f, t)
     slack = 1e-10 * max(1.0, abs(oracle))  # the oracle's own HiGHS tolerance
     assert lower - slack <= oracle <= upper + slack
     assert upper - lower <= 1e-9 * max(1.0, abs(upper))
@@ -831,8 +808,7 @@ def test_enclosure_brackets_full_pair_oracle(instance, family):
 @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
 def test_k_paths_refuse_a_t_that_is_not_positive_and_finite(t):
     sp, f = path_space(4), np.array([0.0, 1.0, 3.0, 2.0])
-    for inhomogeneous in (False, True):
-        with pytest.raises(DomainError, match="positive and finite"):
-            k_functional_path(sp, f, [1.0, t], inhomogeneous)
+    with pytest.raises(DomainError, match="positive and finite"):
+        k_functional_path(sp, f, [1.0, t])
     with pytest.raises(DomainError, match="positive and finite"):
         k_bounds_path(sp, f, [1.0, t], lp(1.0), 1.0)
