@@ -314,19 +314,18 @@ def sup_norm_embedding_check(space: Space, corpus, spec: RISpaceSpec, alpha: flo
 
 
 def _u_condition_check(v_norm: PowerLog, q: float) -> None:
-    """Verify int_0^t v_norm^q dz/z stays within a constant of v_norm(t)^q near 0."""
-    vq = v_norm**q
-    if not vq.integrable_at_zero_dt_over_t():
+    """Refuse a norm weight v whose primitive int_0^t v^q dz/z diverges.
+
+    That is the only part of the integral condition, int_0^t v^q dz/z <= C
+    v(t)^q near 0, that a power-log v can fail in a way a finite scan sees.
+    Where the primitive converges, the ratio of the two sides tends to 1/(aq)
+    as t -> 0 if a > 0, and grows like ln(1/t) if a = 0: on t in [1e-10, 1]
+    it stays within about 7 times its largest value on [1e-2, 1], so a scan
+    there against a cap of 50 times that value never refuses one.
+    """
+    if not (v_norm**q).integrable_at_zero_dt_over_t():
         raise PreconditionError("u-weight fails its integral condition at t -> 0 "
                                 "(primitive diverges); violating t: any t near 0")
-    ts = np.geomspace(1e-10, 1.0, 64)
-    ratios = vq.integral_dt_over_t(0.0, ts) / v_norm(ts) ** q
-    cap = 50.0 * float(ratios[ts >= 1e-2].max())
-    bad = np.flatnonzero(ratios > cap)
-    if bad.size:
-        t_bad = float(ts[bad[0]])
-        raise PreconditionError(f"u-weight fails its integral condition at t = {t_bad:g} "
-                                f"(ratio {ratios[bad[0]]:g} exceeds cap {cap:g})")
 
 
 def target_norm_check(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: float,
@@ -535,11 +534,15 @@ def collapse_sweep(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: flo
     sort order alone; only the masses change.  So the scaled spaces share the
     space's sorted rows (Space.scale_weights), and each function's ball
     averages and its own order are taken once, under the unscaled weights
-    (ProfileAverages, ranking).  Per eps, only the masses in those orders, the
-    quasi-norms, the scale sum and the oscillation functional are redone, one
-    function at a time.  The averages differ from the scaled space's at
-    rounding unless eps is a power of 2; b and the other steps are bitwise
-    embedding_report's.  Each eps's constant follows _finish_report's rules.
+    (ProfileAverages, ranking); ProfileAverages keeps only the distinct rows
+    of averages, one per run of radii whose balls hold the same points.  Per
+    eps, only the masses in those orders, the quasi-norms of the distinct
+    rows, the scale sum and the oscillation functional are redone, one
+    function at a time.  The oscillation functional's weight has a < 0, and
+    its narrow panels take the Gauss-Legendre rule of weights.py (path 3).
+    The averages differ from the scaled space's at rounding unless eps is a
+    power of 2; b and the other steps are bitwise embedding_report's.  Each
+    eps's constant follows _finish_report's rules.
     """
     weights, bs = [], []
     for eps in eps_list:

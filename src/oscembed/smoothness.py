@@ -21,7 +21,10 @@ identically 0 for r <= the smallest positive distance (balls are
 singletons), and is constant once r exceeds the diameter (every ball is the
 whole space).  The scale integral defining the Besov seminorm is therefore
 evaluated on a geometric radius grid with an exact closed-form tail; the grid
-ratio is the only quadrature knob.
+ratio is the only quadrature knob.  For the same reason the rows of averages
+at consecutive radii are often bitwise equal: the second step ranks and
+norms each distinct row once (_DistinctRows) and gives its modulus to every
+radius of that row.
 
 Gradient seminorms come from the pairwise relaxation
 
@@ -63,7 +66,7 @@ except ImportError as exc:
                       "provides the HiGHS models its LPs run on") from exc
 
 from .errors import DomainError, SolverError
-from .rearrange import Ranking, rearrangement_rows
+from .rearrange import Ranking
 from .rispace import RISpaceSpec, convexify, lp, quasi_norms
 from .space import Space
 
@@ -96,17 +99,43 @@ def _averages(space: Space, f, radii, alpha: float) -> np.ndarray:
     return _ball_averages(space, np.abs(f[:, None] - f[None, :]) ** alpha, radii, alpha)
 
 
+class _DistinctRows:
+    """The distinct rows of a matrix of ball averages, each ranked once.
+
+    A row that equals the row before it, bitwise, is not kept again: rows at
+    consecutive radii whose balls hold the same points are equal, and so are
+    all rows past the diameter.  Comparing each row with the one before it is
+    O(R n).  index[i] is the kept row that row i equals, so the moduli of
+    the kept rows, indexed by it, are the moduli of every row, each bitwise
+    the one its row gets alone.
+    """
+
+    def __init__(self, averages: np.ndarray):
+        new = np.ones(averages.shape[0], dtype=bool)
+        new[1:] = (averages[1:] != averages[:-1]).any(axis=1)
+        self.index = np.cumsum(new) - 1
+        self.ranking = Ranking(averages[new])
+
+    def moduli(self, weight: np.ndarray, spec: RISpaceSpec) -> list[float]:
+        """The spec's quasi-norm of every row's rearrangement under weight."""
+        return np.asarray(quasi_norms(spec, self.ranking.steps(weight)))[self.index].tolist()
+
+
 def _moduli(space: Space, f, radii, spec: RISpaceSpec, alpha: float) -> list:
     """The modulus at each radius, all radii in one batch.
 
-    The ball averages at every radius come from one cumulative sum along the
-    space's sorted rows, as the rows of an (R x n) matrix; rearrangement_rows
-    rearranges every row at once and quasi_norms takes all their norms, in one
-    panel-kernel call for the panel-kernel families.  Each modulus is bitwise
-    the one its radius gets alone.
+    The ball averages at every radius, taken in increasing order, come from
+    one cumulative sum along the space's sorted rows, as the rows of an
+    (R x n) matrix; _DistinctRows ranks each distinct row once, and
+    quasi_norms takes all their norms, in one panel-kernel call for the
+    panel-kernel families.  Each modulus is bitwise the one its radius gets
+    alone.
     """
-    averages = _averages(space, f, radii, alpha)
-    return quasi_norms(convexify(spec, alpha), rearrangement_rows(averages, space.weight))
+    order = np.argsort(radii, kind="stable")
+    averages = _averages(space, f, np.asarray(radii, dtype=float)[order], alpha)
+    moduli = np.empty(order.size)
+    moduli[order] = _DistinctRows(averages).moduli(space.weight, convexify(spec, alpha))
+    return moduli.tolist()
 
 
 # -- modulus profiles and the scale integral -------------------------------------------
@@ -157,14 +186,17 @@ class ProfileAverages:
     scales each ball's sum and its mass alike; so is the order of each row.
     So these are made once per function, and profile(weight) does only what
     depends on the weights: it rearranges each row in its stored order under
-    the weights and takes the quasi-norms.
+    the weights and takes the quasi-norms.  The modulus is piecewise constant
+    in r, so many rows repeat the row of the radius before; only the distinct
+    rows are kept and ranked (_DistinctRows), and each modulus is taken once
+    per distinct row.
     """
 
     def __init__(self, space: Space, f, alpha: float, ratio: float):
         self.radii = radius_grid(space, ratio)
         self.alpha = alpha
-        self.ranking = Ranking(_averages(space, f, [*self.radii, 2.0 * space.diameter + 1.0],
-                                         alpha))
+        self.rows = _DistinctRows(_averages(space, f, [*self.radii, 2.0 * space.diameter + 1.0],
+                                            alpha))
 
     def profile(self, weight: np.ndarray, spec: RISpaceSpec) -> ModulusProfile:
         """The modulus profile under weight, the space's weights times some eps > 0.
@@ -173,7 +205,7 @@ class ProfileAverages:
         power of 2 (or 1) and to rounding otherwise, since the averages were
         taken under the unscaled weights.
         """
-        *vals, tail = quasi_norms(convexify(spec, self.alpha), self.ranking.steps(weight))
+        *vals, tail = self.rows.moduli(weight, convexify(spec, self.alpha))
         return ModulusProfile(self.radii, np.asarray(vals), tail)
 
 

@@ -28,10 +28,14 @@ takes the first of these paths that applies:
      taken where that tail exceeds 1e-290, x_lo is a normal float and the
      difference keeps at least a quarter of the tail: P and Q carry relative
      errors up to about 1e-13, so cancellation may cost no more than 4x that.
-  3. Panels of case 2 where the difference cancels: those narrow against both
-     scales of the integrand, width <= (1+u_lo)/2 and width <= 2/a, take a
-     16-point Gauss-Legendre rule, vectorized.
-  4. Everything else, notably g != 0, a < 0 and s <= 0: one
+  3. Every other finite panel with g = 0 that is narrow against the scales
+     of the integrand: 2 width <= 1 + u_lo, |a| width <= 2 and
+     |b| width <= 2 (1 + u_lo), so that neither e^(-a u) nor (1+u)^b changes
+     by more than about e^2 across it.  It takes a 16-point Gauss-Legendre
+     rule, vectorized, where the rule's value is finite.  These are the
+     panels of case 2 whose difference cancels, and the panels with a < 0 or
+     s <= 0, such as those of the oscillation functional's weight.
+  4. Everything else, notably g != 0 and wide or improper panels: one
      scipy.integrate.quad call per panel with a relative tolerance only, in u
      on finite panels and in w = ln(1+u) on improper ones, where power-law
      tails decay exponentially.  Where the integrand changes at a rate r with
@@ -185,6 +189,8 @@ class PowerLog:
         done = np.zeros(u_lo.shape, dtype=bool)
         if a > 0.0 and g == 0.0 and s > 0.0:
             done = _gamma_panels(a, s, u_lo, u_hi, vals)
+        if g == 0.0:
+            done |= _gauss_legendre_panels(a, s, u_lo, u_hi, ~done, vals)
 
         # log-stable integrands; they saturate instead of overflowing in extreme
         # parameter corners (the symbolic finiteness decision is separate)
@@ -391,9 +397,8 @@ def _gamma_panels(a: float, s: float, u_lo, u_hi, vals) -> np.ndarray:
     Q(s, x_hi), or P(s, x_hi) - P(s, x_lo) where P(s, x_hi) is the smaller
     tail.  A panel takes it where that tail does not underflow and the
     difference keeps at least 1/_MAX_CANCEL of it.  A difference cancels on
-    panels narrow against the integrand's scales 1 + u and 1/a; those with
-    width <= (1 + u_lo)/2 and a * width <= 2 take a 16-point Gauss-Legendre
-    rule instead.
+    panels narrow against the integrand's scales 1 + u and 1/a; those are left
+    to _gauss_legendre_panels.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         factor = np.exp(a) * np.float64(a) ** -s * gamma(s)
@@ -407,16 +412,34 @@ def _gamma_panels(a: float, s: float, u_lo, u_hi, vals) -> np.ndarray:
     closed = ((x_lo >= _NORMAL_MIN) & (tail > _TAIL_UNDERFLOW) & (diff * _MAX_CANCEL >= tail)
               & np.isfinite(factor))
     vals[closed] = factor * diff[closed]
+    return closed
+
+
+def _gauss_legendre_panels(a: float, s: float, u_lo, u_hi, todo, vals) -> np.ndarray:
+    """int e^{-a u} (1+u)^(s-1) du into vals for the narrow panels of todo; returns them.
+
+    A panel is narrow when 2 width <= 1 + u_lo, |a| width <= 2 and
+    |b| width <= 2 (1 + u_lo), with b = s - 1 as the integrand has it (path 3
+    above).  It takes the 16-point Gauss-Legendre rule where the rule's value
+    is finite.
+    """
     width = u_hi - u_lo
-    narrow = ~closed & (width * 2.0 <= 1.0 + u_lo) & (a * width <= 2.0)
-    if narrow.any():
+    narrow = todo & (width * 2.0 <= 1.0 + u_lo)  # improper panels, of width inf, are not
+    narrow[narrow] = ((abs(a) * width[narrow] <= 2.0)
+                      & (abs(s - 1.0) * width[narrow] <= 2.0 * (1.0 + u_lo[narrow])))
+    idx = np.flatnonzero(narrow)
+    if idx.size:
         nodes, weights = _gauss_legendre_16()
-        half = width[narrow, None] / 2.0
-        u = u_lo[narrow, None] + half * (1.0 + nodes)
+        half = width[idx, None] / 2.0
+        u = u_lo[idx, None] + half * (1.0 + nodes)
         # a row sum, not a matrix product: BLAS may order a product's sums by the
         # number of rows, and a panel's value must not depend on the other panels
-        vals[narrow] = (np.exp(-a * u) * (1.0 + u) ** (s - 1.0) * half * weights).sum(axis=1)
-    return closed | narrow
+        with np.errstate(over="ignore", invalid="ignore"):  # e^(-a u) past the float range
+            rule = (np.exp(-a * u) * (1.0 + u) ** (s - 1.0) * half * weights).sum(axis=1)
+        finite = np.isfinite(rule)
+        vals[idx[finite]] = rule[finite]
+        narrow[idx[~finite]] = False
+    return narrow
 
 
 @functools.cache

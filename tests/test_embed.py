@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oscembed import (DomainError, PowerLog, PreconditionError, convexify, collapse_sweep,
@@ -452,6 +452,23 @@ def test_target_check_refuses_a_norm_weight_that_fails_the_integral_condition():
     spec = marcinkiewicz(PowerLog(0.4 / q_dim, -0.5))
     with pytest.raises(PreconditionError, match="integral condition at t -> 0"):
         target_norm_check(sp, [tent_function(sp, 0)], spec, 1.0, 0.4, 0.8, q_dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.just(0.0) | st.floats(0.0, 2.0), st.floats(-6.0, 3.0), st.floats(-6.0, 3.0),
+       st.floats(0.05, 1.0))
+@example(0.0, -1.4996961877899988, -4.549881401692568, 0.6687792849150132)  # ratio 6.9
+@example(0.0, -6.0, 0.0, 1.0)
+@example(1e-9, 3.0, -6.0, 1.0)
+def test_integral_condition_ratio_stays_far_below_a_cap_of_50(a, b, g, q):
+    """Why _u_condition_check only refuses a divergent primitive: where int_0^t v^q dz/z
+    converges, its ratio to v(t)^q on t in [1e-10, 1] never exceeds 50 times (in fact about 7
+    times) its largest value on [1e-2, 1], so a scan against such a cap cannot refuse v."""
+    vq = PowerLog(a, b, g) ** q
+    assume(vq.integrable_at_zero_dt_over_t())
+    ts = np.geomspace(1e-10, 1.0, 64)
+    ratios = vq.integral_dt_over_t(0.0, ts) / vq(ts)
+    assert ratios.max() <= 8.0 * ratios[ts >= 1e-2].max()
 
 
 def test_weighted_step_norm_closed_form():

@@ -74,10 +74,29 @@ def test_k_bounds_makes_one_pass_per_distinct_radius(monkeypatch, t):
     assert radii == [2.0**j * t for j in range(j_cut)] + [max(top, t) + 1.0]
 
 
-def test_lorentz_zygmund_profile_makes_one_kernel_call(monkeypatch):
-    # the collapse sweep's grid: 12 x 12 points 0.4 apart, weights in [0.5, 1.5]
+def _sweep_grid():
+    """The collapse sweep's grid: 12 x 12 points 0.4 apart, weights in [0.5, 1.5]."""
     coords = 0.4 * np.array([(i, j) for i in range(12) for j in range(12)], dtype=float)
-    sp = space_from_points(coords, np.random.default_rng(1).uniform(0.5, 1.5, 144))
+    return space_from_points(coords, np.random.default_rng(1).uniform(0.5, 1.5, 144))
+
+
+def test_profile_ranks_each_distinct_row_once(monkeypatch):
+    sp = _sweep_grid()
+    f = tent_function(sp, 0) - tent_function(sp, 77)
+    ranked, real = [], smoothness.Ranking
+    monkeypatch.setattr(smoothness, "Ranking", lambda rows: ranked.append(rows) or real(rows))
+    modulus_profile(sp, f, lorentz_zygmund(1.5, 2.0, 0.5), 1.0)
+    averages = smoothness._averages(
+        sp, f, [*smoothness.radius_grid(sp), 2.0 * sp.diameter + 1.0], 1.0)
+    distinct = np.unique(averages, axis=0)
+    assert len(ranked) == 1
+    assert ranked[0].shape == distinct.shape  # no row twice
+    assert np.unique(ranked[0], axis=0).tobytes() == distinct.tobytes()  # and every row
+    assert distinct.shape[0] < averages.shape[0]
+
+
+def test_lorentz_zygmund_profile_makes_one_kernel_call(monkeypatch):
+    sp = _sweep_grid()
     calls = []
     kernel = PowerLog._integrals_dt_over_t
 

@@ -140,6 +140,11 @@ def kernel_batches(draw):
           np.array([1.0001e-6, 2.0003e-6, 3.001e-4, 0.0101, 0.03])))
 @example((PowerLog(0.0, -1.0, 0.5), np.array([1e-9, 0.5]), np.array([2e-9, 3.0])))
 @example((PowerLog(-0.5, 0.5, 1.0), np.array([1e-9, 0.5]), np.array([2e-9, 3.0])))
+@example((PowerLog(-0.91, 1.0),  # the oscillation weight's narrow (Gauss-Legendre) and wide panels
+          np.array([1e-6, 0.01, 0.02, 1e-9, 0.3, 0.04]),
+          np.array([1.0001e-6, 0.011, 0.5, 2e-9, 3.0, 0.0401])))
+@example((PowerLog(-3.0),  # a narrow panel whose Gauss-Legendre nodes overflow takes quad
+          np.array([1e-300, 0.01]), np.array([1.001e-300, 0.011])))
 def test_kernel_gives_each_panel_its_value_alone_bitwise(batch):
     w, lo, hi = batch
     together = w._integrals_dt_over_t(lo, hi)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oscembed import (PowerLog, StepDecreasing, diagnostics, embed, grid_space,
-                      lorentz_zygmund, lp, modulus_profile, quasi_norm, rearrangement,
-                      space_from_points, target_norm_check, tent_function, weights)
+from oscembed import (PowerLog, StepDecreasing, collapse_sweep, diagnostics, embed,
+                      grid_space, lorentz_zygmund, lp, modulus_profile, quasi_norm,
+                      rearrangement, space_from_points, target_norm_check, tent_function,
+                      weights)
 
 from _oracles import mp_power_log_integral, nabla
 
@@ -62,6 +63,17 @@ def integral_batches(draw):
 @example((963886.6237587115, -160488.0, 1.0, 0.0, 1.0))
 @example((736849.972336865, 1.4606907670077875, 1.0, 0.0, 1.0))
 @example((-49999.50000022755, -99999.0000004551, 0.0, 0.25, 1.0))
+# a narrow panel of the collapse sweep's oscillation weight (Gauss-Legendre, path 3)
+@example((-0.91, 1.0, 0.0, 0.01, 0.011))
+# either side of each edge of the narrow rule, at u_lo = ln 100: 2 width <= 1 + u_lo, ...
+@example((-0.5, 1.0, 0.0, 0.01 * math.exp(-2.80), 0.01))
+@example((-0.5, 1.0, 0.0, 0.01 * math.exp(-2.81), 0.01))
+# ... |a| width <= 2, ...
+@example((-4.0, 1.0, 0.0, 0.01 * math.exp(-0.4999), 0.01))
+@example((-4.0, 1.0, 0.0, 0.01 * math.exp(-0.5001), 0.01))
+# ... and |b| width <= 2 (1 + u_lo), which sends the |b| > 4 panel past it to quad
+@example((-0.5, -8.0, 0.0, 0.01 * math.exp(-1.40), 0.01))
+@example((-0.5, -8.0, 0.0, 0.01 * math.exp(-1.41), 0.01))
 def test_integral_dt_over_t_matches_mpmath(case):
     a, b, g, lo, hi = case
     want = mp_power_log_integral(a, b, g, lo, hi)
@@ -93,6 +105,13 @@ def _count_quad_calls(monkeypatch):
     return calls
 
 
+def _count_integral_weights(monkeypatch):
+    seen, real = [], PowerLog._integrals_dt_over_t
+    monkeypatch.setattr(PowerLog, "_integrals_dt_over_t",
+                        lambda self, lo, hi: seen.append(self) or real(self, lo, hi))
+    return seen
+
+
 def _collapse_grid(eps):
     """6x6 grid with spacing 0.4 and unit weights scaled by eps."""
     coords = [(0.4 * i, 0.4 * j) for i in range(6) for j in range(6)]
@@ -120,6 +139,27 @@ def test_collapse_modulus_profile_makes_no_quad_call(monkeypatch):
     calls = _count_quad_calls(monkeypatch)
     modulus_profile(sp, f, lorentz_zygmund(1.5, 2.0, 0.5), 1.0)
     assert calls == []
+
+
+def test_collapse_sweep_takes_quad_on_no_narrow_finite_panel(monkeypatch):
+    # the oscillation weight has a < 0 and g = 0: its narrow panels take the
+    # Gauss-Legendre rule (path 3), and only wide ones may take quad in u
+    sp = _collapse_grid(1.0)
+    corpus = [tent_function(sp, 14), tent_function(sp, 14) - tent_function(sp, 21),
+              tent_function(sp, 0) - tent_function(sp, 35)]
+    q_dim = diagnostics(sp).q_dim
+    seen = _count_integral_weights(monkeypatch)
+    panels, real = [], weights.quad
+    monkeypatch.setattr(weights, "quad", lambda fn, lo, hi, **kw: (
+        fn.__name__ == "in_u" and panels.append((seen[-1], lo, hi))) or real(fn, lo, hi, **kw))
+    collapse_sweep(sp, corpus, lorentz_zygmund(1.5, 2.0, 0.5), 1.0, 0.5, 2.0,
+                   [1.0, 0.1, 0.01, 1e-3, 1e-4], q_dim)
+    assert any(w.a < 0.0 and w.g == 0.0 for w in seen)
+    for w, u_lo, u_hi in panels:
+        width = u_hi - u_lo
+        assert w.g != 0.0 or (2.0 * width > 1.0 + u_lo or abs(w.a) * width > 2.0
+                              or abs(w.b) * width > 2.0 * (1.0 + u_lo))
+    assert len(panels) <= 2
 
 
 def test_sup_target_check_integrates_the_gauge_once_per_report(monkeypatch):
