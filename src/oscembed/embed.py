@@ -319,9 +319,10 @@ def _u_condition_check(v_norm: PowerLog, q: float) -> None:
     That is the only part of the integral condition, int_0^t v^q dz/z <= C
     v(t)^q near 0, that a power-log v can fail in a way a finite scan sees.
     Where the primitive converges, the ratio of the two sides tends to 1/(aq)
-    as t -> 0 if a > 0, and grows like ln(1/t) if a = 0: on t in [1e-10, 1]
-    it stays within about 7 times its largest value on [1e-2, 1], so a scan
-    there against a cap of 50 times that value never refuses one.
+    as t -> 0 if a > 0, so the condition holds; it grows like ln(1/t) if
+    a = 0, only about 4 times from t = 1e-2 to 1e-10.  A scan of the ratio
+    against a cap cannot tell the two apart: for a = 1e-300, b = -0.95,
+    g = -6 it climbs 59 times over [1e-10, 1], though it stays below 1/a.
     """
     if not (v_norm**q).integrable_at_zero_dt_over_t():
         raise PreconditionError("u-weight fails its integral condition at t -> 0 "

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscembed import (DomainError, PowerLog, PreconditionError, convexify, collapse_sweep,
@@ -16,7 +16,8 @@ from oscembed import (DomainError, PowerLog, PreconditionError, convexify, colla
                       regime_classify, space_from_graph, space_from_matrix,
                       sup_norm_embedding_check, target_norm_check, tent_function,
                       weighted_step_norm)
-from oscembed.embed import _finish_report, lz_base_spec, log_lorentz_embedding_check
+from oscembed.embed import (_finish_report, _u_condition_check, lz_base_spec,
+                             log_lorentz_embedding_check)
 from oscembed.space import diagnostics
 
 from _oracles import (loop_gradient_constant, numeric_derivative, per_eps_collapse_sweep,
@@ -455,20 +456,29 @@ def test_target_check_refuses_a_norm_weight_that_fails_the_integral_condition():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.just(0.0) | st.floats(0.0, 2.0), st.floats(-6.0, 3.0), st.floats(-6.0, 3.0),
-       st.floats(0.05, 1.0))
-@example(0.0, -1.4996961877899988, -4.549881401692568, 0.6687792849150132)  # ratio 6.9
-@example(0.0, -6.0, 0.0, 1.0)
-@example(1e-9, 3.0, -6.0, 1.0)
-def test_integral_condition_ratio_stays_far_below_a_cap_of_50(a, b, g, q):
-    """Why _u_condition_check only refuses a divergent primitive: where int_0^t v^q dz/z
-    converges, its ratio to v(t)^q on t in [1e-10, 1] never exceeds 50 times (in fact about 7
-    times) its largest value on [1e-2, 1], so a scan against such a cap cannot refuse v."""
+@given(st.floats(1e-300, 2.0), st.floats(-6.0, 0.0), st.floats(-6.0, 0.0), st.floats(0.05, 1.0))
+@example(1e-300, -0.95, -6.0, 1.0)  # climbs 59 times over the scan
+@example(1e-9, 0.0, -5.0, 1.0)
+@example(2.0, 0.0, 0.0, 0.05)
+def test_integral_condition_ratio_stays_below_one_over_aq(a, b, g, q):
+    """Why _u_condition_check refuses only a divergent primitive: for a > 0 the integral
+    condition holds. With b, g <= 0, (l(z)/l(t))^b <= 1 for z <= t, and likewise for the
+    double log, so int_0^t v^q dz/z <= v(t)^q int_0^t (z/t)^(aq) dz/z = v(t)^q / (aq)."""
     vq = PowerLog(a, b, g) ** q
-    assume(vq.integrable_at_zero_dt_over_t())
     ts = np.geomspace(1e-10, 1.0, 64)
     ratios = vq.integral_dt_over_t(0.0, ts) / vq(ts)
-    assert ratios.max() <= 8.0 * ratios[ts >= 1e-2].max()
+    assert ratios.max() * (a * q) <= 1.0 + 1e-12
+
+
+def test_u_condition_check_passes_a_weight_a_scan_cap_of_50_would_refuse():
+    # The ratio of int_0^t v dz/z to v(t) is at most 1/a, so the condition holds, yet on
+    # t in [1e-10, 1] it climbs past 50 times its largest value on [1e-2, 1].
+    v = PowerLog(1e-300, -0.95, -6.0)
+    ts = np.geomspace(1e-10, 1.0, 64)
+    ratios = v.integral_dt_over_t(0.0, ts) / v(ts)
+    assert ratios.max() > 50.0 * ratios[ts >= 1e-2].max()
+    assert ratios.max() * 1e-300 <= 1.0
+    _u_condition_check(v, 1.0)
 
 
 def test_weighted_step_norm_closed_form():
