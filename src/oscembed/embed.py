@@ -34,7 +34,8 @@ Weight machinery for the rearranged-norm targets:
     the derivative of (1 + m(t))^(1-q/a): target_norm_check integrates
     against it through that exact primitive, so w itself is never evaluated;
   * the u-weight of the q <= a case: the oscillation functional's own
-    weight t^(-s/Q) phi(t), checked by _u_condition_check near t = 0;
+    weight t^(-s/Q) phi(t), which _u_condition_check passes exactly when it
+    meets its integral condition near t = 0: when its power of t is positive;
   * regime_classify: the total case table for log-Lorentz parameters
     (p, r, beta, s, q, Q), emitting the target weight per case.
 """
@@ -314,19 +315,17 @@ def sup_norm_embedding_check(space: Space, corpus, spec: RISpaceSpec, alpha: flo
 
 
 def _u_condition_check(v_norm: PowerLog, q: float) -> None:
-    """Refuse a norm weight v whose primitive int_0^t v^q dz/z diverges.
+    """Refuse a norm weight v = t^a (log factors) with a <= 0: the integral condition fails.
 
-    That is the only part of the integral condition, int_0^t v^q dz/z <= C
-    v(t)^q near 0, that a power-log v can fail in a way a finite scan sees.
-    Where the primitive converges, the ratio of the two sides tends to 1/(aq)
-    as t -> 0 if a > 0, so the condition holds; it grows like ln(1/t) if
-    a = 0, only about 4 times from t = 1e-2 to 1e-10.  A scan of the ratio
-    against a cap cannot tell the two apart: for a = 1e-300, b = -0.95,
-    g = -6 it climbs 59 times over [1e-10, 1], though it stays below 1/a.
+    The condition is int_0^t v^q dz/z <= C v(t)^q near t = 0.  For a power-log
+    v it holds exactly when a > 0: the ratio of the two sides tends to 1/(aq)
+    as t -> 0 if a > 0, grows like ln(1/t) if a = 0, and the primitive
+    diverges if a < 0.
     """
-    if not (v_norm**q).integrable_at_zero_dt_over_t():
+    if not v_norm.a * q > 0.0:
         raise PreconditionError("u-weight fails its integral condition at t -> 0 "
-                                "(primitive diverges); violating t: any t near 0")
+                                f"(its power of t, a = {v_norm.a!r}, is not positive); "
+                                "violating t: any t near 0")
 
 
 def target_norm_check(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: float,
@@ -535,12 +534,14 @@ def collapse_sweep(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: flo
     sort order alone; only the masses change.  So the scaled spaces share the
     space's sorted rows (Space.scale_weights), and each function's ball
     averages and its own order are taken once, under the unscaled weights
-    (ProfileAverages, ranking); ProfileAverages keeps only the distinct rows
-    of averages, one per run of radii whose balls hold the same points.  Per
-    eps, only the masses in those orders, the quasi-norms of the distinct
-    rows, the scale sum and the oscillation functional are redone, one
-    function at a time.  The oscillation functional's weight has a < 0, and
-    its narrow panels take the Gauss-Legendre rule of weights.py (path 3).
+    (ProfileAverages, ranking); ProfileAverages ranks only the distinct rows
+    of averages, one per run of radii whose balls hold the same points.  The
+    rankings check f once; the step functions they build per eps are valid by
+    construction and are not checked again.  Per eps, only the masses in
+    those orders, the quasi-norms of the distinct rows, the scale sum and the
+    oscillation functional are redone, one function at a time.  The
+    oscillation functional's weight has a < 0, and its narrow panels take the
+    Gauss-Legendre rule of weights.py (path 3).
     The averages differ from the scaled space's at rounding unless eps is a
     power of 2; b and the other steps are bitwise embedding_report's.  Each
     eps's constant follows _finish_report's rules.

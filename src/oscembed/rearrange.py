@@ -23,10 +23,12 @@ argsort, one add.reduceat for the tie groups of all rows, and the breakpoints,
 edges and prefix integrals as cumulative sums along rows padded past their
 last step.  The argsort and the tie groups depend on the values alone, so a
 Ranking keeps them and rearranges the same rows under another measure with
-only the add.reduceat and the cumulative sums.  StepDecreasing's checks run
-on all rows at once and raise the DomainError of the first refused row, the
-one that row raises alone.  Each row's step function is bitwise the one it
-gets alone; a single function is a batch of one.
+only the add.reduceat and the cumulative sums.  Input is checked where it
+enters, by Ranking: f finite, and every run of tied values of positive mass.
+What it builds from such input is a valid step function by construction (|f|
+sorted, ties merged, steps of width 0 dropped) and is not checked again.
+Each row's step function is bitwise the one it gets alone; a single function
+is a batch of one.
 
 Powers commute with rearrangement ((|f|^a)* = (f*)^a), so the a-oscillation
 is computed from the powered step function directly.
@@ -56,15 +58,18 @@ class StepDecreasing:
     def __post_init__(self):
         bp = np.ascontiguousarray(np.asarray(self.breakpoints, dtype=float))
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if bp.size != vals.size:
+        if bp.size == 0 or bp.size != vals.size:
             raise DomainError(_EMPTY)
-        edges, prefix = _step_rows(bp[None], vals[None], np.array([bp.size]))
-        self._set(bp, vals, edges[0], prefix[0])
+        if not (bp[0] > 0.0 and np.all(np.diff(bp) > 0.0)):  # NaN fails too
+            raise DomainError(_BAD_BREAKPOINTS)
+        if not (vals[-1] >= 0.0 and np.all(np.diff(vals) < 0.0)):
+            raise DomainError(_BAD_VALUES)
+        self._set(bp, vals, *_tabulated(bp, vals))
 
     @classmethod
     def _rows(cls, breakpoints, values, counts) -> list["StepDecreasing"]:
-        """The step function of each padded row, checked and tabulated by one _step_rows."""
-        edges, prefix = _step_rows(breakpoints, values, counts)
+        """The step function of each padded row, unchecked: its first counts[i] columns."""
+        edges, prefix = _tabulated(breakpoints, values)
         steps = []
         for k, bp, vals, e, pre in zip(counts.tolist(), breakpoints, values, edges, prefix):
             step = object.__new__(cls)
@@ -114,7 +119,8 @@ class StepDecreasing:
             raise DomainError("power exponent must be positive")
         vals = self.values**alpha
         keep = np.concatenate([vals[:-1] != vals[1:], [True]])
-        return StepDecreasing(self.breakpoints[keep], vals[keep])
+        bp, vals = self.breakpoints[keep], vals[keep]
+        return StepDecreasing._rows(bp[None], vals[None], np.array([bp.size]))[0]
 
     def panels(self, upper: float):
         """(lo, hi, value, gap_const) per breakpoint-free panel of (0, upper].
@@ -139,32 +145,15 @@ _BAD_BREAKPOINTS = "breakpoints must be strictly increasing and positive"
 _BAD_VALUES = "values must be strictly decreasing and nonnegative"
 
 
-def _step_rows(breakpoints, values, counts):
-    """StepDecreasing's checks on every padded row at once, and the rows' edges and prefix.
+def _tabulated(breakpoints, values):
+    """edges = [0, *breakpoints] and prefix[i] = int_0^{edges[i]}, along the last axis.
 
-    Row i holds its steps in its first counts[i] columns; what follows is
-    padding, which neither the checks nor the first counts[i] + 1 edges and
-    prefix integrals see (prefix is a cumulative sum along the row).  A
-    refused row raises the DomainError that StepDecreasing raises for that row
-    alone, for the first refused row.
+    A row padded past its last step keeps the edges and prefix of its steps
+    in front, since prefix is a cumulative sum along the row.
     """
-    cols = np.arange(breakpoints.shape[1])
-    inside = cols < counts[:, None]
-    pairs = cols[:-1] < counts[:, None] - 1  # both ends of a difference inside
-    empty = counts == 0
-    bad_bp = ((breakpoints[:, :1] <= 0.0).any(axis=1)
-              | ((np.diff(breakpoints, axis=1) <= 0.0) & pairs).any(axis=1))
-    bad_vals = (((values < 0.0) & inside).any(axis=1)
-                | ((np.diff(values, axis=1) >= 0.0) & pairs).any(axis=1))
-    refused = empty | bad_bp | bad_vals
-    if refused.any():
-        i = int(np.argmax(refused))
-        raise DomainError(next(message for rows, message in
-                               ((empty, _EMPTY), (bad_bp, _BAD_BREAKPOINTS),
-                                (bad_vals, _BAD_VALUES)) if rows[i]))
-    zero = np.zeros((counts.size, 1))
-    edges = np.concatenate([zero, breakpoints], axis=1)
-    prefix = np.concatenate([zero, np.cumsum(values * np.diff(edges, axis=1), axis=1)], axis=1)
+    zero = np.zeros(breakpoints.shape[:-1] + (1,))
+    edges = np.concatenate([zero, breakpoints], axis=-1)
+    prefix = np.concatenate([zero, np.cumsum(values * np.diff(edges, axis=-1), axis=-1)], axis=-1)
     return edges, prefix
 
 
@@ -179,15 +168,23 @@ class Ranking:
     family of measures, such as the multiples of one, ranks each matrix once.
     Where weights span more than 2^53, a light run's mass can vanish in a
     cumulative sum; its step then has width 0, and steps drops it from that row.
+    The input rule: f finite, with at least one column, and weights that give
+    every run a positive mass (steps refuses NaN too).  The step functions
+    built from input that keeps it are valid by construction, and unchecked.
     """
 
     def __init__(self, f):
         f = np.abs(np.asarray(f, dtype=float))
+        if not np.isfinite(f).all():
+            raise DomainError("a function to rearrange must be finite, and f takes the value "
+                              f"{f[~np.isfinite(f)][0]}")
         self.order = np.argsort(-f, axis=1, kind="stable")
         fv = np.take_along_axis(f, self.order, axis=1)
         new = np.ones(f.shape, dtype=bool)  # where a run of equal values starts
         new[:, 1:] = np.diff(fv, axis=1) != 0.0
         self.counts = new.sum(axis=1)
+        if not self.counts.all():
+            raise DomainError(_EMPTY)
         rows, cols = np.nonzero(new)
         self.slots = rows, (np.cumsum(new, axis=1) - 1)[rows, cols]  # each run's step in its row
         self.starts = np.flatnonzero(new)
@@ -198,9 +195,11 @@ class Ranking:
     def steps(self, weights) -> list[StepDecreasing]:
         """The decreasing rearrangement of every row under the weights, each bitwise its own."""
         fw = np.asarray(weights, dtype=float)[self.order]
+        runs = np.add.reduceat(fw.ravel(), self.starts)
+        if not np.all(runs > 0.0):  # NaN fails too
+            raise DomainError(_BAD_BREAKPOINTS)
         masses = np.zeros(self.values.shape)
-        if self.starts.size:
-            masses[self.slots] = np.add.reduceat(fw.ravel(), self.starts)
+        masses[self.slots] = runs
         breakpoints = np.cumsum(masses, axis=1)
         lost = (np.diff(breakpoints, axis=1) == 0.0) & (masses[:, 1:] > 0.0)  # padding has mass 0
         if not lost.any():
@@ -216,9 +215,9 @@ class Ranking:
 def rearrangement_rows(f, weights) -> list[StepDecreasing]:
     """Decreasing rearrangement of |f[i]| for every row f[i] of f, under one set of atomic weights.
 
-    All rows at once, by one Ranking of f (ties merge into single steps).
-    Each row's step function is bitwise the one the row gets alone, and a
-    refused row raises the DomainError it raises alone.
+    All rows at once, by one Ranking of f (ties merge into single steps),
+    which refuses a non-finite f and a run of mass that is not positive.
+    Each row's step function is bitwise the one the row gets alone.
     """
     return Ranking(f).steps(weights)
 

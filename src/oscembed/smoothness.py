@@ -5,25 +5,26 @@ The local roughness of f at scale r is the ball average
     grad_[r,a] f(x) = ( mean_{y in B(x,r)} |f(x) - f(y)|^a )^(1/a),
 
 and the modulus at scale r is the chosen quasi-norm of its rearrangement.
-Every modulus, in a profile or in a K-bound, comes from one routine that
-takes all radii of one function as a batch, in two steps.  The first does
-not depend on the scale of the measure: it forms |f(x) - f(y)|^a once and
-takes the ball averages at every radius from the space's one ball index (one
-cumulative sum along its sorted rows, read at each radius's ball sizes).  The
-second rearranges the (radii x points) matrix of averages in one pass under
-the weights and evaluates all their quasi-norms together, the
+Every modulus, in a profile or in a K-bound, comes from one object,
+_Moduli, that takes all radii of one function as a batch, in two steps.  The
+first does not depend on the scale of the measure: it forms |f(x) - f(y)|^a
+once, takes the ball averages at every radius, in increasing order, from the
+space's one ball index (one cumulative sum along its sorted rows, read at
+each radius's ball sizes), and ranks the distinct rows of that (radii x
+points) matrix.  The second, at(weight, spec), rearranges those rows in one
+pass under the weights and evaluates all their quasi-norms together, the
 Lorentz-Zygmund and Lambda_w ones in one call of the panel kernel.  A profile
-keeps the first step's averages, ranked once (ProfileAverages), so the
-collapse sweep redoes only the second per weight scale.  The batch gives
-every radius the bits it gets alone.  On a finite space the modulus is
-piecewise constant in r (balls only change at pairwise distances), is
-identically 0 for r <= the smallest positive distance (balls are
-singletons), and is constant once r exceeds the diameter (every ball is the
-whole space).  The scale integral defining the Besov seminorm is therefore
-evaluated on a geometric radius grid with an exact closed-form tail; the grid
-ratio is the only quadrature knob.  For the same reason the rows of averages
-at consecutive radii are often bitwise equal: the second step ranks and
-norms each distinct row once (_DistinctRows) and gives its modulus to every
+keeps its _Moduli (ProfileAverages), so the collapse sweep redoes only the
+second step per weight scale; a K-bound takes one _Moduli of the radii of all
+its t.  The batch gives every radius the bits it gets alone.  On a finite
+space the modulus is piecewise constant in r (balls only change at pairwise
+distances), is identically 0 for r <= the smallest positive distance (balls
+are singletons), and is constant once r exceeds the diameter (every ball is
+the whole space).  The scale integral defining the Besov seminorm is
+therefore evaluated on a geometric radius grid with an exact closed-form
+tail; the grid ratio is the only quadrature knob.  For the same reason the
+rows of averages at consecutive radii are often bitwise equal: only the
+distinct rows are ranked and normed, and each gives its modulus to every
 radius of that row.
 
 Gradient seminorms come from the pairwise relaxation
@@ -99,43 +100,40 @@ def _averages(space: Space, f, radii, alpha: float) -> np.ndarray:
     return _ball_averages(space, np.abs(f[:, None] - f[None, :]) ** alpha, radii, alpha)
 
 
-class _DistinctRows:
-    """The distinct rows of a matrix of ball averages, each ranked once.
-
-    A row that equals the row before it, bitwise, is not kept again: rows at
-    consecutive radii whose balls hold the same points are equal, and so are
-    all rows past the diameter.  Comparing each row with the one before it is
-    O(R n).  index[i] is the kept row that row i equals, so the moduli of
-    the kept rows, indexed by it, are the moduli of every row, each bitwise
-    the one its row gets alone.
-    """
-
-    def __init__(self, averages: np.ndarray):
-        new = np.ones(averages.shape[0], dtype=bool)
-        new[1:] = (averages[1:] != averages[:-1]).any(axis=1)
-        self.index = np.cumsum(new) - 1
-        self.ranking = Ranking(averages[new])
-
-    def moduli(self, weight: np.ndarray, spec: RISpaceSpec) -> list[float]:
-        """The spec's quasi-norm of every row's rearrangement under weight."""
-        return np.asarray(quasi_norms(spec, self.ranking.steps(weight)))[self.index].tolist()
-
-
-def _moduli(space: Space, f, radii, spec: RISpaceSpec, alpha: float) -> list:
-    """The modulus at each radius, all radii in one batch.
+class _Moduli:
+    """The moduli of one f at given radii, under any weights: averages and ranks taken once.
 
     The ball averages at every radius, taken in increasing order, come from
     one cumulative sum along the space's sorted rows, as the rows of an
-    (R x n) matrix; _DistinctRows ranks each distinct row once, and
-    quasi_norms takes all their norms, in one panel-kernel call for the
-    panel-kernel families.  Each modulus is bitwise the one its radius gets
-    alone.
+    (R x n) matrix.  A row that equals the row before it, bitwise, is not
+    kept again: rows at consecutive radii whose balls hold the same points
+    are equal, and so are all rows past the diameter.  Comparing each row
+    with the one before it is O(R n).  The distinct rows are ranked once, and
+    at(weight, spec) rearranges them under weight and takes all their
+    quasi-norms in one quasi_norms call (one panel-kernel call for the
+    panel-kernel families).  Each modulus is bitwise the one its radius gets
+    alone, and comes back in the order of radii.
     """
-    order = np.argsort(radii, kind="stable")
-    averages = _averages(space, f, np.asarray(radii, dtype=float)[order], alpha)
-    moduli = np.empty(order.size)
-    moduli[order] = _DistinctRows(averages).moduli(space.weight, convexify(spec, alpha))
-    return moduli.tolist()
+
+    def __init__(self, space: Space, f, radii, alpha: float):
+        self.alpha = alpha
+        order = np.argsort(radii, kind="stable")
+        averages = _averages(space, f, np.asarray(radii, dtype=float)[order], alpha)
+        new = np.ones(averages.shape[0], dtype=bool)
+        new[1:] = (averages[1:] != averages[:-1]).any(axis=1)
+        self.index = np.empty(order.size, dtype=int)
+        self.index[order] = np.cumsum(new) - 1  # the distinct row of each radius
+        self.ranking = Ranking(averages[new])
+
+    def at(self, weight: np.ndarray, spec: RISpaceSpec) -> list[float]:
+        """The modulus at each radius under weight: the spec's quasi-norm of its rearranged row."""
+        moduli = quasi_norms(convexify(spec, self.alpha), self.ranking.steps(weight))
+        return np.asarray(moduli)[self.index].tolist()
+
+
+def _moduli(space: Space, f, radii, spec: RISpaceSpec, alpha: float) -> list:
+    """The modulus at each radius, all radii in one batch (see _Moduli)."""
+    return _Moduli(space, f, radii, alpha).at(space.weight, spec)
 
 
 # -- modulus profiles and the scale integral -------------------------------------------
@@ -180,23 +178,19 @@ def radius_grid(space: Space, ratio: float = DEFAULT_GRID_RATIO) -> np.ndarray:
 
 
 class ProfileAverages:
-    """The ball averages of one f on modulus_profile's radius grid and past the diameter, ranked.
+    """The _Moduli of one f on modulus_profile's radius grid and past the diameter.
 
     A ball average is the same under every multiple of the measure, which
     scales each ball's sum and its mass alike; so is the order of each row.
-    So these are made once per function, and profile(weight) does only what
-    depends on the weights: it rearranges each row in its stored order under
-    the weights and takes the quasi-norms.  The modulus is piecewise constant
-    in r, so many rows repeat the row of the radius before; only the distinct
-    rows are kept and ranked (_DistinctRows), and each modulus is taken once
-    per distinct row.
+    So the _Moduli of f on the grid is made once per function, and
+    profile(weight) does only what depends on the weights: it rearranges each
+    distinct row in its stored order under the weights and takes the
+    quasi-norms.
     """
 
     def __init__(self, space: Space, f, alpha: float, ratio: float):
         self.radii = radius_grid(space, ratio)
-        self.alpha = alpha
-        self.rows = _DistinctRows(_averages(space, f, [*self.radii, 2.0 * space.diameter + 1.0],
-                                            alpha))
+        self.moduli = _Moduli(space, f, [*self.radii, 2.0 * space.diameter + 1.0], alpha)
 
     def profile(self, weight: np.ndarray, spec: RISpaceSpec) -> ModulusProfile:
         """The modulus profile under weight, the space's weights times some eps > 0.
@@ -205,7 +199,7 @@ class ProfileAverages:
         power of 2 (or 1) and to rounding otherwise, since the averages were
         taken under the unscaled weights.
         """
-        *vals, tail = self.rows.moduli(weight, convexify(spec, self.alpha))
+        *vals, tail = self.moduli.at(weight, spec)
         return ModulusProfile(self.radii, np.asarray(vals), tail)
 
 

@@ -455,6 +455,17 @@ def test_target_check_refuses_a_norm_weight_that_fails_the_integral_condition():
         target_norm_check(sp, [tent_function(sp, 0)], spec, 1.0, 0.4, 0.8, q_dim)
 
 
+
+def test_target_check_refuses_a_norm_weight_whose_power_of_t_is_zero():
+    """phi(t) = t^(s/Q) (1 + ln(1/t))^(-3) gives v = (1 + ln(1/t))^(-3): its primitive
+    converges, but the ratio of int_0^t v^q dz/z to v(t)^q grows like ln(1/t)."""
+    sp = grid_space(4, 4)
+    q_dim = diagnostics(sp).q_dim
+    spec = lorentz_zygmund(q_dim / 0.4, 2.0, -3.0)
+    with pytest.raises(PreconditionError, match=r"integral condition at t -> 0 \(its power of t, "
+                                                r"a = 0\.0, is not positive\)"):
+        target_norm_check(sp, [tent_function(sp, 0)], spec, 1.0, 0.4, 0.8, q_dim)
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(1e-300, 2.0), st.floats(-6.0, 0.0), st.floats(-6.0, 0.0), st.floats(0.05, 1.0))
 @example(1e-300, -0.95, -6.0, 1.0)  # climbs 59 times over the scan

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscembed import (PowerLog, grid_space, k_bounds_path, lorentz, lorentz_zygmund, lp,
-                      modulus_profile, path_space, smoothness, space_from_graph,
-                      space_from_points, tent_function)
+from oscembed import (PowerLog, StepDecreasing, collapse_sweep, grid_space, k_bounds_path,
+                      lorentz, lorentz_zygmund, lp, modulus_profile, path_space, smoothness,
+                      space_from_graph, space_from_points, tent_function)
 
 from _oracles import loop_k_bounds, loop_modulus, loop_modulus_profile, modulus
 
@@ -108,3 +108,16 @@ def test_lorentz_zygmund_profile_makes_one_kernel_call(monkeypatch):
     prof = modulus_profile(sp, tent_function(sp, 0), lorentz_zygmund(1.5, 2.0, 0.5), 1.0)
     assert len(calls) == 1
     assert calls[0] > prof.values.size
+
+
+def test_collapse_sweep_builds_no_checked_step_function(monkeypatch):
+    """Every step function of the sweep comes from a Ranking, whose input is checked once."""
+    sp = _sweep_grid()
+    checked, real = [], StepDecreasing.__post_init__
+    monkeypatch.setattr(StepDecreasing, "__post_init__",
+                        lambda self: checked.append(self) or real(self))
+    corpus = [tent_function(sp, 0), tent_function(sp, 0) - tent_function(sp, 77)]
+    sweep = collapse_sweep(sp, corpus, lorentz_zygmund(1.5, 2.0, 0.5), 1.0, 0.5, 2.0,
+                           [1.0, 0.1, 0.01], 2.0)
+    assert len(sweep) == 3
+    assert checked == []

@@ -10,10 +10,15 @@ reached definition it follows the names the definition loads and the
 imports.  A reached class takes its whole body along.  A parameter with a
 default, of a function or method of the package, stays only if some call in
 the package passes it, by position or by name, or if it is on KEEP_PARAMS; a
-call ``Class(...)`` passes the parameters of ``Class.__init__``.
+call ``Class(...)`` passes the parameters of ``Class.__init__``.  A private
+name that a docstring or a comment mentions must be defined somewhere in the
+package, so that prose cannot outlive the code it names.
 """
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import oscembed
@@ -29,6 +34,8 @@ KEEP_METHODS = {"space.Space.ball"}
 # The entry point's argv, and the test constructors' weights and edge length.
 KEEP_PARAMS = {"cli.main(argv)", "space.path_space(weights)", "space.path_space(edge_length)",
                "space.grid_space(weights)"}
+# Math notation, not a name: the norm subscript of "||f - h||_L1".
+PROSE_NOTATION = {"_L1"}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -159,6 +166,47 @@ def test_every_public_name_is_reached_from_the_command_line_or_kept():
     unreached = _unreached()
     assert unreached - KEEP == set(), "names no command reaches"
     assert KEEP - unreached == set(), "kept names that a command now reaches"
+
+
+def _defined_names() -> set[str]:
+    """Every name the package defines: functions, classes, methods, assigned names and
+    attributes, parameters and imports."""
+    names = set()
+    for tree in _modules().values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+    return names
+
+
+def _prose_names() -> set[tuple[str, str]]:
+    """(module, name) of each private name a docstring or comment of the package mentions."""
+    private = re.compile(r"\b_[A-Za-z]\w*")
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        prose = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                 if tok.type == tokenize.COMMENT]
+        prose += [ast.get_docstring(node) or "" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+        out |= {(path.stem, name) for text in prose for name in private.findall(text)}
+    return out
+
+
+
+def test_every_private_name_the_prose_mentions_is_defined():
+    defined = _defined_names()
+    stale = {f"{mod}: {name}" for mod, name in _prose_names()
+             if name not in defined and name not in PROSE_NOTATION}
+    assert stale == set(), "docstrings or comments name what the package does not define"
 
 
 def test_every_public_method_is_called_in_the_package_or_kept():

@@ -84,6 +84,30 @@ def test_power_and_scale_merge_steps_that_underflow_together():
     assert sq.integral(4.0) == 1.0
 
 
+
+def test_a_function_that_is_not_finite_is_refused():
+    with pytest.raises(DomainError, match="a function to rearrange must be finite"):
+        rearrangement(path_space(3), [math.nan, 1.0, 0.0])
+    with pytest.raises(DomainError, match="must be finite, and f takes the value inf"):
+        rearrangement_rows(np.array([[1.0, 2.0], [-math.inf, 0.0]]), np.ones(2))
+
+
+def test_a_weight_that_is_not_a_number_is_refused():
+    with pytest.raises(DomainError, match="breakpoints must be strictly increasing and positive"):
+        rearrangement_from_weights([1.0, 2.0], [math.nan, 1.0])
+
+
+@pytest.mark.parametrize("breakpoints, values, message", [
+    ([math.nan, 2.0], [2.0, 1.0], "breakpoints must be strictly increasing and positive"),
+    ([1.0, math.nan], [2.0, 1.0], "breakpoints must be strictly increasing and positive"),
+    ([1.0, 2.0], [math.nan, 1.0], "values must be strictly decreasing and nonnegative"),
+    ([1.0, 2.0], [2.0, math.nan], "values must be strictly decreasing and nonnegative"),
+    ([], [], "breakpoints and values must be nonempty and aligned"),
+])
+def test_step_function_refuses_nan_breakpoints_and_values(breakpoints, values, message):
+    with pytest.raises(DomainError, match=message):
+        StepDecreasing(np.array(breakpoints), np.array(values))
+
 # -- running average ------------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oscembed import (DomainError, OrliczFunction, PowerLog, convexify,
+from oscembed import (DomainError, ModulusProfile, OrliczFunction, PowerLog, convexify,
                       fundamental_powerlog, lambda_w, lorentz, lorentz_zygmund, lp,
                       marcinkiewicz, marcinkiewicz_tilde, orlicz, path_space,
                       quasi_norm, rearrangement, spec_from_json)
@@ -352,3 +352,31 @@ def test_spec_json_roundtrip():
         parsed = spec_from_json(json.loads(text))
         assert parsed.label() == spec.label()
         assert quasi_norm(parsed, fs) == quasi_norm(spec, fs)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: lp(0.0), "lp exponent must be positive"),
+    (lambda: lorentz(0.0, 1.0), "lorentz exponents must be positive"),
+    (lambda: lorentz_zygmund(1.0, 0.0, 0.0), "lorentz_zygmund exponents must be positive"),
+    (lambda: lambda_w(math.inf, PowerLog(0.0)), "lambda_w exponent must be positive finite"),
+    (lambda: convexify(lp(1.0), 0.0), "convexification power must be positive"),
+    (lambda: spec_from_json({"family": "nope"}), "unknown family 'nope'"),
+    (lambda: marcinkiewicz(PowerLog(0.0)), "Marcinkiewicz phi must vanish at 0+"),
+    (lambda: marcinkiewicz(PowerLog(1.5)),
+     "Marcinkiewicz phi/t must be nonincreasing (quasi-concavity)"),
+    (lambda: ModulusProfile([], [], 0.0), "radii and values must be nonempty and aligned"),
+    (lambda: ModulusProfile([1.0, 1.0], [0.0, 0.0], 0.0),
+     "radii must be strictly increasing and positive"),
+    (lambda: ModulusProfile([1.0], [-1.0], 0.0), "modulus values must be nonnegative"),
+    (lambda: PowerLog(1.0, const=0.0), "PowerLog constant must be positive finite, got 0.0"),
+    (lambda: PowerLog(1.0)(0.0), "PowerLog is defined on t > 0"),
+    (lambda: PowerLog(1.0).integral_dt_over_t(2.0, 1.0), "bad integration range (2.0, 1.0)"),
+    (lambda: PowerLog(1.0).sup_on(2.0, 1.0), "bad interval (2.0, 1.0)"),
+    (lambda: OrliczFunction("cubic", 2.0), "unknown Orlicz preset 'cubic'"),
+    (lambda: OrliczFunction("power_log", 0.1, -50.0),
+     "Orlicz preset is not strictly increasing on the test grid"),
+])
+def test_bad_parameters_are_refused_with_their_message(build, message):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == message

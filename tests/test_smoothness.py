@@ -335,6 +335,19 @@ def test_failed_lp_is_dumped_as_sparse_triplets(monkeypatch):
         path.unlink()
 
 
+
+def test_lp_run_that_stops_short_is_dumped_with_its_scale():
+    """A real HiGHS run stopped by its iteration limit; max |f| = 0.4 puts f / 0.5 in the LP."""
+    model = smoothness._PairLP(path_space(4), np.array([0.0, 0.3, 0.1, 0.4]), "k", 1.0)
+    model.highs.setOptionValue("simplex_iteration_limit", 0)
+    with pytest.raises(SolverError, match=r"LP solve failed \(Iteration limit reached\)") as info:
+        model.optimum("k")
+    path = Path(str(info.value).rsplit("instance dumped to ", 1)[1])
+    try:
+        assert path.read_text().splitlines()[0] == "# k, f scaled by 1/0.5"
+    finally:
+        path.unlink()
+
 def test_hajlasz_upper_equals_l1_for_l1_spec():
     rng = np.random.default_rng(49)
     sp = grid_space(2, 3)
