@@ -10,7 +10,7 @@ the space's upper dimension.  It depends on f only through f*, so
 oscillation_functional takes the rearrangement, which each report computes
 once per function.  On step functions the gap equals D/t per panel,
 so the functional, like the weighted rearranged targets, is one call of the
-power-log panel kernel (weights.PowerLog.panel_sum, or panel_max for
+power-log panel kernel (weights.PowerLog.panel_norms, or panel_max for
 q = inf) over the panels of the rearranged step function.
 
 The embedding checks compare this functional (and derived rearranged-norm
@@ -53,13 +53,11 @@ from .rispace import (RISpaceSpec, convexify, fundamental_powerlog, lorentz_zygm
 from .smoothness import (DEFAULT_GRID_RATIO, ProfileAverages, besov_from_profile,
                          besov_seminorm, hajlasz_seminorm_l1)
 from .space import Space, noncollapsing_constant
-from .weights import PowerLog
+from .weights import PowerLog, power_roots
 
 # The number of threads a report runs on.  Only the benchmark's environment
 # record reads it; ROADMAP item 1's benchmark change deletes it.
 _POOL_WORKERS = 1
-
-_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 # -- the oscillation functional ---------------------------------------------------------
@@ -85,23 +83,7 @@ def oscillation_functional(fstar: StepDecreasing, spec: RISpaceSpec, alpha: floa
     gap = np.maximum(gap, 0.0)  # a rounded-negative gap is a skipped panel, as a zero one
     if math.isinf(q):
         return (PowerLog(-1.0 / alpha) * w_pl).panel_max(lo, hi, gap ** (1.0 / alpha))
-    pl = (w_pl**q) * PowerLog(-q / alpha)
-    powered = gap ** (q / alpha)
-    return _root_of_sum(pl.panel_sum(lo, hi, powered), gap, powered, q)
-
-
-def _root_of_sum(total: float, base: np.ndarray, powered: np.ndarray, q: float) -> float:
-    """total ** (1/q), for total a sum of terms with the factors powered, the powers of base.
-
-    When base has a positive entry but the largest of powered, or total itself,
-    lies below the smallest normal float, the powers have underflowed and total
-    has lost the terms it is made of.  That is refused with FloatingPointError
-    (exit 2 under cli.main), as an overflow is, instead of a silent 0.
-    """
-    if base.max(initial=0.0) > 0.0 and min(float(powered.max()), total) < _TINY:
-        raise FloatingPointError(f"underflow: at q = {q!r} the terms of a q-th power sum "
-                                 "fall below the smallest normal float")
-    return total ** (1.0 / q)
+    return ((w_pl**q) * PowerLog(-q / alpha)).panel_norms([(lo, hi, gap ** (1.0 / alpha))], q)[0]
 
 
 # -- embedding reports ---------------------------------------------------------------------
@@ -256,8 +238,7 @@ def weighted_step_norm(fstar: StepDecreasing, w: PowerLog, q: float) -> float:
     lo, hi = fstar.edges[:-1], np.minimum(fstar.edges[1:], 1.0)
     if math.isinf(q):
         return w.panel_max(lo, hi, fstar.values)
-    powered = fstar.values**q
-    return _root_of_sum((w**q).panel_sum(lo, hi, powered), fstar.values, powered, q)
+    return (w**q).panel_norms([(lo, hi, fstar.values)], q)[0]
 
 
 def _gauge_table(spec, alpha, s, q, q_dim, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -287,8 +268,7 @@ def _stieltjes_target_norm(fstar: StepDecreasing, table, alpha: float, q: float)
     m = _gauge_at(table, np.minimum(fstar.breakpoints, 1.0))
     # psi is 0 at edges[0] = 0, where m = inf and the exponent 1 - q/a is negative
     psi = [0.0] + [(1.0 + m_t) ** (1.0 - q / alpha) for m_t in m.tolist()]
-    powered = fstar.values**q
-    return _root_of_sum(float(np.sum(powered * np.diff(psi))), fstar.values, powered, q)
+    return power_roots([(fstar.values, np.diff(psi))], q)[0]
 
 
 # -- sup-norm and target-norm checks ---------------------------------------------------------

@@ -16,7 +16,7 @@ representation; callers form the first two from eval and integral directly:
 Each step function builds its panel table once: edges = [0, *breakpoints]
 and prefix[i] = int_0^{edges[i]}.  Its r.i. norms are sums (or maxima) over
 the panels (edges[i], edges[i+1]) of a coefficient times a power-log weight
-integral (or supremum), which weights.PowerLog.panel_sum / panel_max evaluate.
+integral (or supremum), which weights.PowerLog.panel_norms / panel_max evaluate.
 
 rearrangement_rows rearranges every row of a matrix in one batch: one stable
 argsort, one add.reduceat for the tie groups of all rows, and the breakpoints,
@@ -24,7 +24,8 @@ edges and prefix integrals as cumulative sums along rows padded past their
 last step.  The argsort and the tie groups depend on the values alone, so a
 Ranking keeps them and rearranges the same rows under another measure with
 only the add.reduceat and the cumulative sums.  Input is checked where it
-enters, by Ranking: f finite, and every run of tied values of positive mass.
+enters, by Ranking: f finite, and every run of tied values and every row of
+positive, finite mass.
 What it builds from such input is a valid step function by construction (|f|
 sorted, ties merged, steps of width 0 dropped) and is not checked again.
 Each row's step function is bitwise the one it gets alone; a single function
@@ -169,8 +170,9 @@ class Ranking:
     Where weights span more than 2^53, a light run's mass can vanish in a
     cumulative sum; its step then has width 0, and steps drops it from that row.
     The input rule: f finite, with at least one column, and weights that give
-    every run a positive mass (steps refuses NaN too).  The step functions
-    built from input that keeps it are valid by construction, and unchecked.
+    every run a positive mass and every row a finite one (steps refuses NaN
+    too).  The step functions built from input that keeps it are valid by
+    construction, and unchecked.
     """
 
     def __init__(self, f):
@@ -195,12 +197,16 @@ class Ranking:
     def steps(self, weights) -> list[StepDecreasing]:
         """The decreasing rearrangement of every row under the weights, each bitwise its own."""
         fw = np.asarray(weights, dtype=float)[self.order]
-        runs = np.add.reduceat(fw.ravel(), self.starts)
+        with np.errstate(over="ignore"):  # a mass that is not finite is refused below
+            runs = np.add.reduceat(fw.ravel(), self.starts)
+            masses = np.zeros(self.values.shape)
+            masses[self.slots] = runs
+            breakpoints = np.cumsum(masses, axis=1)
         if not np.all(runs > 0.0):  # NaN fails too
             raise DomainError(_BAD_BREAKPOINTS)
-        masses = np.zeros(self.values.shape)
-        masses[self.slots] = runs
-        breakpoints = np.cumsum(masses, axis=1)
+        if not np.isfinite(breakpoints[:, -1]).all():  # an infinite run's row total is inf too
+            raise DomainError("a row's mass is not finite: " + (
+                "a run of tied values has mass inf" if np.isinf(runs).any() else "it overflows"))
         lost = (np.diff(breakpoints, axis=1) == 0.0) & (masses[:, 1:] > 0.0)  # padding has mass 0
         if not lost.any():
             return StepDecreasing._rows(breakpoints, self.values, self.counts)

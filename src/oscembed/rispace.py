@@ -32,7 +32,7 @@ from scipy.optimize import brentq
 from .errors import (DomainError, EvaluationError, PreconditionError, SymbolicAnalysisError,
                      read_key, require_keys)
 from .rearrange import StepDecreasing
-from .weights import OrliczFunction, PowerLog, bounded_max_search
+from .weights import OrliczFunction, PowerLog, bounded_max_search, power_roots
 
 
 @dataclass(frozen=True)
@@ -200,14 +200,17 @@ def convexify(spec: RISpaceSpec, r: float) -> RISpaceSpec:
 def _norm_lp(p: float, fstar: StepDecreasing) -> float:
     if math.isinf(p):
         return float(fstar.values[0])
-    return fstar.power(p).integral(fstar.mass) ** (1.0 / p)
+    return power_roots([(fstar.values, np.diff(fstar.edges))], p)[0]
 
 
 def _norm_lorentz(p: float, q: float, fstar: StepDecreasing) -> float:
+    """(p/q sum_i v_i^q (e_{i+1}^(q/p) - e_i^(q/p)))^(1/q), e the edges of f*, by power_roots
+    with bases v_i e_{i+1}^(1/p) and factors (1 - (e_i / e_{i+1})^(q/p)) p/q."""
     if math.isinf(q):
         return float(np.max(fstar.values * fstar.breakpoints ** (1.0 / p)))
-    terms = fstar.values**q * np.diff(fstar.edges ** (q / p))
-    return float((terms.sum() * p / q) ** (1.0 / q))
+    with np.errstate(divide="ignore"):  # ln 0 = -inf at e_0 = 0
+        factor = -np.expm1(q / p * np.log(fstar.edges[:-1] / fstar.breakpoints)) * (p / q)
+    return power_roots([(fstar.values * fstar.breakpoints ** (1.0 / p), factor)], q)[0]
 
 
 def _panel_norms(spec: RISpaceSpec, fstars: list) -> list[float]:
@@ -217,11 +220,10 @@ def _panel_norms(spec: RISpaceSpec, fstars: list) -> list[float]:
     Lambda_w: int (f*)^q w(t) dt = int (f*)^q t w(t) dt/t, to the 1/q.
     """
     if spec.family == "lorentz_zygmund":
-        weight, power = PowerLog(1.0 / spec.p, spec.beta) ** spec.q, spec.q
+        weight = PowerLog(1.0 / spec.p, spec.beta) ** spec.q
     else:
-        weight, power = spec.weight * PowerLog(1.0), spec.q
-    sums = weight.panel_sums([(fs.edges[:-1], fs.edges[1:], fs.values**power) for fs in fstars])
-    return [total ** (1.0 / power) for total in sums]
+        weight = spec.weight * PowerLog(1.0)
+    return weight.panel_norms([(fs.edges[:-1], fs.edges[1:], fs.values) for fs in fstars], spec.q)
 
 
 def _norm_marcinkiewicz(phi, fstar: StepDecreasing) -> float:

@@ -70,6 +70,7 @@ from .errors import DomainError, SolverError
 from .rearrange import Ranking
 from .rispace import RISpaceSpec, convexify, lp, quasi_norms
 from .space import Space
+from .weights import power_roots
 
 DEFAULT_GRID_RATIO = 2.0 ** 0.25
 _LP_TOL = 1e-9  # HiGHS's feasibility tolerances, the violation rule, the enclosure's width
@@ -214,6 +215,8 @@ def besov_from_profile(profile: ModulusProfile, s: float, q: float) -> float:
     The profile value at a grid point is taken as constant on the cell to its
     right; the region below the first radius contributes nothing (singleton
     balls) and the region past the last radius uses the exact power-law tail.
+    At finite q, power_roots takes the sum with bases v_i r_i^-s and T r_last^-s,
+    whose factors (1 - (r_i / r_{i+1})^sq) / sq and 1/sq cannot saturate.
     """
     if not 0.0 < s < 1.0:
         raise DomainError("smoothness s must lie in (0, 1)")
@@ -222,43 +225,9 @@ def besov_from_profile(profile: ModulusProfile, s: float, q: float) -> float:
         best = float(np.max(v * r ** (-s))) if v.size else 0.0
         return float(max(best, profile.tail_value * r[-1] ** (-s)))
     sq = s * q
-    # The direct sum, unless a power over- or underflows: then a term may be
-    # inf, or a subnormal that a large factor blows up, and the sum is taken in
-    # logs.  The root stays inside, since a tiny q overflows there.
-    try:
-        with np.errstate(over="raise", under="raise"):
-            inner = float(np.sum(v[:-1] ** q * (r[:-1] ** (-sq) - r[1:] ** (-sq)))) / sq
-            tail = np.float64(profile.tail_value) ** q * r[-1] ** (-sq) / sq
-            return float((inner + tail) ** (1.0 / q))
-    except FloatingPointError:
-        return _scale_sum_in_logs(r, v, profile.tail_value, s, q)
-
-
-def _scale_sum_in_logs(r, v, tail_value: float, s: float, q: float) -> float:
-    """besov_from_profile's finite-q value, from the logs of its terms (log-sum-exp).
-
-    Cell i contributes v_i^q (r_i^-sq - r_{i+1}^-sq) / sq and the tail
-    T^q r_last^-sq / sq.  Each term's log over q is
-    l_i = log v_i - s log r_i + (log(1 - (r_i / r_{i+1})^sq) - log sq) / q, and
-    the tail's log T - s log r_last - log(sq) / q.  With M = max l_i the value
-    is exp(M + log(sum exp(q (l_i - M))) / q): no power is formed, a term far
-    below the largest underflows to 0 as it should, and the errors of the
-    logs are not multiplied by q.  A zero cell is log 0 = -inf.  A value
-    beyond the float range still raises FloatingPointError.
-    """
-    sq = s * q
-    lr = np.log(r)
-    with np.errstate(divide="ignore"):  # log 0 = -inf: a cell, or a tail, that adds nothing
-        logs = np.append(np.log(v[:-1]) - s * lr[:-1]
-                         + np.log(-np.expm1(sq * (lr[:-1] - lr[1:]))) / q,
-                         np.log(tail_value) - s * lr[-1]) - math.log(sq) / q
-    top = logs.max()
-    if top == -np.inf:
-        return 0.0
-    with np.errstate(over="ignore", under="ignore"):  # a negligible term: exp(-inf) = 0
-        total = np.sum(np.exp(q * (logs - top)))
-    with np.errstate(over="raise"):
-        return float(np.exp(top + np.log(total) / q))
+    bases = np.append(v[:-1], profile.tail_value) * r ** (-s)
+    factors = np.append(-np.expm1(sq * np.log(r[:-1] / r[1:])), 1.0) / sq
+    return power_roots([(bases, factors)], q)[0]
 
 
 def besov_seminorm(space: Space, f, s: float, q: float, spec: RISpaceSpec, alpha: float,

@@ -42,7 +42,8 @@ takes the first of these paths that applies:
      r * width > 64 from an end of a finite panel, the panel gets breakpoints
      at 2^k / r from that end; an improper tail that decays at a rate r > 64
      is integrated in z = r (w - w0).  Either way a sharp peak at an end (a or
-     |b| large) spans a unit of the variable.
+     |b| large) spans a unit of the variable.  An integrand past e^700 raises
+     FloatingPointError, which names the weight and the panel in t.
 
 Which path a panel takes, and the value it gets, depend only on (a, b, g,
 const) and the panel's ends, not on the other panels of the call: every path
@@ -50,11 +51,12 @@ works elementwise or one panel at a time, and the Gauss-Legendre rule sums
 each panel's nodes on their own.  So a batch of panels gives each panel the
 bits it gets alone.
 
-The panel kernel, PowerLog.panel_sum and PowerLog.panel_max, evaluates the
-norms of a decreasing step function: sums of coef_i * int p dt/t, or maxima
-of coef_i * sup p, over its panels (lo_i, hi_i).  PowerLog.panel_sums does
-the sums of many step functions from one call of the kernel; panel_sum is
-its batch of one.
+The panel kernel, PowerLog.panel_norms and PowerLog.panel_max, evaluates the
+norms of decreasing step functions over their panels (lo_i, hi_i): the sums
+(sum_i base_i^q int p dt/t)^(1/q), or the maxima of base_i * sup p.
+panel_norms integrates the panels of many step functions in one kernel call
+and roots each sum with power_roots, which takes every finite-exponent sum
+of the package: directly unless a power saturates, else in logs.
 
 Orlicz generator functions (for Orlicz-space norms) live here too since they
 share the preset-validation style.
@@ -81,6 +83,7 @@ _SHARP = 64.0
 _TAIL_UNDERFLOW = 1e-290
 _NORMAL_MIN = np.finfo(float).tiny  # a subnormal x = a(1+u) has lost its digits
 _MAX_CANCEL = 4.0
+_DOT_FLOOR = 2.0**53 * _NORMAL_MIN  # the least sum that power_roots trusts from a dot product
 
 
 def _lfac(t):
@@ -192,24 +195,22 @@ class PowerLog:
         if g == 0.0:
             done |= _gauss_legendre_panels(a, s, u_lo, u_hi, ~done, vals)
 
-        # log-stable integrands; they saturate instead of overflowing in extreme
-        # parameter corners (the symbolic finiteness decision is separate)
+        # integrands in logs; one past e^700 is refused (_exp), while the cut-off
+        # e^(-a e^w) may saturate toward 0
         def in_u(u):
-            expo = -a * u + b * math.log1p(u) + g * math.log(1.0 + math.log1p(u))
-            return math.exp(min(expo, 700.0))
+            return _exp(-a * u + b * math.log1p(u) + g * math.log(1.0 + math.log1p(u)))
 
         log_a = math.log(a) if a > 0.0 else -math.inf
 
         def in_w(w):
             # w = ln(1+u), where the power-law tails of improper panels decay exponentially
-            expo = a - math.exp(min(w + log_a, 700.0)) + s * w + g * math.log1p(w)
-            return math.exp(min(expo, 700.0))
+            return _exp(a - math.exp(min(w + log_a, 700.0)) + s * w + g * math.log1p(w))
 
         def in_w_sharp(w):
             # in_w, with a - a e^w as -a expm1(w) where that keeps the digits of a large a
             if w >= 1.0:
                 return in_w(w)
-            return math.exp(min(-a * math.expm1(w) + s * w + g * math.log1p(w), 700.0))
+            return _exp(-a * math.expm1(w) + s * w + g * math.log1p(w))
 
         def rate_u(u):
             # -d/du log in_u
@@ -239,18 +240,23 @@ class PowerLog:
             return sorted(pts) or None
 
         for i in np.flatnonzero(~done).tolist():
-            if math.isinf(u_hi[i]):
-                w_lo = math.log1p(u_lo[i])
-                if rate_w(w_lo) > _SHARP:
-                    vals[i] = tail(w_lo)
-                    continue
-                # the cut-off e^(-a e^w) sets in at w = ln(1/a): one finite piece up to there
-                w_cut = max(w_lo, -log_a + 1.0) if a > 0.0 else w_lo
-                head = quad(in_w, w_lo, w_cut, **_QUAD_OPTS)[0] if w_cut > w_lo else 0.0
-                vals[i] = head + tail(w_cut)
-            else:
-                lo, hi = float(u_lo[i]), float(u_hi[i])
-                vals[i] = quad(in_u, lo, hi, points=sharp_ends(lo, hi), **_QUAD_OPTS)[0]
+            lo, hi = float(u_lo[i]), float(u_hi[i])
+            try:
+                if math.isinf(hi):
+                    w_lo = math.log1p(lo)
+                    if rate_w(w_lo) > _SHARP:
+                        vals[i] = tail(w_lo)
+                        continue
+                    # the cut-off e^(-a e^w) sets in at w = ln(1/a): one finite piece up to there
+                    w_cut = max(w_lo, -log_a + 1.0) if a > 0.0 else w_lo
+                    head = quad(in_w, w_lo, w_cut, **_QUAD_OPTS)[0] if w_cut > w_lo else 0.0
+                    vals[i] = head + tail(w_cut)
+                else:
+                    vals[i] = quad(in_u, lo, hi, points=sharp_ends(lo, hi), **_QUAD_OPTS)[0]
+            except FloatingPointError as exc:
+                raise FloatingPointError(
+                    f"overflow: the integrand of PowerLog(a={a!r}, b={b!r}, g={g!r}) passes "
+                    f"e^700 on the panel t in ({math.exp(-hi):g}, {math.exp(-lo):g})") from exc
         out[live] = vals
         return out
 
@@ -342,27 +348,21 @@ class PowerLog:
 
     # -- panel kernel ------------------------------------------------------------
 
-    def panel_sums(self, panels) -> list[float]:
-        """panel_sum of each (lo, hi, coef) of panels, from one kernel call for all their panels.
+    def panel_norms(self, panels, q: float) -> list[float]:
+        """(sum_i base_i^q int_{lo_i}^{hi_i} p(t) dt/t)^(1/q) of each (lo, hi, base) of panels.
 
-        Each sum is one dot product of its coefficients with its own panels'
-        integrals, which do not depend on the other panels of the call: so it
-        equals panel_sum on its (lo, hi, coef) alone, bitwise.
-        """
-        live = [_live_panels(lo, hi, coef) for lo, hi, coef in panels]
+        One kernel call integrates the live panels (base_i > 0, hi_i > lo_i) of all, and
+        power_roots roots each sum alone: each value is bitwise its (lo, hi, base)'s alone."""
+        live = [_live_panels(lo, hi, base) for lo, hi, base in panels]
         if not live:
             return []
         vals = self._integrals_dt_over_t(np.concatenate([lo for _, lo, _ in live]),
                                          np.concatenate([hi for _, _, hi in live]))
         ends = np.cumsum([c.size for c, _, _ in live])[:-1]
-        return [float(c @ v) for (c, _, _), v in zip(live, np.split(vals, ends))]
-
-    def panel_sum(self, lo, hi, coef) -> float:
-        """sum_i coef_i * int_{lo_i}^{hi_i} p(t) dt/t over panels with coef_i > 0, hi_i > lo_i."""
-        return self.panel_sums([(lo, hi, coef)])[0]
+        return power_roots([(c, v) for (c, _, _), v in zip(live, np.split(vals, ends))], q)
 
     def panel_max(self, lo, hi, coef) -> float:
-        """max(0, max_i coef_i * sup of p over [lo_i, hi_i]) over the panel_sum panels."""
+        """max(0, max_i coef_i * sup of p over [lo_i, hi_i]) over the live panels."""
         c, p_lo, p_hi = _live_panels(lo, hi, coef)
         best = 0.0
         for c_i, lo_i, hi_i in zip(c.tolist(), p_lo.tolist(), p_hi.tolist()):
@@ -387,6 +387,48 @@ def _live_panels(lo, hi, coef):
     lo, hi, coef = (np.asarray(x, dtype=float) for x in (lo, hi, coef))
     keep = (coef > 0.0) & (hi > lo)
     return coef[keep], lo[keep], hi[keep]
+
+
+def _exp(expo: float) -> float:
+    """e^expo for a quad integrand, refused past e^700: quad would integrate a wrong value."""
+    if expo > 700.0:
+        raise FloatingPointError("a power-log integrand passes e^700")
+    return math.exp(expo)
+
+
+def power_roots(pairs, q: float) -> list[float]:
+    """(sum_i base_i^q factor_i)^(1/q) for each (base, factor) array pair of pairs, 0 < q < inf.
+
+    Each pair, of nonnegative arrays, is taken alone, so its value is bitwise
+    the one it gets alone.  The direct sum (base^q) @ factor is kept unless a
+    power or product saturates, the sum is not finite, or it lies below 2^53
+    normal minima, where a product may have underflowed unflagged in the dot.
+    Else, with l_i = ln base_i + ln(factor_i) / q and M = max l_i, the value
+    is exp(M + ln(sum exp(q (l_i - M))) / q).  A base that is not finite, or a
+    positive base whose factor is not finite, raises FloatingPointError.
+    """
+    out = []
+    with np.errstate(over="raise", under="raise", invalid="raise"):
+        for base, factor in pairs:
+            try:
+                total = float(base**q @ factor)
+            except FloatingPointError:
+                total = math.nan
+            out.append(total ** (1.0 / q) if _DOT_FLOOR <= total < math.inf
+                       else _power_root_in_logs(base, factor, q))
+    return out
+
+
+def _power_root_in_logs(base: np.ndarray, factor: np.ndarray, q: float) -> float:
+    """power_roots' value of one pair from the logs of its terms (log-sum-exp)."""
+    pos = base > 0.0
+    if not (np.isfinite(base).all() and np.isfinite(factor[pos]).all()):
+        raise FloatingPointError(f"a q-th power sum at q = {q!r} has a term that is not finite")
+    pos &= factor > 0.0  # the terms that add something
+    with np.errstate(divide="ignore", under="ignore"):  # no term: ln 0 = -inf, e^-inf = 0
+        logs = np.log(base[pos]) + np.log(factor[pos]) / q
+        top = logs.max(initial=-math.inf)
+        return float(np.exp(top + np.log(np.exp(q * (logs - top)).sum()) / q))
 
 
 def _gamma_panels(a: float, s: float, u_lo, u_hi, vals) -> np.ndarray:

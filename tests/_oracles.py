@@ -375,11 +375,20 @@ def mp_scale_sum(profile, s, q):
         return (total / (s * q)) ** (1 / q)
 
 
+def mp_power_root(base, factor, q):
+    """(sum_i base_i^q factor_i)^(1/q) over the positive bases, in 50-digit arithmetic."""
+    with mp.workdps(50):
+        q = mp.mpf(q)
+        total = sum(mp.mpf(b) ** q * mp.mpf(f)
+                    for b, f in zip(base.tolist(), factor.tolist()) if b > 0.0)
+        return total ** (1 / q)
+
+
 # -- power-log norms of step functions, one hand-written loop per norm ---------------------
 #
 # Each loop integrates (or maximises over) the same panels as the panel kernel
-# PowerLog.panel_sum / panel_max, skipping panels with a nonpositive
-# coefficient or an empty range.
+# PowerLog.panel_norms / panel_max, skipping panels with a nonpositive
+# value or an empty range.
 
 
 def loop_lorentz_zygmund_norm(p, r, beta, fstar):
@@ -828,4 +837,4 @@ def target_norm_lhs(space: Space, f, spec: RISpaceSpec, alpha: float, s: float, 
         return 0.0 if t <= 0.0 else (1.0 + m(t)) ** (1.0 - q / alpha)  # m(0) = inf
 
     psi = np.array([primitive(float(t)) for t in np.minimum(fstar.edges, 1.0)])
-    return float(np.sum(fstar.values**q * np.diff(psi))) ** (1.0 / q)
+    return float(fstar.values**q @ np.diff(psi)) ** (1.0 / q)

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -192,14 +193,16 @@ def test_cli_uncertified_lp_exits_4_with_dump(space_file, tmp_path, capsys, monk
     # a weight scale that leaves a subnormal weight, which keeps only part of its digits
     (["collapse-sweep", "--eps", "1,1e-320"], {}),
     (["collapse-sweep", "--eps", "1,1e-310"], {}),
-    # q-th powers that underflow, where the lhs would silently read 0: the oscillation
-    # gaps, and the values of f* in the pesos and lorentzlog targets
+    # the oscillation functional at q = 3000: its q-th power sum is taken in logs, but the
+    # kernel integrates its weight's q-th power directly, and that integrand passes e^700
     (["collapse-sweep", "--q", "3000"], {}),
     (["verify", "--theorem", "k1", "--q", "3000"],
      {"space": {"metric": "graph", "edges": [[i, i + 1] for i in range(7)],
                 "weights": [0.1] * 8}}),
-    *((["verify", "--theorem", theorem, "--q", "3000"], {"corpus": [[0.5] * 4 + [0.25] * 4]})
-      for theorem in ("pesos", "lorentzlog")),
+    # the gauge m(0.1) is about 1e682: its integrand passes e^700, where it was once clamped
+    (["verify", "--theorem", "pesos", "--alpha", "0.999", "--q", "1"],
+     {"space": {"metric": "graph", "edges": [[i, i + 1] for i in range(7)],
+                "weights": [0.05] * 8}}),
 ])
 def test_cli_config_errors_exit_2_without_traceback(space_file, tmp_path, capsys,
                                                     command, files):
@@ -250,6 +253,50 @@ def test_cli_verify_at_q_1e308_gives_finite_values(space_file, tmp_path, theorem
         want = _besov_cells(space_file, lp(1.0), 1.0, 0.5, 1e308)
         assert [row["rhs"] for row in rows] == pytest.approx([float(w) + 1.0 for w in want],
                                                              rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("theorem, lhs", [("pesos", 0.5), ("lorentzlog", 0.49894836547105965)],
+                         ids=["pesos", "lorentzlog"])
+def test_cli_verify_at_q_3000_gives_the_target_value(space_file, tmp_path, theorem, lhs):
+    # f* = 0.5 on [0, 4), then 0.25: the q-th powers of the target's sum underflow at
+    # q = 3000, and the sum is taken in logs.  The lorentzlog value is mpmath's.
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([[0.5] * 4 + [0.25] * 4]))
+    out = tmp_path / "out"
+    assert main(["verify", "--theorem", theorem, "--q", "3000", "--space", space_file,
+                 "--corpus", str(corpus), "--out", str(out)]) == 0
+    (row,) = json.loads((out / f"verify-{theorem}.json").read_text())["per_function"]
+    assert row["lhs"] == pytest.approx(lhs, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("spec, want", [
+    ({"family": "lp", "p": 400}, 0.1),
+    ({"family": "lorentz", "p": 1.5, "q": 400}, 0.098613205966395361),
+    ({"family": "lorentz_zygmund", "p": 1.5, "r": 400, "beta": 0.5}, 0.098945705908586133),
+    ({"family": "lambda_w", "q": 400, "w": {"a": 0, "b": 1}}, 0.10017343702346959),
+], ids=["lp", "lorentz", "lorentz_zygmund", "lambda_w"])
+def test_cli_norms_at_exponent_400_are_mpmath_values(space_file, tmp_path, spec, want):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([[0.1, 0.05, 0.02, 0.01, 0.0, 0.0, 0.0, 0.0]]))
+    out = tmp_path / "out"
+    assert main(["norms", "--space", space_file, "--spec", json.dumps(spec),
+                 "--corpus", str(corpus), "--out", str(out)]) == 0
+    (row,) = json.loads((out / "norms.json").read_text())["rows"]
+    assert float(row["quasi_norm"]) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_cli_names_the_weight_and_panel_of_a_refused_integrand(tmp_path, capsys):
+    # the pesos gauge m(0.1) is about 1e682; its integrand was once clamped at e^700,
+    # and the check wrote tent0 lhs 0.49611 where mpmath gives 0.20764
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"metric": "graph", "edges": [[i, i + 1] for i in range(7)],
+                                 "weights": [0.05] * 8}))
+    assert main(["verify", "--theorem", "pesos", "--alpha", "0.999", "--q", "1",
+                 "--space", str(space), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: FloatingPointError: overflow: the integrand of "
+                        r"PowerLog\(a=-684\.85\d*, b=-0\.0, g=-0\.0\) passes e\^700 "
+                        r"on the panel t in \(0\.1, 1\)\n", err)
 
 
 def test_cli_collapse_sweep_counts_its_informative_rows(space_file, tmp_path, capsys):

@@ -239,12 +239,27 @@ def test_gauge_sup_case():
 @example(p=2.0, beta=0.5, alpha=1.0, s=0.9, q=math.inf, q_dim=1.5, ts=[1e-6, 0.5])
 @example(p=2.0, beta=1.0, alpha=0.99999, s=0.75, q=1.0, q_dim=1.0, ts=[])  # a sharp tail in w
 @example(p=1.0, beta=1.0, alpha=0.99999, s=0.5, q=1.0, q_dim=1.0, ts=[0.25])  # a sharp panel in u
+@example(p=1.0, beta=0.0, alpha=0.99999, s=0.5, q=1.0, q_dim=1.0, ts=[0.5])  # past e^700
 def test_gauge_on_an_array_equals_its_scalar_calls(p, beta, alpha, s, q, q_dim, ts):
     spec = lz_base_spec(p, 2.0, beta, alpha)
     t = np.array([0.0, *ts])
-    got = reciprocal_weight_integral(spec, alpha, s, q, q_dim, t)
+    try:
+        got = reciprocal_weight_integral(spec, alpha, s, q, q_dim, t)
+    except FloatingPointError:  # refused: so is one of its scalar calls
+        with pytest.raises(FloatingPointError):
+            for t_i in t.tolist():
+                reciprocal_weight_integral(spec, alpha, s, q, q_dim, t_i)
+        return
     want = [reciprocal_weight_integral(spec, alpha, s, q, q_dim, t_i) for t_i in t.tolist()]
     assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_gauge_refuses_an_integrand_past_e700():
+    # kappa = aq/(q - a) is about 1e5 at alpha = 0.99999: m(0.5) is far past the float
+    # range, and its integrand was once clamped at e^700 to a finite, wrong value
+    spec = lz_base_spec(1.0, 2.0, 0.0, 0.99999)
+    with pytest.raises(FloatingPointError, match=r"passes e\^700 on the panel t in \(0\.5, 1\)"):
+        reciprocal_weight_integral(spec, 0.99999, 0.5, 1.0, 1.0, 0.5)
 
 
 # -- target weight: closed form vs numeric differentiation -------------------------------------

@@ -143,10 +143,19 @@ def kernel_batches(draw):
 @example((PowerLog(-0.91, 1.0),  # the oscillation weight's narrow (Gauss-Legendre) and wide panels
           np.array([1e-6, 0.01, 0.02, 1e-9, 0.3, 0.04]),
           np.array([1.0001e-6, 0.011, 0.5, 2e-9, 3.0, 0.0401])))
-@example((PowerLog(-3.0),  # a narrow panel whose Gauss-Legendre nodes overflow takes quad
-          np.array([1e-300, 0.01]), np.array([1.001e-300, 0.011])))
 def test_kernel_gives_each_panel_its_value_alone_bitwise(batch):
     w, lo, hi = batch
     together = w._integrals_dt_over_t(lo, hi)
     alone = [w._integrals_dt_over_t(lo[i:i + 1], hi[i:i + 1])[0] for i in range(lo.size)]
     assert together.tobytes() == np.array(alone).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-300, 1.001e-300),
+                                    (np.array([1e-300, 0.01]), np.array([1.001e-300, 0.011]))])
+def test_kernel_refuses_an_integrand_past_e700(lo, hi):
+    # t^-3 on (1e-300, 1.001e-300) is about 1e900: its Gauss-Legendre nodes overflow, and
+    # quad's integrand passes e^700, where it used to be clamped to a finite, wrong value
+    with pytest.raises(FloatingPointError, match=r"PowerLog\(a=-3\.0, b=0\.0, g=0\.0\) "
+                                                 r"passes e\^700 on the panel t in \(1e-300, "
+                                                 r"1\.001e-300\)"):
+        PowerLog(-3.0).integral_dt_over_t(lo, hi)

@@ -11,8 +11,9 @@ from oscembed import (PowerLog, StepDecreasing, collapse_sweep, diagnostics, emb
                       grid_space, lorentz_zygmund, lp, modulus_profile, quasi_norm,
                       rearrangement, space_from_points, target_norm_check, tent_function,
                       weights)
+from oscembed.weights import power_roots
 
-from _oracles import mp_power_log_integral, nabla
+from _oracles import mp_power_log_integral, mp_power_root, nabla
 
 
 def _exponents(draw):
@@ -85,12 +86,67 @@ def test_integral_dt_over_t_matches_mpmath(case):
 @given(integral_batches())
 @example((-0.5, 1.0, 1.0, [(1e-3, 0.5), (0.5, 0.5), (0.2, 3.0)]))
 @example((1.0, -3.0, 0.0, [(0.0, 1e-6), (0.0, 0.0), (1e-9, 1e-6)]))
+@example((2.2250738585072014e-308, 0.0, 1.0, [(0.0, 10.0)]))  # an integrand past e^700
 def test_integral_dt_over_t_on_arrays_equals_its_scalar_calls(case):
     a, b, g, panels = case
     lo, hi = np.array(panels).T
-    got = PowerLog(a, b, g).integral_dt_over_t(lo, hi)
+    try:
+        got = PowerLog(a, b, g).integral_dt_over_t(lo, hi)
+    except FloatingPointError:  # refused: so is one of its scalar calls
+        with pytest.raises(FloatingPointError):
+            for lo_i, hi_i in panels:
+                PowerLog(a, b, g).integral_dt_over_t(lo_i, hi_i)
+        return
     want = [PowerLog(a, b, g).integral_dt_over_t(lo_i, hi_i) for lo_i, hi_i in panels]
     assert got.tobytes() == np.array(want).tobytes()
+
+
+# -- q-th power sums -----------------------------------------------------------------------
+
+
+@st.composite
+def power_pairs(draw, max_pairs=1):
+    """(pairs, q): bases spanning 1e-300 to 1e300 (some 0), factors 1e-3 to 1e3, q to 1e4.
+
+    Every root lies within 1e-306 to 1e306, so none leaves the float range.
+    """
+    q = draw(st.floats(0.5, 1e4))
+    pairs = []
+    for _ in range(draw(st.integers(1, max_pairs))):
+        n = draw(st.integers(1, 8))
+        base = [0.0 if draw(st.integers(0, 5)) == 0 else 10.0 ** draw(st.floats(-300.0, 300.0))
+                for _ in range(n)]
+        factor = [10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(n)]
+        pairs.append((np.array(base), np.array(factor)))
+    return pairs, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(power_pairs(max_pairs=6))
+@example(([(np.array([0.1, 0.05]), np.array([1.0, 1.0])), (np.array([2.0]), np.array([1.0]))],
+          400.0))  # a pair in logs beside a direct one
+def test_power_roots_gives_each_pair_its_value_alone_bitwise(case):
+    pairs, q = case
+    together = power_roots(pairs, q)
+    alone = [power_roots([pair], q)[0] for pair in pairs]
+    assert np.array(together).tobytes() == np.array(alone).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(power_pairs())
+@example(([(np.array([1e-300, 1e300, 0.0]), np.array([1e3, 1e-3, 1.0]))], 1e4))
+@example(([(np.array([0.0, 0.0]), np.array([1.0, 2.0]))], 3.0))  # every term 0
+def test_power_roots_match_mpmath(case):
+    (pair,), q = case
+    (got,) = power_roots([pair], q)
+    assert got == pytest.approx(float(mp_power_root(*pair, q)), rel=1e-12, abs=0.0)
+
+
+def test_power_roots_refuses_a_positive_base_with_an_infinite_factor():
+    with pytest.raises(FloatingPointError, match="at q = 2.0 has a term"):
+        power_roots([(np.array([1.0, 0.5]), np.array([1.0, math.inf]))], 2.0)
+    # a zero base adds nothing, whatever its factor
+    assert power_roots([(np.array([1.0, 0.0]), np.array([4.0, math.inf]))], 2.0) == [2.0]
 
 
 def test_lorentz_zygmund_norm_of_a_tiny_panel_is_exact():

@@ -97,6 +97,16 @@ def test_a_weight_that_is_not_a_number_is_refused():
         rearrangement_from_weights([1.0, 2.0], [math.nan, 1.0])
 
 
+@pytest.mark.parametrize("f, weights, message", [
+    ([2.0, 1.0], [1.0, math.inf], "a row's mass is not finite: a run of tied values has mass inf"),
+    ([1.0, 1.0], [1e308, 1e308], "a row's mass is not finite: a run of tied values has mass inf"),
+    ([2.0, 1.0], [1e308, 1e308], "a row's mass is not finite: it overflows"),
+], ids=["infinite weight", "tied run overflows", "row total overflows"])
+def test_a_mass_that_is_not_finite_is_refused(f, weights, message):
+    with pytest.raises(DomainError, match=message):
+        rearrangement_from_weights(f, weights)
+
+
 @pytest.mark.parametrize("breakpoints, values, message", [
     ([math.nan, 2.0], [2.0, 1.0], "breakpoints must be strictly increasing and positive"),
     ([1.0, math.nan], [2.0, 1.0], "breakpoints must be strictly increasing and positive"),

@@ -226,6 +226,33 @@ def test_homogeneity(spec):
         assert a == pytest.approx(b, rel=1e-8)
 
 
+# f = (0.1, 0.05, 0.02, 0.01, 0, 0, 0, 0) on the unit path, whose 400th powers underflow
+F_SMALL = np.array([0.1, 0.05, 0.02, 0.01, 0.0, 0.0, 0.0, 0.0])
+
+
+def _power_sum_specs(r):
+    return [lp(r), lorentz(1.5, r), lorentz_zygmund(1.5, r, 0.5), lambda_w(r, PowerLog(0.0, 1.0))]
+
+
+@pytest.mark.parametrize("spec, want", zip(_power_sum_specs(400.0), [
+    0.1, 0.098613205966395361, 0.098945705908586133, 0.10017343702346959]),
+    ids=["lp", "lorentz", "lorentz_zygmund", "lambda_w"])
+def test_exponent_400_norms_match_mpmath(spec, want):
+    got = quasi_norm(spec, rearrangement(path_space(8), F_SMALL))
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [-1000, -500, 500, 900])
+@pytest.mark.parametrize("r", [2.0, 16.0, 400.0])
+def test_homogeneity_where_the_powers_saturate(r, k):
+    """|2^k f| = 2^k |f| exactly, where (2^k f)^r leaves the float range: no silent 0 or inf."""
+    sp = path_space(8)
+    for spec in _power_sum_specs(r):
+        scaled = quasi_norm(spec, rearrangement(sp, F_SMALL * 2.0**k))
+        assert scaled == pytest.approx(2.0**k * quasi_norm(spec, rearrangement(sp, F_SMALL)),
+                                       rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS + [lorentz_zygmund(1.5, math.inf, 0.5),
                                    convexify(marcinkiewicz(PowerLog(0.5)), 2.0)],
                          ids=lambda s: s.label())

@@ -15,10 +15,11 @@ from scipy.sparse import vstack
 from oscembed import (DomainError, GradientField, ModulusProfile, besov_seminorm,
                       convexify, grid_space, hajlasz_seminorm_l1, lp, modulus_profile,
                       path_space, quasi_norm, rearrangement, space_from_matrix)
-from oscembed import SolverError, smoothness, space_from_graph, space_from_points
+from oscembed import SolverError, smoothness, space_from_graph, space_from_points, weights
 from oscembed.embed import oscillation_gradient_constant
 from oscembed.smoothness import besov_from_profile, k_bounds_path, k_functional_path
 from oscembed.space import diagnostics
+from oscembed.weights import power_roots
 
 from _oracles import (canonical_gradient, critical_radii, full_pair_gradient_seminorm,
                       full_pair_k_functional, hajlasz_seminorm_upper, hajlasz_vertex_oracle,
@@ -180,15 +181,19 @@ def test_besov_scale_sum_equals_an_mpmath_sum(profile, s, q):
 
 @pytest.mark.parametrize("q, fallback", [(1.0, False), (2.0, False), (3000.0, True)])
 def test_besov_scale_sum_keeps_the_direct_sum_unless_a_power_saturates(q, fallback):
-    profile = ModulusProfile(np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.8, 1.3]), 1.6)
-    with mock.patch.object(smoothness, "_scale_sum_in_logs",
-                           wraps=smoothness._scale_sum_in_logs) as in_logs:
+    # the tail's base is 2 r_last^-s = 2^(1/2), whose 3000th power overflows
+    profile = ModulusProfile(np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.8, 1.3]), 2.0)
+    with mock.patch.object(weights, "_power_root_in_logs",
+                           wraps=weights._power_root_in_logs) as in_logs:
         got = besov_from_profile(profile, 0.5, q)
     assert in_logs.called == fallback
-    sq, r, v = 0.5 * q, profile.radii, profile.values
+    # the bases v_i r_i^-s and T r_last^-s, the factors (1 - (r_i/r_{i+1})^sq)/sq and 1/sq
+    sq, r = 0.5 * q, profile.radii
+    bases = np.array([0.0, 0.8, 2.0]) * r ** -0.5
+    factors = np.append(-np.expm1(sq * np.log(r[:-1] / r[1:])), 1.0) / sq
+    assert got == power_roots([(bases, factors)], q)[0]
     if not fallback:  # bitwise the direct sum
-        inner = float(np.sum(v[:-1] ** q * (r[:-1] ** (-sq) - r[1:] ** (-sq)))) / sq
-        assert got == float((inner + 1.6 ** q * r[-1] ** (-sq) / sq) ** (1.0 / q))
+        assert got == float(bases**q @ factors) ** (1.0 / q)
 
 
 def test_besov_seminorm_is_a_python_float():
