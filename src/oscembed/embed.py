@@ -48,10 +48,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .rearrange import StepDecreasing, ranking, rearrangement, sum_plus_linf_norm
+from .rearrange import StepDecreasing, StepRows, ranking, rearrangement, sum_plus_linf_norm
 from .rispace import (RISpaceSpec, convexify, fundamental_powerlog, lorentz_zygmund)
-from .smoothness import (DEFAULT_GRID_RATIO, ProfileAverages, besov_from_profile,
-                         besov_seminorm, hajlasz_seminorm_l1)
+from .smoothness import (DEFAULT_GRID_RATIO, ProfileAverages, _profile_radii,
+                         besov_from_profile, besov_seminorm, hajlasz_seminorm_l1)
 from .space import Space, noncollapsing_constant
 from .weights import PowerLog, power_roots
 
@@ -74,16 +74,26 @@ def oscillation_functional(fstar: StepDecreasing, spec: RISpaceSpec, alpha: floa
     """Weighted dt/t norm of the oscillation gap over (0, min(1, mass)) of f, from fstar = f*.
 
     Exact per-panel evaluation: on each breakpoint-free panel the gap is
-    D/t, so the integrand is a power-log function of t.
+    D/t, so the integrand is a power-log function of t.  A batch of one
+    (_oscillation_functionals).
     """
+    return _oscillation_functionals(fstar.rows(), spec, alpha, s, q, q_dim)[0]
+
+
+def _oscillation_functionals(fstars: StepRows, spec: RISpaceSpec, alpha: float, s: float,
+                             q: float, q_dim: float) -> list[float]:
+    """oscillation_functional of each row of fstars, the panels of all rows in one kernel call."""
     if not (0.0 < s < 1.0 and q > 0.0 and 0.0 < alpha <= 1.0):
         raise DomainError("need 0 < s < 1, q > 0, 0 < alpha <= 1")
     w_pl = _oscillation_weight(spec, alpha, s, q_dim)
-    lo, hi, _v, gap = np.array(fstar.power(alpha).panels(min(1.0, fstar.mass))).T
-    gap = np.maximum(gap, 0.0)  # a rounded-negative gap is a skipped panel, as a zero one
+    powered = fstars.power(alpha)
+    lo, hi, _v, gap = powered.panels(np.minimum(1.0, powered.mass))
+    # a rounded-negative gap is a skipped panel, as a zero one
+    base = np.maximum(gap, 0.0) ** (1.0 / alpha)
     if math.isinf(q):
-        return (PowerLog(-1.0 / alpha) * w_pl).panel_max(lo, hi, gap ** (1.0 / alpha))
-    return ((w_pl**q) * PowerLog(-q / alpha)).panel_norms([(lo, hi, gap ** (1.0 / alpha))], q)[0]
+        weight = PowerLog(-1.0 / alpha) * w_pl
+        return [weight.panel_max(*row) for row in zip(lo, hi, base)]
+    return ((w_pl**q) * PowerLog(-q / alpha)).panel_norms(lo, hi, base, q)
 
 
 # -- embedding reports ---------------------------------------------------------------------
@@ -238,7 +248,7 @@ def weighted_step_norm(fstar: StepDecreasing, w: PowerLog, q: float) -> float:
     lo, hi = fstar.edges[:-1], np.minimum(fstar.edges[1:], 1.0)
     if math.isinf(q):
         return w.panel_max(lo, hi, fstar.values)
-    return (w**q).panel_norms([(lo, hi, fstar.values)], q)[0]
+    return (w**q).panel_norms(lo[None], hi[None], fstar.values[None], q)[0]
 
 
 def _gauge_table(spec, alpha, s, q, q_dim, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -512,16 +522,21 @@ def collapse_sweep(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: flo
 
     Scaling leaves the metric, the radius grid, every ball average and every
     sort order alone; only the masses change.  So the scaled spaces share the
-    space's sorted rows (Space.scale_weights), and each function's ball
+    space's sorted rows (Space.scale_weights), the radius grid's ball sizes
+    are counted once per sweep (_profile_radii), and each function's ball
     averages and its own order are taken once, under the unscaled weights
     (ProfileAverages, ranking); ProfileAverages ranks only the distinct rows
     of averages, one per run of radii whose balls hold the same points.  The
-    rankings check f once; the step functions they build per eps are valid by
-    construction and are not checked again.  Per eps, only the masses in
-    those orders, the quasi-norms of the distinct rows, the scale sum and the
-    oscillation functional are redone, one function at a time.  The
-    oscillation functional's weight has a < 0, and its narrow panels take the
-    Gauss-Legendre rule of weights.py (path 3).
+    rankings check f once; the step functions they build are valid by
+    construction and are not checked again.  Then each function is one batch
+    over every eps: its f* under all the weight scales (one Ranking.rows
+    call), the quasi-norms of its distinct rows under all of them (one
+    quasi_norms call, so one panel-kernel call for the Lorentz-Zygmund and
+    Lambda_w families), and the oscillation functional of all its f* (one
+    panel-kernel call); the scale sums and the split norms follow per eps.
+    The oscillation functional's weight has a < 0, and its narrow panels take
+    the Gauss-Legendre rule of weights.py (path 3).  A batch per function, not
+    per sweep, keeps the kernel's temporaries to one function's panels.
     The averages differ from the scaled space's at rounding unless eps is a
     power of 2; b and the other steps are bitwise embedding_report's.  Each
     eps's constant follows _finish_report's rules.
@@ -531,17 +546,14 @@ def collapse_sweep(space: Space, corpus, spec: RISpaceSpec, alpha: float, s: flo
         scaled = space.scale_weights(float(eps))
         weights.append(scaled.weight)
         bs.append(noncollapsing_constant(scaled))
+    radii = _profile_radii(space, ratio)
     pairs = []  # pairs[k][e]: (lhs, rhs) of function k under eps_list[e]
     for f in corpus:
-        order = ranking(space, f)
-        averages = ProfileAverages(space, f, alpha, ratio)
-        row = []
-        for weight in weights:
-            fstar = order.steps(weight)[0]
-            lhs = oscillation_functional(fstar, spec, alpha, s, q, q_dim)
-            row.append((lhs, besov_from_profile(averages.profile(weight, spec), s, q)
-                        + sum_plus_linf_norm(fstar, alpha)))
-        pairs.append(row)
+        fstars = ranking(space, f).rows(weights)
+        lhs = _oscillation_functionals(fstars, spec, alpha, s, q, q_dim)
+        profiles = ProfileAverages(space, f, alpha, radii).profile(weights, spec)
+        pairs.append([(lhs_e, besov_from_profile(profile, s, q) + sum_plus_linf_norm(fstar, alpha))
+                      for lhs_e, profile, fstar in zip(lhs, profiles, fstars.steps())])
     params = {"spec": spec.label(), "alpha": alpha, "s": s, "q": q, "Q": q_dim}
     return [(float(eps), b, _finish_report("k1", range(len(pairs)), None,
                                            lambda k, e=e: pairs[k][e], params))

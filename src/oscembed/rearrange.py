@@ -18,14 +18,21 @@ and prefix[i] = int_0^{edges[i]}.  Its r.i. norms are sums (or maxima) over
 the panels (edges[i], edges[i+1]) of a coefficient times a power-log weight
 integral (or supremum), which weights.PowerLog.panel_norms / panel_max evaluate.
 
-rearrangement_rows rearranges every row of a matrix in one batch: one stable
-argsort, one add.reduceat for the tie groups of all rows, and the breakpoints,
-edges and prefix integrals as cumulative sums along rows padded past their
-last step.  The argsort and the tie groups depend on the values alone, so a
-Ranking keeps them and rearranges the same rows under another measure with
-only the add.reduceat and the cumulative sums.  Input is checked where it
-enters, by Ranking: f finite, and every run of tied values and every row of
-positive, finite mass.
+Many step functions at once are StepRows: the rows of padded matrices of
+breakpoints and values, with each row's count of steps.  Past its count a
+row's values are 0 and its breakpoints repeat its mass, so every padding
+panel has width 0 and value 0, and the edges and prefix integrals of all rows
+are cumulative sums along rows, each with the bits of its row alone.  The
+batch paths (the panel kernel's norms, powers, the oscillation panels) read
+the matrices directly; a StepDecreasing is built from a row only where a
+caller needs one, and a single StepDecreasing is a batch of one (rows()).
+
+Ranking rearranges every row of a matrix in one batch: one stable argsort,
+and the runs of tied values of all rows.  Both depend on the values alone, so
+a Ranking rearranges the same rows under any list of measures with one
+add.reduceat of the weights and the cumulative sums, as one StepRows.  Input
+is checked where it enters, by Ranking: f finite, and every run of tied
+values and every row of positive, finite mass.
 What it builds from such input is a valid step function by construction (|f|
 sorted, ties merged, steps of width 0 dropped) and is not checked again.
 Each row's step function is bitwise the one it gets alone; a single function
@@ -38,6 +45,7 @@ is computed from the powered step function directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,16 +75,9 @@ class StepDecreasing:
             raise DomainError(_BAD_VALUES)
         self._set(bp, vals, *_tabulated(bp, vals))
 
-    @classmethod
-    def _rows(cls, breakpoints, values, counts) -> list["StepDecreasing"]:
-        """The step function of each padded row, unchecked: its first counts[i] columns."""
-        edges, prefix = _tabulated(breakpoints, values)
-        steps = []
-        for k, bp, vals, e, pre in zip(counts.tolist(), breakpoints, values, edges, prefix):
-            step = object.__new__(cls)
-            step._set(bp[:k], vals[:k], e[:k + 1], pre[:k + 1])
-            steps.append(step)
-        return steps
+    def rows(self) -> "StepRows":
+        """This step function as a batch of one."""
+        return StepRows(self.breakpoints[None], self.values[None], np.array([self.values.size]))
 
     def _set(self, bp, vals, edges, prefix) -> None:
         for name, arr in (("breakpoints", bp), ("values", vals), ("edges", edges),
@@ -114,31 +115,104 @@ class StepDecreasing:
         """Step function of the pointwise alpha-th power (exact for rearrangements).
 
         In floating point neighbouring steps may reach one value (tiny values
-        underflow to 0); such runs merge into one step.
+        underflow to 0); such runs merge into one step (StepRows.power).
         """
-        if not alpha > 0.0:
-            raise DomainError("power exponent must be positive")
-        vals = self.values**alpha
-        keep = np.concatenate([vals[:-1] != vals[1:], [True]])
-        bp, vals = self.breakpoints[keep], vals[keep]
-        return StepDecreasing._rows(bp[None], vals[None], np.array([bp.size]))[0]
+        return self.rows().power(alpha).steps()[0]
 
     def panels(self, upper: float):
-        """(lo, hi, value, gap_const) per breakpoint-free panel of (0, upper].
+        """(lo, hi, value, gap_const) per breakpoint-free panel of (0, upper] (StepRows.panels).
 
         On each panel the running average minus the step value equals
         gap_const / t.  A trailing panel with value 0 covers (mass, upper]
         when upper exceeds the represented mass.
         """
-        k = min(int(np.searchsorted(self.edges, upper)), self.values.size)  # lo < upper
-        lo = self.edges[:k]
-        hi = np.minimum(self.edges[1:k + 1], upper)
-        vals = self.values[:k]
-        out = list(zip(lo.tolist(), hi.tolist(), vals.tolist(),
-                       (self.prefix[:k] - vals * lo).tolist()))
-        if upper > self.mass:
-            out.append((self.mass, upper, 0.0, float(self.prefix[-1])))
-        return out
+        lo, hi, vals, gap = (a[0] for a in self.rows().panels(upper))
+        live = hi > lo
+        return list(zip(*(a[live].tolist() for a in (lo, hi, vals, gap))))
+
+
+class StepRows:
+    """Decreasing step functions as the rows of padded matrices (see the module docstring).
+
+    Row i's steps are the first counts[i] columns of breakpoints and values;
+    past them its values are 0 and its breakpoints repeat its mass.  edges and
+    prefix are tabulated for all rows at once, on first use.
+    """
+
+    def __init__(self, breakpoints: np.ndarray, values: np.ndarray, counts: np.ndarray):
+        self.breakpoints, self.values, self.counts = breakpoints, values, counts
+
+    @cached_property
+    def _tables(self):
+        return _tabulated(self.breakpoints, self.values)
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self._tables[0]
+
+    @property
+    def prefix(self) -> np.ndarray:
+        return self._tables[1]
+
+    @property
+    def mass(self) -> np.ndarray:
+        """Each row's represented mass."""
+        return self.breakpoints[:, -1]
+
+    def steps(self) -> list[StepDecreasing]:
+        """The step function of each row, unchecked: its first counts[i] columns."""
+        steps = []
+        for k, bp, vals, e, pre in zip(self.counts.tolist(), self.breakpoints, self.values,
+                                       self.edges, self.prefix):
+            step = object.__new__(StepDecreasing)
+            step._set(bp[:k], vals[:k], e[:k + 1], pre[:k + 1])
+            steps.append(step)
+        return steps
+
+    def _without(self, drop: np.ndarray) -> "StepRows":
+        """The rows without the steps where drop holds, padded again; drop is False past counts."""
+        if not drop.any():
+            return self
+        breakpoints, values = self.breakpoints.copy(), self.values.copy()
+        counts = self.counts.copy()
+        for i in np.flatnonzero(drop.any(axis=1)).tolist():
+            kept = np.flatnonzero(~drop[i, :counts[i]])
+            k = counts[i] = kept.size
+            breakpoints[i, :k], values[i, :k] = breakpoints[i, kept], values[i, kept]
+            breakpoints[i, k:], values[i, k:] = breakpoints[i, k - 1], 0.0
+        return StepRows(breakpoints, values, counts)
+
+    def power(self, alpha: float) -> "StepRows":
+        """The rows' pointwise alpha-th powers, each row bitwise its own alone.
+
+        Neighbouring steps that reach one value merge into one step: the last
+        of each run keeps its breakpoint.
+        """
+        if not alpha > 0.0:
+            raise DomainError("power exponent must be positive")
+        vals = self.values**alpha
+        cols = np.arange(vals.shape[1] - 1)
+        same = (vals[:, :-1] == vals[:, 1:]) & (cols < self.counts[:, None] - 1)
+        drop = np.concatenate([same, np.zeros((vals.shape[0], 1), dtype=bool)], axis=1)
+        return StepRows(self.breakpoints, vals, self.counts)._without(drop)
+
+    def panels(self, upper):
+        """(lo, hi, value, gap_const) matrices of the rows' panels of (0, upper_i], upper_i per row.
+
+        Column j < counts[i] is step j of row i cut at upper_i; it is a panel
+        where hi > lo, that is where its left edge lies below upper_i, and on
+        it the running average minus the step value equals gap_const / t.  The
+        last column is (mass_i, upper_i] with value 0, a panel where upper_i
+        exceeds the mass.  Padding columns have hi <= lo.
+        """
+        upper = np.broadcast_to(np.asarray(upper, dtype=float), self.mass.shape)[:, None]
+        edges, prefix, mass = self.edges, self.prefix, self.mass[:, None]
+        lo = edges[:, :-1]
+        zero = np.zeros(mass.shape)
+        return (np.concatenate([lo, mass], axis=1),
+                np.concatenate([np.minimum(edges[:, 1:], upper), upper], axis=1),
+                np.concatenate([self.values, zero], axis=1),
+                np.concatenate([prefix[:, :-1] - self.values * lo, prefix[:, -1:]], axis=1))
 
 
 _EMPTY = "breakpoints and values must be nonempty and aligned"
@@ -163,16 +237,16 @@ class Ranking:
 
     One stable argsort of |f| by decreasing value, and the runs of equal
     values that merge into single steps, depend on the values only.
-    steps(weights) does the rest under one set of atomic weights: one
-    add.reduceat of the weights in that order over all rows' runs, and the
-    breakpoints as cumulative sums along rows padded with zero weights.  So a
-    family of measures, such as the multiples of one, ranks each matrix once.
-    Where weights span more than 2^53, a light run's mass can vanish in a
-    cumulative sum; its step then has width 0, and steps drops it from that row.
-    The input rule: f finite, with at least one column, and weights that give
-    every run a positive mass and every row a finite one (steps refuses NaN
-    too).  The step functions built from input that keeps it are valid by
-    construction, and unchecked.
+    rows(weights) does the rest under a list of measures: one add.reduceat
+    of each measure's weights in that order over all rows' runs, and the
+    breakpoints as cumulative sums along rows padded with zero weights, as one
+    StepRows.  So a family of measures, such as the multiples of one, ranks
+    each matrix once.  Where weights span more than 2^53, a light run's mass
+    can vanish in a cumulative sum; its step then has width 0, and rows drops
+    it from that row.  The input rule: f finite, with at least one column, and
+    weights that give every run a positive mass and every row a finite one
+    (rows refuses NaN too).  The step functions built from input that keeps it
+    are valid by construction, and unchecked.
     """
 
     def __init__(self, f):
@@ -194,28 +268,29 @@ class Ranking:
         self.values[self.slots] = fv[new]
         self.values.setflags(write=False)
 
-    def steps(self, weights) -> list[StepDecreasing]:
-        """The decreasing rearrangement of every row under the weights, each bitwise its own."""
-        fw = np.asarray(weights, dtype=float)[self.order]
+    def rows(self, weights) -> StepRows:
+        """The decreasing rearrangement of every row under each measure of weights, as StepRows.
+
+        weights is a list of m measures on the points; row e R + i of the
+        result is row i under weights[e], and each is bitwise its own alone.
+        """
+        fw = np.asarray(weights, dtype=float).reshape(-1, self.order.shape[1])[:, self.order]
+        m = fw.shape[0]
         with np.errstate(over="ignore"):  # a mass that is not finite is refused below
-            runs = np.add.reduceat(fw.ravel(), self.starts)
-            masses = np.zeros(self.values.shape)
-            masses[self.slots] = runs
+            runs = np.add.reduceat(fw.reshape(m, -1), self.starts, axis=1)
+            masses = np.zeros((m,) + self.values.shape)
+            masses[:, self.slots[0], self.slots[1]] = runs
+            masses = masses.reshape(-1, self.values.shape[1])
             breakpoints = np.cumsum(masses, axis=1)
         if not np.all(runs > 0.0):  # NaN fails too
             raise DomainError(_BAD_BREAKPOINTS)
         if not np.isfinite(breakpoints[:, -1]).all():  # an infinite run's row total is inf too
             raise DomainError("a row's mass is not finite: " + (
                 "a run of tied values has mass inf" if np.isinf(runs).any() else "it overflows"))
-        lost = (np.diff(breakpoints, axis=1) == 0.0) & (masses[:, 1:] > 0.0)  # padding has mass 0
-        if not lost.any():
-            return StepDecreasing._rows(breakpoints, self.values, self.counts)
-        values, counts = self.values.copy(), self.counts.copy()
-        for i in np.flatnonzero(lost.any(axis=1)).tolist():
-            kept = np.flatnonzero(~lost[i, :counts[i] - 1]) + 1  # the steps after the first
-            k = counts[i] = kept.size + 1
-            breakpoints[i, 1:k], values[i, 1:k] = breakpoints[i, kept], values[i, kept]
-        return StepDecreasing._rows(breakpoints, values, counts)
+        lost = np.zeros(masses.shape, dtype=bool)  # a step of mass > 0 and width 0; padding has 0
+        lost[:, 1:] = (np.diff(breakpoints, axis=1) == 0.0) & (masses[:, 1:] > 0.0)
+        return StepRows(breakpoints, np.tile(self.values, (m, 1)),
+                        np.tile(self.counts, m))._without(lost)
 
 
 def rearrangement_rows(f, weights) -> list[StepDecreasing]:
@@ -225,7 +300,7 @@ def rearrangement_rows(f, weights) -> list[StepDecreasing]:
     which refuses a non-finite f and a run of mass that is not positive.
     Each row's step function is bitwise the one the row gets alone.
     """
-    return Ranking(f).steps(weights)
+    return Ranking(f).rows([weights]).steps()
 
 
 def rearrangement_from_weights(f, weights) -> StepDecreasing:

@@ -31,7 +31,7 @@ from scipy.optimize import brentq
 
 from .errors import (DomainError, EvaluationError, PreconditionError, SymbolicAnalysisError,
                      read_key, require_keys)
-from .rearrange import StepDecreasing
+from .rearrange import StepDecreasing, StepRows
 from .weights import OrliczFunction, PowerLog, bounded_max_search, power_roots
 
 
@@ -213,8 +213,8 @@ def _norm_lorentz(p: float, q: float, fstar: StepDecreasing) -> float:
     return power_roots([(fstar.values * fstar.breakpoints ** (1.0 / p), factor)], q)[0]
 
 
-def _panel_norms(spec: RISpaceSpec, fstars: list) -> list[float]:
-    """The finite-exponent Lorentz-Zygmund or Lambda_w norms of fstars, from one kernel call.
+def _panel_norms(spec: RISpaceSpec, rows: StepRows) -> list[float]:
+    """The finite-exponent Lorentz-Zygmund or Lambda_w norms of the rows, from one kernel call.
 
     Lorentz-Zygmund: (int (t^(1/p) (1 + ln+ 1/t)^beta f*)^r dt/t)^(1/r).
     Lambda_w: int (f*)^q w(t) dt = int (f*)^q t w(t) dt/t, to the 1/q.
@@ -223,7 +223,7 @@ def _panel_norms(spec: RISpaceSpec, fstars: list) -> list[float]:
         weight = PowerLog(1.0 / spec.p, spec.beta) ** spec.q
     else:
         weight = spec.weight * PowerLog(1.0)
-    return weight.panel_norms([(fs.edges[:-1], fs.edges[1:], fs.values) for fs in fstars], spec.q)
+    return weight.panel_norms(rows.edges[:, :-1], rows.edges[:, 1:], rows.values, spec.q)
 
 
 def _norm_marcinkiewicz(phi, fstar: StepDecreasing) -> float:
@@ -295,31 +295,29 @@ def _norm(spec: RISpaceSpec, fstar: StepDecreasing) -> float:
     raise DomainError(f"unknown family {fam!r}")
 
 
-def quasi_norms(spec: RISpaceSpec, fstars) -> list[float]:
-    """The spec's quasi-norm of each rearranged step function of fstars.
+def quasi_norms(spec: RISpaceSpec, rows: StepRows) -> list[float]:
+    """The spec's quasi-norm of each rearranged step function of rows (rearrange.StepRows).
 
     The finite-exponent Lorentz-Zygmund and Lambda_w norms of all of them come
-    from one call of the panel kernel, whose panels do not see each other, so
-    each value is bitwise the one quasi_norm gives alone.  The other families
-    are evaluated one step function at a time.
+    from one call of the panel kernel on the padded matrices, whose panels do
+    not see each other, so each value is bitwise the one quasi_norm gives
+    alone; a row of zeros has no live panel, and norm 0.  The other families
+    are evaluated one step function at a time, and 0 on a row of zeros.
     """
     r = spec.convexify_power
-    bases = {k: fs if r == 1.0 else fs.power(r)
-             for k, fs in enumerate(fstars) if float(fs.values.max()) != 0.0}
+    powered = rows if r == 1.0 else rows.power(r)
     if spec.family == "lambda_w" or (spec.family == "lorentz_zygmund"
                                      and math.isfinite(spec.q)):
-        vals = _panel_norms(spec, list(bases.values()))
+        vals = _panel_norms(spec, powered)
     else:
-        vals = [_norm(spec, fs) for fs in bases.values()]
-    out = [0.0] * len(fstars)
-    for k, val in zip(bases, vals):
-        out[k] = val ** (1.0 / r) if r != 1.0 else val
-    return out
+        nonzero = (rows.values[:, 0] != 0.0).tolist()
+        vals = [_norm(spec, fs) if live else 0.0 for fs, live in zip(powered.steps(), nonzero)]
+    return vals if r == 1.0 else [val ** (1.0 / r) for val in vals]
 
 
 def quasi_norm(spec: RISpaceSpec, fstar: StepDecreasing) -> float:
     """Evaluate the spec's quasi-norm on a rearranged step function: a batch of one."""
-    return quasi_norms(spec, [fstar])[0]
+    return quasi_norms(spec, fstar.rows())[0]
 
 
 # -- fundamental functions -----------------------------------------------------------

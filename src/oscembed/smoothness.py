@@ -10,13 +10,15 @@ _Moduli, that takes all radii of one function as a batch, in two steps.  The
 first does not depend on the scale of the measure: it forms |f(x) - f(y)|^a
 once, takes the ball averages at every radius, in increasing order, from the
 space's one ball index (one cumulative sum along its sorted rows, read at
-each radius's ball sizes), and ranks the distinct rows of that (radii x
-points) matrix.  The second, at(weight, spec), rearranges those rows in one
-pass under the weights and evaluates all their quasi-norms together, the
-Lorentz-Zygmund and Lambda_w ones in one call of the panel kernel.  A profile
-keeps its _Moduli (ProfileAverages), so the collapse sweep redoes only the
-second step per weight scale; a K-bound takes one _Moduli of the radii of all
-its t.  The batch gives every radius the bits it gets alone.  On a finite
+each radius's ball sizes, which a _Radii counts once for any number of
+functions), and ranks the distinct rows of that (radii x points) matrix.
+The second, at(weights, spec), rearranges those rows under every measure of
+a list in one pass and evaluates all their quasi-norms, for all the measures,
+together: the Lorentz-Zygmund and Lambda_w ones in one call of the panel
+kernel.  A profile keeps its _Moduli (ProfileAverages), so the collapse
+sweep does the second step once per function, for all its weight scales at
+once; a K-bound takes one _Moduli of the radii of all its t.  The batch gives
+every radius, under every measure, the bits it gets alone.  On a finite
 space the modulus is piecewise constant in r (balls only change at pairwise
 distances), is identically 0 for r <= the smallest positive distance (balls
 are singletons), and is constant once r exceeds the diameter (every ball is
@@ -82,9 +84,10 @@ _SEED_PAIRS = 3  # per point: its steepest pairs and its nearest neighbours seed
 # -- ball averages ------------------------------------------------------------------
 
 
-def _ball_averages(space: Space, values: np.ndarray, radii, alpha: float) -> np.ndarray:
-    """(R x n) ball means of values[x, y] over y in B(x, r), to the power 1/alpha."""
-    return space.balls.means(values, radii) ** (1.0 / alpha)
+def _ball_averages(space: Space, values: np.ndarray, counts, alpha: float) -> np.ndarray:
+    """(R x n) ball means of values[x, y] over y in B(x, r), to the power 1/alpha, one row per
+    radius r of the (n x R) ball sizes counts = space.metric.counts(radii)."""
+    return space.balls.means(values, counts) ** (1.0 / alpha)
 
 
 def _check_ball_args(r: float, alpha: float) -> None:
@@ -94,47 +97,64 @@ def _check_ball_args(r: float, alpha: float) -> None:
         raise DomainError("alpha must lie in (0, 1]")
 
 
-def _averages(space: Space, f, radii, alpha: float) -> np.ndarray:
-    """(R x n) ball averages grad_[r, a] f, one row per r of radii, in one pass."""
-    _check_ball_args(min(radii), alpha)
+class _Radii:
+    """Radii, their increasing order and every point's ball size at each, in that order: what
+    no f or weight changes.
+
+    One binary search per row of the metric index counts the points of every
+    ball at every radius.  Scaling the weights leaves the metric alone, so
+    one _Radii serves every function of a sweep and every weight scale.
+    """
+
+    def __init__(self, space: Space, radii):
+        self.radii = np.asarray(radii, dtype=float)
+        self.order = np.argsort(self.radii, kind="stable")
+        self.counts = space.metric.counts(self.radii[self.order])
+
+
+def _averages(space: Space, f, counts: np.ndarray, alpha: float) -> np.ndarray:
+    """(R x n) ball averages grad_[r, a] f, one row per radius of the ball sizes counts, in one
+    pass."""
     f = np.asarray(f, dtype=float)
-    return _ball_averages(space, np.abs(f[:, None] - f[None, :]) ** alpha, radii, alpha)
+    return _ball_averages(space, np.abs(f[:, None] - f[None, :]) ** alpha, counts, alpha)
 
 
 class _Moduli:
     """The moduli of one f at given radii, under any weights: averages and ranks taken once.
 
-    The ball averages at every radius, taken in increasing order, come from
-    one cumulative sum along the space's sorted rows, as the rows of an
-    (R x n) matrix.  A row that equals the row before it, bitwise, is not
+    The ball averages at every radius of a _Radii, taken in increasing order,
+    come from one cumulative sum along the space's sorted rows, as the rows of
+    an (R x n) matrix.  A row that equals the row before it, bitwise, is not
     kept again: rows at consecutive radii whose balls hold the same points
     are equal, and so are all rows past the diameter.  Comparing each row
     with the one before it is O(R n).  The distinct rows are ranked once, and
-    at(weight, spec) rearranges them under weight and takes all their
-    quasi-norms in one quasi_norms call (one panel-kernel call for the
-    panel-kernel families).  Each modulus is bitwise the one its radius gets
-    alone, and comes back in the order of radii.
+    at(weights, spec) rearranges them under each measure of the list weights
+    and takes all their quasi-norms, for every measure, in one quasi_norms
+    call (one panel-kernel call for the panel-kernel families).  Each modulus
+    is bitwise the one its radius gets alone under its measure alone, and
+    comes back in the order of the radii.
     """
 
-    def __init__(self, space: Space, f, radii, alpha: float):
+    def __init__(self, space: Space, f, radii: _Radii, alpha: float):
+        _check_ball_args(radii.radii.min(), alpha)
         self.alpha = alpha
-        order = np.argsort(radii, kind="stable")
-        averages = _averages(space, f, np.asarray(radii, dtype=float)[order], alpha)
+        averages = _averages(space, f, radii.counts, alpha)
         new = np.ones(averages.shape[0], dtype=bool)
         new[1:] = (averages[1:] != averages[:-1]).any(axis=1)
-        self.index = np.empty(order.size, dtype=int)
-        self.index[order] = np.cumsum(new) - 1  # the distinct row of each radius
+        self.index = np.empty(radii.order.size, dtype=int)
+        self.index[radii.order] = np.cumsum(new) - 1  # the distinct row of each radius
         self.ranking = Ranking(averages[new])
 
-    def at(self, weight: np.ndarray, spec: RISpaceSpec) -> list[float]:
-        """The modulus at each radius under weight: the spec's quasi-norm of its rearranged row."""
-        moduli = quasi_norms(convexify(spec, self.alpha), self.ranking.steps(weight))
-        return np.asarray(moduli)[self.index].tolist()
+    def at(self, weights, spec: RISpaceSpec) -> list[list[float]]:
+        """The modulus at each radius under each measure of weights, a list of measures."""
+        moduli = quasi_norms(convexify(spec, self.alpha), self.ranking.rows(weights))
+        per_measure = np.reshape(moduli, (len(weights), self.ranking.counts.size))
+        return [row[self.index].tolist() for row in per_measure]
 
 
 def _moduli(space: Space, f, radii, spec: RISpaceSpec, alpha: float) -> list:
     """The modulus at each radius, all radii in one batch (see _Moduli)."""
-    return _Moduli(space, f, radii, alpha).at(space.weight, spec)
+    return _Moduli(space, f, _Radii(space, radii), alpha).at([space.weight], spec)[0]
 
 
 # -- modulus profiles and the scale integral -------------------------------------------
@@ -178,35 +198,43 @@ def radius_grid(space: Space, ratio: float = DEFAULT_GRID_RATIO) -> np.ndarray:
     return r0 * ratio ** np.arange(n_steps + 1)
 
 
+def _profile_radii(space: Space, ratio: float) -> _Radii:
+    """modulus_profile's radius grid, then one radius past the diameter, with their ball sizes."""
+    return _Radii(space, [*radius_grid(space, ratio), 2.0 * space.diameter + 1.0])
+
+
 class ProfileAverages:
     """The _Moduli of one f on modulus_profile's radius grid and past the diameter.
 
     A ball average is the same under every multiple of the measure, which
     scales each ball's sum and its mass alike; so is the order of each row.
-    So the _Moduli of f on the grid is made once per function, and
-    profile(weight) does only what depends on the weights: it rearranges each
-    distinct row in its stored order under the weights and takes the
-    quasi-norms.
+    So the _Moduli of f on the grid is made once per function, from the
+    grid's ball sizes (_profile_radii), which no function changes, and
+    profile(weights, spec) does only what depends on the weights, for a list
+    of measures at once: it rearranges each distinct row in its stored order
+    under each measure and takes all the quasi-norms in one batch.
     """
 
-    def __init__(self, space: Space, f, alpha: float, ratio: float):
-        self.radii = radius_grid(space, ratio)
-        self.moduli = _Moduli(space, f, [*self.radii, 2.0 * space.diameter + 1.0], alpha)
+    def __init__(self, space: Space, f, alpha: float, radii: _Radii):
+        self.radii = radii.radii[:-1]
+        self.moduli = _Moduli(space, f, radii, alpha)
 
-    def profile(self, weight: np.ndarray, spec: RISpaceSpec) -> ModulusProfile:
-        """The modulus profile under weight, the space's weights times some eps > 0.
+    def profile(self, weights, spec: RISpaceSpec) -> list[ModulusProfile]:
+        """The modulus profile under each measure of weights, each the space's weights times
+        some eps > 0.
 
-        It is modulus_profile's on the scaled space, bitwise when eps is a
+        Each is modulus_profile's on the scaled space, bitwise when eps is a
         power of 2 (or 1) and to rounding otherwise, since the averages were
         taken under the unscaled weights.
         """
-        *vals, tail = self.moduli.at(weight, spec)
-        return ModulusProfile(self.radii, np.asarray(vals), tail)
+        return [ModulusProfile(self.radii, np.asarray(vals), tail)
+                for *vals, tail in self.moduli.at(weights, spec)]
 
 
 def modulus_profile(space: Space, f, spec: RISpaceSpec, alpha: float,
                     ratio: float = DEFAULT_GRID_RATIO) -> ModulusProfile:
-    return ProfileAverages(space, f, alpha, ratio).profile(space.weight, spec)
+    return ProfileAverages(space, f, alpha, _profile_radii(space, ratio)).profile(
+        [space.weight], spec)[0]
 
 
 def besov_from_profile(profile: ModulusProfile, s: float, q: float) -> float:

@@ -13,10 +13,11 @@ prefix sums in that order.  B(x, r) is the first #{y : d(x, y) < r} points of
 row x, a count that one binary search per row gives for a list of radii,
 shared or per point.  Ball masses are prefix sums read at those counts, and
 ball means of values[x, y] one cumulative sum of weight * values along the
-sorted rows read at the same counts; neither depends on which other radii
-share the call.  mu(B(x, r)) jumps only at distances from x, so suprema and
-infima over all radii are reads at each row's own sorted distances: the
-doubling constant here is the exact supremum, not an estimate.
+sorted rows read at counts the caller takes once for any number of values;
+neither depends on which other radii share the call.  mu(B(x, r)) jumps only
+at distances from x, so suprema and infima over all radii are reads at each
+row's own sorted distances: the doubling constant here is the exact
+supremum, not an estimate.
 Space.scale_weights gives the scaled space the parent's read-only distance
 matrix and metric half, so a family of re-weightings sorts the rows once.
 Readers: doubling_constant, noncollapsing_constant and Space.r_min here,
@@ -99,13 +100,14 @@ class BallIndex:
         """(R x n) masses mu(B(x, r)), one row per r of radii."""
         return self.point_masses(radii).T
 
-    def means(self, values: np.ndarray, radii) -> np.ndarray:
-        """(R x n) mu-weighted means of values[x, y] over y in B(x, r), one row per r of radii.
+    def means(self, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """(R x n) mu-weighted means of values[x, y] over y in B(x, r), one row per radius r.
 
-        One cumulative sum of weight * values along the sorted rows holds every
-        ball's sum, so each radius gets the bits it gets alone.
+        counts = metric.counts(radii) holds the balls' sizes, which a caller
+        with many values at the same radii counts once.  One cumulative sum of
+        weight * values along the sorted rows holds every ball's sum, so each
+        radius gets the bits it gets alone.
         """
-        counts = self.metric.counts(radii)
         terms = np.take_along_axis(values, self.metric.order, axis=1)
         terms *= self.sorted_weight  # in place: one n x n array fewer
         sums = np.zeros_like(self.prefix)
@@ -224,19 +226,10 @@ def _check_point_count(n: int) -> None:
         raise SpaceValidationError(f"space has {n} points, dense storage capped at {MAX_POINTS}")
 
 
-def _validate(dist: np.ndarray, weight: np.ndarray) -> None:
-    """Refuse anything but a finite metric with positive weights.
-
-    The triangle inequality is checked against the shortest-path closure of
-    dist: no distance d may exceed the shortest path between its ends by more
-    than _TRIANGLE_TOL * max(1, d).  This is stricter than checking each
-    triple on its own, since a chain of violations, each below the tolerance,
-    fails when their sum exceeds it.  The tolerance is relative beyond 1
-    because the closure sums whole chains of distances, and their rounding
-    grows with the distances: a path of 500 edges of length 0.3 comes out
-    1.1e-12 above its own closure.  A failure names the triple with the
-    largest violation at the worst pair.
-    """
+def _check_matrix(dist: np.ndarray, weight: np.ndarray) -> None:
+    """Refuse anything but a finite, symmetric distance matrix, positive off its zero diagonal,
+    with positive weights of finite total mass: every check of _validate but the triangle
+    inequality."""
     n = weight.shape[0]
     if dist.shape != (n, n):
         raise SpaceValidationError(f"distance matrix shape {dist.shape} does not match {n} weights")
@@ -258,6 +251,22 @@ def _validate(dist: np.ndarray, weight: np.ndarray) -> None:
     bad = np.argwhere((dist <= 0.0) & ~np.eye(n, dtype=bool))
     if bad.size:
         raise SpaceValidationError(f"zero/negative distance between distinct points ({bad[0, 0]}, {bad[0, 1]})")
+
+
+def _validate(dist: np.ndarray, weight: np.ndarray) -> None:
+    """Refuse anything but a finite metric with positive weights: _check_matrix, then this.
+
+    The triangle inequality is checked against the shortest-path closure of
+    dist: no distance d may exceed the shortest path between its ends by more
+    than _TRIANGLE_TOL * max(1, d).  This is stricter than checking each
+    triple on its own, since a chain of violations, each below the tolerance,
+    fails when their sum exceeds it.  The tolerance is relative beyond 1
+    because the closure sums whole chains of distances, and their rounding
+    grows with the distances: a path of 500 edges of length 0.3 comes out
+    1.1e-12 above its own closure.  A failure names the triple with the
+    largest violation at the worst pair.
+    """
+    _check_matrix(dist, weight)
     excess = (dist - shortest_path(dist, method="FW")) / np.maximum(dist, 1.0)
     if excess.max() > _TRIANGLE_TOL:
         i, k = np.unravel_index(int(excess.argmax()), excess.shape)
@@ -266,9 +275,18 @@ def _validate(dist: np.ndarray, weight: np.ndarray) -> None:
 
 
 def space_from_matrix(dist, weights) -> Space:
+    """The space of a caller's distance matrix, refused unless it is a metric (_validate)."""
     dist = np.asarray(dist, dtype=float)
     weight = np.asarray(weights, dtype=float)
     _validate(dist, weight)
+    return Space(dist, weight)
+
+
+def _metric_space(dist: np.ndarray, weights) -> Space:
+    """The space of a Euclidean or shortest-path distance matrix, a metric by construction:
+    _check_matrix refuses what it can, and the O(n^3) closure of _validate is not run."""
+    weight = np.asarray(weights, dtype=float)
+    _check_matrix(dist, weight)
     return Space(dist, weight)
 
 
@@ -276,7 +294,7 @@ def space_from_points(coords, weights) -> Space:
     coords = np.asarray(coords, dtype=float)
     _check_point_count(coords.shape[0])
     dist = squareform(pdist(coords)) if coords.shape[0] > 1 else np.zeros((coords.shape[0],) * 2)
-    return space_from_matrix(dist, weights)
+    return _metric_space(dist, weights)
 
 
 def space_from_graph(n_points: int, edges, weights) -> Space:
@@ -302,7 +320,7 @@ def space_from_graph(n_points: int, edges, weights) -> Space:
         raise SpaceValidationError("graph is disconnected: infinite shortest-path distance")
     # Dijkstra sums d(x, y) and d(y, x) along their paths in opposite orders, so
     # long edges leave the two a few ulps apart; both are lengths of real paths.
-    return space_from_matrix(np.minimum(dist, dist.T), weights)
+    return _metric_space(np.minimum(dist, dist.T), weights)
 
 
 def read_json(path: str, what: str, error: type[Exception]):

@@ -28,6 +28,14 @@ takes the first of these paths that applies:
      taken where that tail exceeds 1e-290, x_lo is a normal float and the
      difference keeps at least a quarter of the tail: P and Q carry relative
      errors up to about 1e-13, so cancellation may cost no more than 4x that.
+     The share kept is diff/tail = 1 - exp(-int h dx) over (x_lo, x_hi),
+     with h = x^(s-1) e^-x / Gamma(s, x) <= 1 at s >= 1 (as Gamma(s, x) >=
+     x^(s-1) e^-x) on the upper tail, and h = x^(s-1) e^-x / gamma(s, x) <=
+     s / x for every s > 0 (as gamma(s, x) >= e^-x x^s / s) on the lower one.
+     So at s >= 1 a panel with (x_hi - x_lo) max(1, s / x_lo) < 0.2 keeps at
+     most 1 - e^-0.2 < 0.19 of its tail, far below a quarter even at those
+     relative errors: its three incomplete gammas are not evaluated.  At
+     s < 1 every panel evaluates them.
   3. Every other finite panel with g = 0 that is narrow against the scales
      of the integrand: 2 width <= 1 + u_lo, |a| width <= 2 and
      |b| width <= 2 (1 + u_lo), so that neither e^(-a u) nor (1+u)^b changes
@@ -54,9 +62,11 @@ bits it gets alone.
 The panel kernel, PowerLog.panel_norms and PowerLog.panel_max, evaluates the
 norms of decreasing step functions over their panels (lo_i, hi_i): the sums
 (sum_i base_i^q int p dt/t)^(1/q), or the maxima of base_i * sup p.
-panel_norms integrates the panels of many step functions in one kernel call
-and roots each sum with power_roots, which takes every finite-exponent sum
-of the package: directly unless a power saturates, else in logs.
+panel_norms takes the panels of many step functions as the rows of padded
+matrices (rearrange.StepRows), integrates the live panels of all rows in one
+kernel call and roots each row's sum with power_roots, which takes every
+finite-exponent sum of the package: directly unless a power saturates, else
+in logs.
 
 Orlicz generator functions (for Orlicz-space norms) live here too since they
 share the preset-validation style.
@@ -83,6 +93,9 @@ _SHARP = 64.0
 _TAIL_UNDERFLOW = 1e-290
 _NORMAL_MIN = np.finfo(float).tiny  # a subnormal x = a(1+u) has lost its digits
 _MAX_CANCEL = 4.0
+# at s >= 1, a panel with (x_hi - x_lo) max(1, s / x_lo) below this keeps at most
+# 1 - e^-0.2 < 0.19 of its tail, short of 1/_MAX_CANCEL (path 2 above)
+_GAMMA_WIDTH = 0.2
 _DOT_FLOOR = 2.0**53 * _NORMAL_MIN  # the least sum that power_roots trusts from a dot product
 
 
@@ -348,25 +361,25 @@ class PowerLog:
 
     # -- panel kernel ------------------------------------------------------------
 
-    def panel_norms(self, panels, q: float) -> list[float]:
-        """(sum_i base_i^q int_{lo_i}^{hi_i} p(t) dt/t)^(1/q) of each (lo, hi, base) of panels.
+    def panel_norms(self, lo, hi, base, q: float) -> list[float]:
+        """(sum_j base_ij^q int_{lo_ij}^{hi_ij} p(t) dt/t)^(1/q) for each row i of the matrices.
 
-        One kernel call integrates the live panels (base_i > 0, hi_i > lo_i) of all, and
-        power_roots roots each sum alone: each value is bitwise its (lo, hi, base)'s alone."""
-        live = [_live_panels(lo, hi, base) for lo, hi, base in panels]
-        if not live:
-            return []
-        vals = self._integrals_dt_over_t(np.concatenate([lo for _, lo, _ in live]),
-                                         np.concatenate([hi for _, _, hi in live]))
-        ends = np.cumsum([c.size for c, _, _ in live])[:-1]
-        return power_roots([(c, v) for (c, _, _), v in zip(live, np.split(vals, ends))], q)
+        Panel (i, j) is live where base_ij > 0 and hi_ij > lo_ij; padding
+        panels are not.  One kernel call integrates the live panels of all
+        rows, read in row-major order, and power_roots roots each row's sum
+        alone: each value is bitwise its row's alone."""
+        live = (base > 0.0) & (hi > lo)
+        vals = self._integrals_dt_over_t(lo[live], hi[live])
+        ends = np.cumsum(live.sum(axis=1))  # splitting at every row's end leaves one empty piece
+        return power_roots(zip(np.split(base[live], ends)[:-1], np.split(vals, ends)[:-1]), q)
 
     def panel_max(self, lo, hi, coef) -> float:
-        """max(0, max_i coef_i * sup of p over [lo_i, hi_i]) over the live panels."""
-        c, p_lo, p_hi = _live_panels(lo, hi, coef)
+        """max(0, max_i coef_i * sup of p over [lo_i, hi_i]) over the panels with coef_i > 0 and
+        hi_i > lo_i."""
+        lo, hi, coef = (np.asarray(x, dtype=float) for x in (lo, hi, coef))
         best = 0.0
-        for c_i, lo_i, hi_i in zip(c.tolist(), p_lo.tolist(), p_hi.tolist()):
-            best = max(best, c_i * self.sup_on(lo_i, hi_i))
+        for i in np.flatnonzero((coef > 0.0) & (hi > lo)).tolist():
+            best = max(best, float(coef[i]) * self.sup_on(float(lo[i]), float(hi[i])))
         return best
 
     # -- serialization -----------------------------------------------------------
@@ -380,13 +393,6 @@ class PowerLog:
         keys = (("a", None), ("b", 0.0), ("g", 0.0), ("const", 1.0))
         return PowerLog(*(read_key(obj, key, float, "power-log weight", DomainError, default)
                           for key, default in keys))
-
-
-def _live_panels(lo, hi, coef):
-    """Arrays coef, lo, hi, in panel order, of the panels where coef_i > 0 and hi_i > lo_i."""
-    lo, hi, coef = (np.asarray(x, dtype=float) for x in (lo, hi, coef))
-    keep = (coef > 0.0) & (hi > lo)
-    return coef[keep], lo[keep], hi[keep]
 
 
 def _exp(expo: float) -> float:
@@ -404,8 +410,10 @@ def power_roots(pairs, q: float) -> list[float]:
     power or product saturates, the sum is not finite, or it lies below 2^53
     normal minima, where a product may have underflowed unflagged in the dot.
     Else, with l_i = ln base_i + ln(factor_i) / q and M = max l_i, the value
-    is exp(M + ln(sum exp(q (l_i - M))) / q).  A base that is not finite, or a
-    positive base whose factor is not finite, raises FloatingPointError.
+    is exp(M + ln(sum exp(q (l_i - M))) / q).  A pair with no term (none with
+    base_i > 0 and factor_i > 0, an empty pair too) is 0.0 without the logs.
+    A base that is not finite, or a positive base whose factor is not finite,
+    raises FloatingPointError.
     """
     out = []
     with np.errstate(over="raise", under="raise", invalid="raise"):
@@ -414,8 +422,11 @@ def power_roots(pairs, q: float) -> list[float]:
                 total = float(base**q @ factor)
             except FloatingPointError:
                 total = math.nan
-            out.append(total ** (1.0 / q) if _DOT_FLOOR <= total < math.inf
-                       else _power_root_in_logs(base, factor, q))
+            if total == 0.0 and not ((base > 0.0) & (factor > 0.0)).any():
+                out.append(0.0)  # no term: nothing underflowed, the sum is 0
+            else:
+                out.append(total ** (1.0 / q) if _DOT_FLOOR <= total < math.inf
+                           else _power_root_in_logs(base, factor, q))
     return out
 
 
@@ -440,20 +451,29 @@ def _gamma_panels(a: float, s: float, u_lo, u_hi, vals) -> np.ndarray:
     tail.  A panel takes it where that tail does not underflow and the
     difference keeps at least 1/_MAX_CANCEL of it.  A difference cancels on
     panels narrow against the integrand's scales 1 + u and 1/a; those are left
-    to _gauss_legendre_panels.
+    to _gauss_legendre_panels.  At s >= 1 the panels with
+    (x_hi - x_lo) max(1, s / x_lo) < _GAMMA_WIDTH keep less than that share
+    (path 2 above), and their three incomplete gammas are not evaluated.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         factor = np.exp(a) * np.float64(a) ** -s * gamma(s)
     x_lo, x_hi = a * (1.0 + u_lo), a * (1.0 + u_hi)
+    idx = np.arange(x_lo.size)
+    if s >= 1.0:
+        with np.errstate(over="ignore", invalid="ignore"):  # s / x_lo past the float range
+            idx = np.flatnonzero((x_hi - x_lo) * np.maximum(1.0, s / x_lo) >= _GAMMA_WIDTH)
+    x_lo, x_hi = x_lo[idx], x_hi[idx]
     q_lo, p_hi = gammaincc(s, x_lo), gammainc(s, x_hi)
     upper = q_lo <= p_hi
     tail = np.where(upper, q_lo, p_hi)
     diff = np.empty_like(tail)  # Q(s, x_hi) only where upper holds, P(s, x_lo) only elsewhere
     diff[upper] = q_lo[upper] - gammaincc(s, x_hi[upper])
     diff[~upper] = p_hi[~upper] - gammainc(s, x_lo[~upper])
-    closed = ((x_lo >= _NORMAL_MIN) & (tail > _TAIL_UNDERFLOW) & (diff * _MAX_CANCEL >= tail)
-              & np.isfinite(factor))
-    vals[closed] = factor * diff[closed]
+    kept = ((x_lo >= _NORMAL_MIN) & (tail > _TAIL_UNDERFLOW) & (diff * _MAX_CANCEL >= tail)
+            & np.isfinite(factor))
+    vals[idx[kept]] = factor * diff[kept]
+    closed = np.zeros(u_lo.shape, dtype=bool)
+    closed[idx[kept]] = True
     return closed
 
 
@@ -473,11 +493,19 @@ def _gauss_legendre_panels(a: float, s: float, u_lo, u_hi, todo, vals) -> np.nda
     if idx.size:
         nodes, weights = _gauss_legendre_16()
         half = width[idx, None] / 2.0
-        u = u_lo[idx, None] + half * (1.0 + nodes)
+        # e^(-a u) (1+u)^(s-1) half w at the nodes u, in place: two (panels x 16) arrays
+        u = half * (1.0 + nodes)
+        u += u_lo[idx, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # e^(-a u) past the float range
+            rule = np.exp(np.multiply(u, -a))
+            u += 1.0
+            u **= s - 1.0
+            rule *= u
+        rule *= half
+        rule *= weights
         # a row sum, not a matrix product: BLAS may order a product's sums by the
         # number of rows, and a panel's value must not depend on the other panels
-        with np.errstate(over="ignore", invalid="ignore"):  # e^(-a u) past the float range
-            rule = (np.exp(-a * u) * (1.0 + u) ** (s - 1.0) * half * weights).sum(axis=1)
+        rule = rule.sum(axis=1)
         finite = np.isfinite(rule)
         vals[idx[finite]] = rule[finite]
         narrow[idx[~finite]] = False

@@ -34,6 +34,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
+from scipy.special import gamma, gammainc, gammaincc
 
 from oscembed.corpus import tent_function
 from oscembed.embed import (_oscillation_weight, embedding_report, reciprocal_weight_finite,
@@ -360,6 +361,28 @@ def mp_power_log_integral(a, b, g, lo, hi):
         return float(total)
 
 
+# The incomplete-gamma path of weights.py as written before its width filter:
+# all three incomplete gammas on every panel.
+
+
+def full_gamma_panels(a, s, u_lo, u_hi):
+    """(kept, vals): the panels whose difference keeps a quarter of the smaller tail, and
+    e^a a^-s Gamma(s) times that difference on them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.exp(a) * np.float64(a) ** -s * gamma(s)
+    x_lo, x_hi = a * (1.0 + u_lo), a * (1.0 + u_hi)
+    q_lo, q_hi = gammaincc(s, x_lo), gammaincc(s, x_hi)
+    p_lo, p_hi = gammainc(s, x_lo), gammainc(s, x_hi)
+    upper = q_lo <= p_hi
+    tail = np.where(upper, q_lo, p_hi)
+    diff = np.where(upper, q_lo - q_hi, p_hi - p_lo)
+    kept = ((x_lo >= np.finfo(float).tiny) & (tail > 1e-290) & (diff * 4.0 >= tail)
+            & np.isfinite(factor))
+    vals = np.zeros(u_lo.shape)
+    vals[kept] = factor * diff[kept]
+    return kept, vals
+
+
 # The Besov scale sum of a profile's cells, in mpmath.
 
 
@@ -539,9 +562,10 @@ def loop_modulus_profile(space, f, spec, alpha, ratio=DEFAULT_GRID_RATIO):
     diffs = np.abs(f[:, None] - f[None, :]) ** alpha
     vals = []
     for r in radii:
-        grad = _ball_averages(space, diffs, [float(r)], alpha)[0]
+        grad = _ball_averages(space, diffs, space.metric.counts([float(r)]), alpha)[0]
         vals.append(quasi_norm(conv, rearrangement(space, grad)))
-    full = _ball_averages(space, diffs, [2.0 * space.diameter + 1.0], alpha)[0]
+    full = _ball_averages(space, diffs, space.metric.counts([2.0 * space.diameter + 1.0]),
+                          alpha)[0]
     tail = quasi_norm(conv, rearrangement(space, full))
     return ModulusProfile(radii, np.asarray(vals), tail)
 
@@ -716,7 +740,8 @@ def nabla(space: Space, f, r: float, alpha: float) -> np.ndarray:
     """Ball average of |f(x) - f(y)|^alpha over y in B(x, r), to the 1/alpha."""
     _check_ball_args(r, alpha)
     f = np.asarray(f, dtype=float)
-    return _ball_averages(space, np.abs(f[:, None] - f[None, :]) ** alpha, [r], alpha)[0]
+    return _ball_averages(space, np.abs(f[:, None] - f[None, :]) ** alpha,
+                          space.metric.counts([r]), alpha)[0]
 
 
 def t_r_operator(space: Space, f, r: float, alpha: float) -> np.ndarray:
@@ -724,7 +749,7 @@ def t_r_operator(space: Space, f, r: float, alpha: float) -> np.ndarray:
     _check_ball_args(r, alpha)
     f = np.abs(np.asarray(f, dtype=float)) ** alpha
     vals = np.broadcast_to(f[None, :], (space.n, space.n))
-    return _ball_averages(space, vals, [r], alpha)[0]
+    return _ball_averages(space, vals, space.metric.counts([r]), alpha)[0]
 
 
 def modulus(space: Space, f, r: float, spec: RISpaceSpec, alpha: float) -> float:

@@ -312,6 +312,16 @@ def test_cli_collapse_sweep_counts_its_informative_rows(space_file, tmp_path, ca
     assert header == "eps,b,empirical_constant"
 
 
+def test_cli_collapse_sweep_of_an_empty_corpus(space_file, tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text("[]")
+    assert main(["collapse-sweep", "--space", space_file, "--corpus", str(corpus),
+                 "--eps", "1,0.1,0.01", "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["eps=1", "eps=0.1", "eps=0.01"]
+    assert all(line.endswith(" constant=0 informative=0/0") for line in lines)
+
+
 def test_verify_infinito_refusal_exit_code(space_file, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["verify", "--theorem", "infinito", "--space", space_file,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oscembed import (PowerLog, StepDecreasing, collapse_sweep, grid_space, k_bounds_path,
                       lorentz, lorentz_zygmund, lp, modulus_profile, path_space, smoothness,
                       space_from_graph, space_from_points, tent_function)
+from oscembed.space import MetricIndex
 
 from _oracles import loop_k_bounds, loop_modulus, loop_modulus_profile, modulus
 
@@ -59,15 +60,23 @@ def test_moduli_equal_per_radius_loops_bitwise(instance, alpha, spec_name):
 @pytest.mark.parametrize("t", [0.3, 1.0, 5.0, 11.0, 40.0])
 def test_k_bounds_makes_one_pass_per_distinct_radius(monkeypatch, t):
     sp = path_space(6)  # diameter 5, so t = 11 and 40 cover the space at j = 0
-    radii = []
-    inner = smoothness._ball_averages
+    counted, passes = [], []
+    counts, inner = MetricIndex.counts, smoothness._ball_averages
 
-    def counted(space, values, rs, alpha):
-        radii.extend(rs)
-        return inner(space, values, rs, alpha)
+    def counted_counts(self, rs):
+        counted.append(list(rs))
+        return counts(self, rs)
 
-    monkeypatch.setattr(smoothness, "_ball_averages", counted)
+    def counted_averages(space, values, ball_sizes, alpha):
+        passes.append(ball_sizes.shape)
+        return inner(space, values, ball_sizes, alpha)
+
+    monkeypatch.setattr(MetricIndex, "counts", counted_counts)
+    monkeypatch.setattr(smoothness, "_ball_averages", counted_averages)
     k_bounds_path(sp, np.arange(6.0) ** 2, [t], lp(2.0), 0.5)[0]
+    assert len(counted) == 1 and len(passes) == 1  # the radii are counted and averaged once
+    radii = counted[0]
+    assert passes[0] == (sp.n, len(radii))
     assert len(radii) == len(set(radii))
     top = 2.0 * sp.diameter
     j_cut = int(np.ceil(np.log2(top / t))) if t < top else 0
@@ -87,7 +96,7 @@ def test_profile_ranks_each_distinct_row_once(monkeypatch):
     monkeypatch.setattr(smoothness, "Ranking", lambda rows: ranked.append(rows) or real(rows))
     modulus_profile(sp, f, lorentz_zygmund(1.5, 2.0, 0.5), 1.0)
     averages = smoothness._averages(
-        sp, f, [*smoothness.radius_grid(sp), 2.0 * sp.diameter + 1.0], 1.0)
+        sp, f, sp.metric.counts([*smoothness.radius_grid(sp), 2.0 * sp.diameter + 1.0]), 1.0)
     distinct = np.unique(averages, axis=0)
     assert len(ranked) == 1
     assert ranked[0].shape == distinct.shape  # no row twice
@@ -121,3 +130,39 @@ def test_collapse_sweep_builds_no_checked_step_function(monkeypatch):
                            [1.0, 0.1, 0.01], 2.0)
     assert len(sweep) == 3
     assert checked == []
+
+
+def test_moduli_under_five_measures_equal_five_one_measure_calls_bitwise():
+    sp = _sweep_grid()
+    weights = [sp.scale_weights(eps).weight for eps in (1.0, 0.1, 0.01, 3.0, 1e-4)]
+    grid = [*smoothness.radius_grid(sp), 2.0 * sp.diameter + 1.0]
+    for radii in (grid, [0.5, 3.0, 0.4, 0.5, 10.0]):  # the second unsorted, with a repeat
+        ball_sizes = smoothness._Radii(sp, radii)
+        for f in (tent_function(sp, 0), tent_function(sp, 3) - tent_function(sp, 77)):
+            for spec in SPECS.values():
+                for alpha in (1.0, 0.5):
+                    moduli = smoothness._Moduli(sp, f, ball_sizes, alpha)
+                    together = moduli.at(weights, spec)
+                    alone = [moduli.at([w], spec)[0] for w in weights]
+                    assert np.array(together).tobytes() == np.array(alone).tobytes()
+                    assert len(together[0]) == len(radii)
+
+
+@pytest.mark.parametrize("eps_list", [[1.0], [1.0, 0.1, 0.01], [1.0, 0.1, 0.01, 1e-3, 1e-4]])
+def test_collapse_sweep_makes_two_kernel_calls_per_function(monkeypatch, eps_list):
+    """One for the moduli under every eps, one for the oscillation functional of every f*."""
+    sp = _sweep_grid()
+    calls = []
+    kernel = PowerLog._integrals_dt_over_t
+
+    def counted(self, lo, hi):
+        calls.append(lo.size)
+        return kernel(self, lo, hi)
+
+    monkeypatch.setattr(PowerLog, "_integrals_dt_over_t", counted)
+    corpus = [tent_function(sp, 0), tent_function(sp, 3) - tent_function(sp, 77),
+              tent_function(sp, 140)]
+    sweep = collapse_sweep(sp, corpus, lorentz_zygmund(1.5, 2.0, 0.5), 1.0, 0.5, 2.0,
+                           eps_list, 2.0)
+    assert len(sweep) == len(eps_list)
+    assert len(calls) == 2 * len(corpus)

@@ -13,7 +13,7 @@ from oscembed import (PowerLog, StepDecreasing, collapse_sweep, diagnostics, emb
                       weights)
 from oscembed.weights import power_roots
 
-from _oracles import mp_power_log_integral, mp_power_root, nabla
+from _oracles import full_gamma_panels, mp_power_log_integral, mp_power_root, nabla
 
 
 def _exponents(draw):
@@ -142,6 +142,26 @@ def test_power_roots_match_mpmath(case):
     assert got == pytest.approx(float(mp_power_root(*pair, q)), rel=1e-12, abs=0.0)
 
 
+def test_power_roots_gives_0_for_a_pair_with_no_terms(monkeypatch):
+    """Empty pairs and pairs with no positive base of positive factor skip the logs."""
+    in_logs, logs = [], weights._power_root_in_logs
+    monkeypatch.setattr(weights, "_power_root_in_logs",
+                        lambda *args: in_logs.append(args) or logs(*args))
+    empty = (np.zeros(0), np.zeros(0))
+    zero_factors = (np.array([1.0, 2.0, 0.0]), np.zeros(3))
+    zero_bases = (np.zeros(2), np.array([1.0, 3.0]))
+    live = (np.array([3.0, 4.0]), np.ones(2))
+    for q in (0.5, 2.0, 400.0):
+        for pair in (empty, zero_factors, zero_bases):
+            assert power_roots([pair], q) == [0.0]
+        (alone,) = power_roots([live], q)
+        assert power_roots([empty, live, zero_factors, zero_bases], q) == [0.0, alone, 0.0, 0.0]
+    assert in_logs == []
+    # a term that underflows in the dot is a term: its pair still sums in logs
+    assert power_roots([(np.array([1e-200]), np.ones(1))], 2.0) == [pytest.approx(1e-200, rel=1e-12)]
+    assert len(in_logs) == 1
+
+
 def test_power_roots_refuses_a_positive_base_with_an_infinite_factor():
     with pytest.raises(FloatingPointError, match="at q = 2.0 has a term"):
         power_roots([(np.array([1.0, 0.5]), np.array([1.0, math.inf]))], 2.0)
@@ -244,3 +264,50 @@ def test_target_check_evaluates_the_gauge_once_per_report(monkeypatch, q, mode, 
     assert rep.params["mode"] == mode
     assert len(gauge_calls) == 1
     assert 0 < len(calls) <= most
+
+
+# -- the incomplete-gamma filter ------------------------------------------------------------
+
+
+def _at_width(a, s, u_lo, width):
+    """The u_hi of the panel from u_lo with (x_hi - x_lo) max(1, s / x_lo) = width, x = a(1+u)."""
+    x_lo = a * (1.0 + u_lo)
+    return (x_lo + width / max(1.0, s / x_lo)) / a - 1.0
+
+
+@st.composite
+def gamma_batches(draw):
+    """a in [1e-3, 1e3], s in [1, 50] and 1-20 panels from u_lo in [0, 1e3], of widths from
+    1e-8 (1 + u_lo) up."""
+    a = 10.0 ** draw(st.floats(-3.0, 3.0))
+    s = draw(st.floats(1.0, 50.0))
+    u_lo = np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=20)))
+    rel = np.array([10.0 ** draw(st.floats(-8.0, 1.0)) for _ in range(u_lo.size)])
+    return a, s, u_lo, u_lo + rel * (1.0 + u_lo)
+
+
+def _boundary_batch(a, s, u_lo):
+    """Panels at (x_hi - x_lo) max(1, s / x_lo) = 0.2, just either side of it, and wider.
+
+    At s = 1 the upper tail is e^-x, so a panel keeps 1 - e^-(x_hi - x_lo) of it:
+    a quarter from the width ln(4/3) = 0.2877 on, which the width 0.29 passes.
+    """
+    widths = (0.2 * (1.0 - 1e-12), 0.2, 0.2 * (1.0 + 1e-12), 0.25, 0.29, 0.5)
+    return a, s, np.full(len(widths), u_lo), np.array([_at_width(a, s, u_lo, w) for w in widths])
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma_batches())
+@example(_boundary_batch(1.0, 1.0, 0.0))
+@example(_boundary_batch(1.0, 1.0, 1.0))  # x_lo = 2: the upper tail, where 0.29 is kept
+@example(_boundary_batch(0.01, 50.0, 0.0))  # s / x_lo = 5000 sets the width
+@example(_boundary_batch(1e3, 2.0, 10.0))
+@example(_boundary_batch(1e-3, 1.0, 1e3))
+@example(_boundary_batch(4.0 / 3.0, 2.0, 0.5))  # the collapse sweep's LZ weight
+def test_gamma_filter_drops_no_panel_that_the_full_test_keeps(batch):
+    a, s, u_lo, u_hi = batch
+    vals = np.zeros(u_lo.size)
+    kept = weights._gamma_panels(a, s, u_lo, u_hi, vals)
+    want_kept, want_vals = full_gamma_panels(a, s, u_lo, u_hi)
+    assert kept.tolist() == want_kept.tolist()
+    assert vals.tobytes() == want_vals.tobytes()

@@ -17,7 +17,7 @@ from oscembed import (hajlasz_seminorm_l1, lp, measure_growth_constant, modulus_
 from oscembed import smoothness
 from oscembed.embed import collapse_sweep
 from oscembed.smoothness import k_functional_path
-from oscembed.space import BallIndex, MetricIndex, Space
+from oscembed.space import BallIndex, MetricIndex, Space, _validate
 
 from _oracles import (brute_force_growth_constant, critical_radii, dense_grid_doubling,
                       iterated_doubling_margin, table_doubling_constant, upper_dimension)
@@ -68,7 +68,38 @@ def test_chain_of_small_triangle_violations_rejected():
     lambda: space_from_points(np.random.default_rng(6).random((200, 1)) * 1000.0, np.ones(200)),
 ], ids=["path", "grid", "random-geometric", "points-3d", "points-on-a-line"])
 def test_graph_and_euclidean_builds_validate(build):
-    assert build().n > 1
+    sp = build()  # a metric by construction: the constructors skip the closure, this runs it
+    _validate(sp.dist, sp.weight)
+    assert sp.n > 1
+
+
+@st.composite
+def constructed_spaces(draw):
+    """A connected random graph (a spanning tree plus extra edges), a lattice, or a point
+    cloud in 1-3 dimensions, of 2-40 points at scales from 1e-3 to 1e3."""
+    kind = draw(st.sampled_from(["graph", "lattice", "points"]))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    if kind == "lattice":
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+        coords = [(scale * i, scale * j) for i in range(rows) for j in range(cols)]
+        return space_from_points(coords, np.ones(rows * cols))
+    n = draw(st.integers(2, 40))
+    if kind == "points":
+        dim = draw(st.integers(1, 3))
+        coords = draw(st.lists(st.lists(st.integers(-1000, 1000), min_size=dim, max_size=dim),
+                               min_size=n, max_size=n, unique_by=tuple))  # distinct points
+        return space_from_points(scale * 1e-3 * np.array(coords, dtype=float), np.ones(n))
+    length = st.floats(0.01, 10.0).map(lambda x: scale * x)
+    edges = [(i, draw(st.integers(0, i - 1)), draw(length)) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), length)
+                           .filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    return space_from_graph(n, edges, np.ones(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(constructed_spaces())
+def test_constructed_spaces_pass_the_triangle_closure(sp):
+    _validate(sp.dist, sp.weight)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -209,7 +240,7 @@ def spaces_radii_values(draw):
 @example((space_from_matrix([[0.0]], [2.0]), [0.5, 1.0], np.array([[3.0]])))
 def test_ball_index_masses_and_means_equal_per_point_loops(instance):
     sp, radii, values = instance
-    masses, means = sp.balls.masses(radii), sp.balls.means(values, radii)
+    masses, means = sp.balls.masses(radii), sp.balls.means(values, sp.metric.counts(radii))
     # each point's own positive distances, exact ties included, and their doubles
     own = sp.dist[~np.eye(sp.n, dtype=bool)].reshape(sp.n, sp.n - 1)
     own = np.concatenate([own, 2.0 * own], axis=1)
@@ -230,7 +261,7 @@ def test_ball_index_masses_and_means_equal_per_point_loops(instance):
                                                 rel=1e-12, abs=0.0)
         assert sp.ball_masses(r).tobytes() == masses[k].tobytes()
         assert sp.balls.masses([r]).tobytes() == masses[k].tobytes()
-        assert sp.balls.means(values, [r]).tobytes() == means[k].tobytes()
+        assert sp.balls.means(values, sp.metric.counts([r])).tobytes() == means[k].tobytes()
 
 
 def test_space_sorts_its_rows_once(monkeypatch):
